@@ -1,0 +1,6 @@
+"""Test set-up for the benchmark's self-tests: import the program from src/."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
