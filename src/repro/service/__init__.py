@@ -8,15 +8,15 @@ for the in-process simulator so discovery can run over the wire:
   HTTP server exposing any :class:`~repro.hiddendb.table.Table` + ranker as
   a JSON top-k search API with per-API-key query budgets and configurable
   fault/latency injection;
-* :mod:`repro.service.client` -- :class:`RemoteTopKInterface`, a
-  :class:`~repro.hiddendb.endpoint.SearchEndpoint` over HTTP with
-  retry/backoff against injected faults and an optional LRU query cache
-  whose hits are free (they never reach the server's billing counter);
-* :mod:`repro.service.aclient` -- :class:`AsyncRemoteTopKInterface`, the
-  asyncio twin of the client: the same wire format, billing semantics,
-  cache/ledger mount and replay ids, but over non-blocking pooled
-  connections on one event loop, built for
-  ``DiscoveryConfig(strategy="async")``'s very wide dispatch windows;
+* :mod:`repro.service.client` -- the one remote-client protocol,
+  :class:`QueryClientCore` (billing-safe request ids, retry/backoff
+  against faults and throttles, batching with ``partial_results``,
+  never-billed caches), and its blocking transport
+  :class:`RemoteTopKInterface` (keep-alive connections, one per thread);
+* :mod:`repro.service.aclient` -- the protocol's asyncio transport,
+  :class:`AsyncRemoteTopKInterface` (pooled non-blocking connections on
+  one event loop, built for ``DiscoveryConfig(strategy="async")``'s very
+  wide dispatch windows);
 * :mod:`repro.service.wire` -- the JSON wire format shared by both sides;
 * :mod:`repro.service.faults` -- deterministic, thread-safe fault/latency
   injection used by the server.

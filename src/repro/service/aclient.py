@@ -1,20 +1,17 @@
-"""Asyncio remote search endpoint: non-blocking client for the service.
+"""Asyncio transport for the remote client protocol.
 
-:class:`AsyncRemoteTopKInterface` is the event-loop twin of
-:class:`~repro.service.client.RemoteTopKInterface`: it speaks the exact
-same JSON wire format (:mod:`repro.service.wire`) against the exact same
-server, but over **non-blocking sockets** driven by one asyncio event
-loop, so hundreds of queries can be in flight without a thread apiece.
-It implements the
-:class:`~repro.hiddendb.endpoint.AsyncSearchEndpoint` protocol (plus a
-blocking ``query()`` bridge, so it also satisfies the classic
-:class:`~repro.hiddendb.endpoint.SearchEndpoint` and drops into serial
-strategies unchanged) and shares the sync client's entire
-transport-independent core
-(:class:`~repro.service.client.QueryClientCore`): the never-billed LRU
-query cache and crawl-store ledger mount, deterministic ``X-Request-Id``
-replay derivation, retry/backoff classification and telemetry -- one
-implementation, two transports, so the billing semantics cannot drift.
+:class:`AsyncRemoteTopKInterface` runs the one client protocol of
+:class:`~repro.service.client.QueryClientCore` -- caching, billing,
+request-id replay, retry, batching, error mapping, telemetry -- over
+**non-blocking sockets** driven by one asyncio event loop, so hundreds of
+queries can be in flight without a thread apiece.  The blocking
+:class:`~repro.service.client.RemoteTopKInterface` runs the same protocol
+over ``http.client``; the two differ only in transport, so their billing
+semantics cannot drift.  The client implements the
+:class:`~repro.hiddendb.endpoint.AsyncSearchEndpoint` protocol (``aquery``
+/ ``abatch_query``) and, through the shared core, the blocking
+:class:`~repro.hiddendb.endpoint.SearchEndpoint` surface, so it also drops
+into serial strategies unchanged.
 
 Transport specifics:
 
@@ -24,44 +21,31 @@ Transport specifics:
 * **minimal HTTP parsing** -- responses are read with a purpose-built
   status-line / headers / ``Content-Length`` parser instead of the stdlib
   ``http.client`` machinery, which is a measurable per-query saving at
-  high concurrency (this is the "specialise the execution substrate"
-  argument: the wire format is fixed and simple, so the client does the
-  minimum work the format requires);
-* **retry with exponential backoff** -- identical policy and error mapping
-  to the sync client, with ``asyncio.sleep`` instead of blocking sleeps;
+  high concurrency (the wire format is fixed and simple, so the client
+  does the minimum work the format requires);
 * **event-loop affinity** -- all I/O runs on one
   :class:`~repro.hiddendb.endpoint.EventLoopRunner` owned by the client,
-  so pooled connections stay valid for the client's whole lifetime and
-  ``close()`` releases everything deterministically.  ``aquery`` /
+  so pooled connections stay valid across calls.  ``aquery`` /
   ``abatch_query`` may be awaited from any loop; the work is marshalled
   to the client's loop and awaited without blocking the caller's loop.
+  ``close()`` releases everything deterministically, and like the
+  blocking client the next request reconnects, on a fresh loop.
 """
 
 from __future__ import annotations
 
 import asyncio
-import inspect
-import json
 import socket
-from typing import Any, Awaitable, Callable, Mapping, Sequence
+from typing import Any, Awaitable, Callable, Coroutine, Mapping, Sequence
 
 from ..hiddendb.endpoint import EventLoopRunner
-from ..hiddendb.errors import HiddenDBError
 from ..hiddendb.interface import QueryResult
 from ..hiddendb.query import Query
-from .client import (
-    QueryClientCore,
-    RemoteServiceError,
-    _parse_retry_after,
-    _Retriable,
-)
+from .client import QueryClientCore, _Retriable
 from .server import ANONYMOUS_KEY
-from .wire import (
-    decode_answer,
-    decode_batch_answer,
-    encode_batch_request,
-    encode_query,
-)
+
+# Unused here: crawlbench/bench_trace.py wraps the codec at this import path.
+from .wire import decode_answer, encode_query  # noqa: F401
 
 #: Idle keep-alive connections retained per client.
 DEFAULT_POOL_SIZE = 128
@@ -92,8 +76,8 @@ class _Connection:
 class AsyncRemoteTopKInterface(QueryClientCore):
     """An :class:`AsyncSearchEndpoint` speaking HTTP to a hidden-DB service.
 
-    Construction performs the same ``/api/schema`` bootstrap as the sync
-    client (blocking, on the client's private loop).  Parameters mirror
+    Construction performs the same ``/api/schema`` bootstrap as the
+    blocking client (on the client's private loop).  Parameters mirror
     :class:`~repro.service.client.RemoteTopKInterface`; ``sleep`` may be a
     plain callable or a coroutine function (tests pass a no-op),
     ``pool_size`` bounds the idle keep-alive connections retained.
@@ -124,17 +108,15 @@ class AsyncRemoteTopKInterface(QueryClientCore):
             cache_size=cache_size,
             ledger=ledger,
             replay_nonce=replay_nonce,
+            sleep=sleep,
         )
         self._pool_size = pool_size
-        self._sleep_fn = sleep
         #: Idle connections; touched only on the runner's loop, so no lock.
         self._pool: list[_Connection] = []
-        self._runner = EventLoopRunner(name="repro-aclient")
-        self._closed = False
+        #: Started on first use (and again after ``close()``).
+        self._runner: EventLoopRunner | None = None
         try:
-            self._apply_metadata(
-                self._runner.run(self._arequest("GET", "/api/schema"))
-            )
+            self._fetch_metadata()
         except BaseException:
             # A failed bootstrap must not leak the loop thread (callers
             # may retry construction in a supervisor loop).
@@ -148,314 +130,90 @@ class AsyncRemoteTopKInterface(QueryClientCore):
         """Issue one query without blocking (or answer it from the cache).
 
         Awaitable from any event loop; the I/O runs on the client's own
-        loop.  Semantics -- caching, billing, retry, error mapping,
-        request-id replay -- are identical to the sync client's
-        ``query()``.
+        loop.  Semantics are the shared protocol's, as for ``query()``.
         """
-        return await self._marshal(self._aquery(query))
+        return await self._marshal(self._query(query))
 
     async def abatch_query(
         self, queries: Sequence[Query]
     ) -> tuple[QueryResult, ...]:
-        """Answer several independent queries in one ``/api/batch`` trip.
-
-        Per-item semantics and the ``partial_results`` contract match the
-        sync client's ``batch_query`` exactly.
-        """
-        return await self._marshal(self._abatch_query(list(queries)))
+        """Answer several independent queries in one ``/api/batch`` trip
+        (the ``partial_results`` contract of ``batch_query()``)."""
+        return await self._marshal(self._batch_query(list(queries)))
 
     # ------------------------------------------------------------------
-    # blocking bridge (SearchEndpoint compatibility)
-    # ------------------------------------------------------------------
-    def query(self, query: Query) -> QueryResult:
-        """Blocking twin of :meth:`aquery` (serial strategies, tooling)."""
-        return self._runner.run(self._aquery(query))
-
-    def batch_query(self, queries: Sequence[Query]) -> tuple[QueryResult, ...]:
-        """Blocking twin of :meth:`abatch_query`."""
-        return self._runner.run(self._abatch_query(list(queries)))
-
-    def server_stats(self) -> dict[str, Any]:
-        """The service's ``/api/stats`` payload (billing counters)."""
-        return self._runner.run(self._arequest("GET", "/api/stats"))
-
-    def healthz(self) -> dict[str, Any]:
-        """The service's ``/healthz`` payload (liveness + fingerprint)."""
-        return self._runner.run(self._arequest("GET", "/healthz"))
-
-    def refresh_data_version(self) -> int:
-        """Re-read the endpoint's data version over ``/healthz`` (free)."""
-        payload = self.healthz()
-        self._note_data_version(
-            {"X-Data-Version": str(payload.get("data_version", 0))}
-        )
-        return self._data_version
-
-    def mutate(
-        self,
-        ops: Sequence[Mapping[str, Any]] | None = None,
-        *,
-        churn: Mapping[str, Any] | None = None,
-    ) -> dict[str, Any]:
-        """Apply an operator mutation batch via ``POST /api/mutate``.
-
-        Blocking (operator tooling, not crawl hot path); semantics match
-        the sync client's ``mutate`` exactly.
-        """
-        if (ops is None) == (churn is None):
-            raise ValueError("exactly one of ops or churn is required")
-        body: dict[str, Any] = (
-            {"ops": list(ops)} if ops is not None else {"churn": dict(churn)}
-        )
-        payload = self._runner.run(
-            self._arequest("POST", "/api/mutate", body)
-        )
-        self._note_data_version(
-            {"X-Data-Version": str(payload.get("data_version", 0))}
-        )
-        return payload
-
-    def close(self) -> None:
-        """Close every pooled connection and stop the client's loop."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._runner.run(self._drain_pool())
-        except Exception:
-            pass
-        self._runner.close()
-
-    def __enter__(self) -> "AsyncRemoteTopKInterface":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # loop marshalling
+    # loop lifecycle and marshalling
     # ------------------------------------------------------------------
     @property
     def aio_runner(self) -> EventLoopRunner:
-        """The client's event-loop runner.
+        """The client's event-loop runner (started on first use).
 
         Exposed so the async execution strategy can schedule transports
         directly on the loop that owns this client's connection pool --
         one cross-thread hop per query instead of two.
         """
-        return self._runner
+        runner = self._runner
+        if runner is None:
+            with self._lock:
+                if self._runner is None:
+                    self._runner = EventLoopRunner(name="repro-aclient")
+                runner = self._runner
+        return runner
+
+    def _run(self, coro: Coroutine[Any, Any, Any]) -> Any:
+        """Run ``coro`` on the client's loop, blocking until it finishes."""
+        return self.aio_runner.run(coro)
 
     async def _marshal(self, coro):
         """Run ``coro`` on the client's loop, awaited from any loop."""
-        if asyncio.get_running_loop() is self._runner.loop:
+        runner = self.aio_runner
+        if asyncio.get_running_loop() is runner.loop:
             return await coro
-        return await asyncio.wrap_future(self._runner.submit(coro))
+        return await asyncio.wrap_future(runner.submit(coro))
 
-    async def _asleep(self, seconds: float) -> None:
-        outcome = self._sleep_fn(seconds)
-        if inspect.isawaitable(outcome):
-            await outcome
+    def close(self) -> None:
+        """Close every pooled connection and stop the client's loop.
 
-    # ------------------------------------------------------------------
-    # query semantics (mirrors the sync client, awaitable transport)
-    # ------------------------------------------------------------------
-    async def _aquery(self, query: Query) -> QueryResult:
-        cached = self._cache_lookup(query)
-        if cached is not None:
-            return cached
-        # One request id per *logical* query, reused across retries: the
-        # server replays an already-billed answer for a seen id, so a
-        # response lost after billing is never billed twice.  Durable
-        # crawls derive the id from the session nonce + canonical query
-        # key, extending the same guarantee across process restarts.
-        payload = await self._arequest(
-            "POST",
-            "/api/query",
-            {"query": encode_query(query)},
-            request_id=self._request_id(query),
-            trace_id=self._trace_id(query),
-        )
-        rows, overflow, sequence = decode_answer(payload)
-        self._count_billed(query)
-        result = QueryResult(
-            query=query, rows=rows, overflow=overflow, sequence=sequence
-        )
-        self._cache_store(query, result)
-        return result
-
-    async def _abatch_query(
-        self, queries: list[Query]
-    ) -> tuple[QueryResult, ...]:
-        if not queries:
-            return ()
-        results: list[QueryResult | None] = [None] * len(queries)
-        pending: list[int] = []
-        for index, query in enumerate(queries):
-            cached = self._cache_lookup(query)
-            if cached is not None:
-                results[index] = cached
-            else:
-                pending.append(index)
-        if pending and not self._supports_batch:
-            # Pre-batch server: degrade to per-query dispatch with the
-            # same first-terminal-failure / partial_results contract.
-            try:
-                for index in pending:
-                    results[index] = await self._aquery(queries[index])
-            except HiddenDBError as exc:
-                exc.partial_results = tuple(results)
-                raise
-            return tuple(results)  # type: ignore[return-value]
-        ids = {index: self._request_id(queries[index]) for index in pending}
-        failures: dict[int, Exception] = {}
-        attempt = 0
-        while pending:
-            retry: list[int] = []
-            retry_after: float | None = None
-            for start in range(0, len(pending), self._max_batch):
-                chunk = pending[start : start + self._max_batch]
-                try:
-                    payload = await self._arequest(
-                        "POST",
-                        "/api/batch",
-                        encode_batch_request(
-                            [queries[i] for i in chunk],
-                            [ids[i] for i in chunk],
-                        ),
-                    )
-                    outcomes = decode_batch_answer(payload, len(chunk))
-                except HiddenDBError as exc:
-                    # Transport failed terminally for this chunk; answers
-                    # from earlier chunks/rounds were already folded into
-                    # ``results`` and must not be lost.
-                    exc.partial_results = tuple(results)
-                    raise
-                except ValueError as exc:
-                    wrapped = RemoteServiceError(
-                        f"malformed batch answer: {exc}"
-                    )
-                    wrapped.partial_results = tuple(results)
-                    raise wrapped from None
-                for index, (status, body) in zip(chunk, outcomes):
-                    if status < 400:
-                        rows, overflow, sequence = decode_answer(body)
-                        result = QueryResult(
-                            query=queries[index],
-                            rows=rows,
-                            overflow=overflow,
-                            sequence=sequence,
-                        )
-                        self._count_billed(queries[index])
-                        self._cache_store(queries[index], result)
-                        results[index] = result
-                        continue
-                    exc = self._classify_payload(status, body)
-                    if isinstance(exc, _Retriable):
-                        self._note_throttle(exc)
-                        if exc.retry_after is not None and (
-                            retry_after is None
-                            or exc.retry_after > retry_after
-                        ):
-                            retry_after = exc.retry_after
-                        retry.append(index)
-                    else:
-                        failures[index] = exc
-            if not retry:
-                break
-            if attempt >= self._max_retries:
-                for index in retry:
-                    failures[index] = RemoteServiceError(
-                        f"batch item still failing after "
-                        f"{self._max_retries} retries",
-                    )
-                break
-            self._count_retry()
-            await self._asleep(self._retry_delay(attempt + 1, retry_after))
-            attempt += 1
-            pending = retry
-        if failures:
-            exc = failures[min(failures)]
-            # Aligned-with-holes: billed answers (including ones *after*
-            # the first failing position) stay attached; failed or unsent
-            # items stay None and are the only unbilled slots.
-            exc.partial_results = tuple(results)
-            raise exc
-        return tuple(results)  # type: ignore[return-value]
+        The next request starts a fresh loop and reconnects.
+        """
+        with self._lock:
+            runner, self._runner = self._runner, None
+        if runner is None:
+            return
+        try:
+            runner.run(self._drain_pool())
+        except Exception:
+            pass
+        runner.close()
 
     # ------------------------------------------------------------------
     # transport (runs on the client's loop)
     # ------------------------------------------------------------------
-    async def _arequest(
+    async def _exchange(
         self,
         method: str,
         path: str,
-        body: Mapping[str, Any] | None = None,
-        request_id: str | None = None,
-        trace_id: str | None = None,
-    ) -> dict[str, Any]:
-        last_status: int | None = None
-        last_reason = "unknown error"
-        retry_after: float | None = None
-        for attempt in range(self._max_retries + 1):
-            if attempt:
-                self._count_retry(trace_id=trace_id)
-                await self._asleep(self._retry_delay(attempt, retry_after))
-            try:
-                return await self._asend(method, path, body, request_id,
-                                         trace_id)
-            except _Retriable as exc:
-                last_status = exc.status
-                last_reason = exc.reason
-                retry_after = exc.retry_after
-                self._note_throttle(exc)
-                if self._observer is not None:
-                    self._observer.client_event(
-                        "fault", trace_id=trace_id, status=exc.status,
-                        path=path,
-                    )
-        raise RemoteServiceError(
-            f"{method} {path} still failing after {self._max_retries} "
-            f"retries: {last_reason}",
-            status=last_status,
-        )
-
-    async def _asend(
-        self,
-        method: str,
-        path: str,
-        body: Mapping[str, Any] | None,
-        request_id: str | None = None,
-        trace_id: str | None = None,
-    ) -> dict[str, Any]:
-        data = b"" if body is None else json.dumps(body).encode("utf-8")
+        data: bytes | None,
+        headers: Mapping[str, str],
+    ) -> tuple[int, Mapping[str, str], bytes]:
+        body = data or b""
         held: list[_Connection] = []  # visible to cleanup if we time out
-        if self._observer is not None:
-            self._observer.client_event(
-                "attempt", trace_id=trace_id, path=path
-            )
 
         async def exchange():
             conn = await self._acquire()
             held.append(conn)
-            head = (
-                f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {self._netloc}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"X-Api-Key: {self._api_key}\r\n"
-            )
-            if request_id is not None:
-                head += f"X-Request-Id: {request_id}\r\n"
-            if trace_id is not None:
-                head += f"X-Trace-Id: {trace_id}\r\n"
-            head += f"Content-Length: {len(data)}\r\n\r\n"
-            conn.writer.write(head.encode("latin-1") + data)
+            head = f"{method} {path} HTTP/1.1\r\nHost: {self._netloc}\r\n"
+            for name, value in headers.items():
+                head += f"{name}: {value}\r\n"
+            head += f"Content-Length: {len(body)}\r\n\r\n"
+            conn.writer.write(head.encode("latin-1") + body)
             await conn.writer.drain()
             return await self._read_response(conn.reader)
 
         try:
             # One timeout bounds the whole round trip -- connect, write,
-            # response -- matching the sync client's socket timeout.
-            status, headers, raw = await asyncio.wait_for(
+            # response -- matching the blocking client's socket timeout.
+            status, response_headers, raw = await asyncio.wait_for(
                 exchange(), self._timeout
             )
         except asyncio.CancelledError:
@@ -479,28 +237,11 @@ class AsyncRemoteTopKInterface(QueryClientCore):
                 str(exc) or type(exc).__name__, status=None
             ) from None
         conn = held[0]
-        if headers.get("connection", "").lower() == "close":
+        if response_headers.get("connection", "").lower() == "close":
             conn.close()
         else:
             self._release(conn)
-        # Budget headers arrive on error responses too (a 429 reports 0
-        # remaining); record them before classifying the status.
-        self._note_budget(headers)
-        self._note_data_version(headers)
-        if status >= 400:
-            error = self._classify(status, raw)
-            if isinstance(error, _Retriable):
-                hinted = _parse_retry_after(headers.get("retry-after"))
-                if hinted is not None:
-                    error.retry_after = hinted
-            raise error
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise RemoteServiceError(
-                f"malformed response body from {method} {path}: {exc}",
-                status=status,
-            ) from None
+        return status, response_headers, raw
 
     @staticmethod
     async def _read_response(

@@ -1,48 +1,53 @@
-"""Resilient remote search endpoint: HTTP client for the hidden-DB service.
+"""Remote search endpoint: one client protocol, two transports.
 
-:class:`RemoteTopKInterface` implements the
+A remote client implements the
 :class:`~repro.hiddendb.endpoint.SearchEndpoint` protocol over HTTP, so any
 registered discovery algorithm crawls a networked
 :class:`~repro.service.server.HiddenDBServer` (or anything speaking the same
-wire format) without per-algorithm changes.  It adds the two things a real
-scraper needs on a flaky, rate-limited connection:
+wire format) without per-algorithm changes.  The protocol is written once,
+as coroutines of :class:`QueryClientCore`, and never touches a socket:
 
+* **billed once** -- every logical query carries one ``X-Request-Id``
+  across all its attempts, so the server replays an already-billed answer
+  instead of charging it again; durable crawls derive the id from a
+  session nonce so the guarantee survives process restarts;
 * **retry with exponential backoff** -- retriable failures (injected
   429/5xx faults, connection resets) are retried up to ``max_retries``
-  times; terminal errors map back onto the simulator's exceptions
-  (``budget_exceeded`` -> :class:`QueryBudgetExceeded`,
-  ``unsupported_query`` -> :class:`UnsupportedQueryError`), so algorithm
-  code cannot tell a remote run from a local one.  Retries are
-  billing-safe: every logical query carries one ``X-Request-Id`` across
-  all its attempts, and the server replays an already-billed answer for a
-  seen id instead of charging it again;
-* **an LRU query cache** -- identical conjunctive queries are answered
-  client-side without touching the server.  Cache hits are *free*: they
-  advance neither :attr:`queries_issued` nor the server's billing counter,
-  which is a genuine query-cost optimisation under the paper's cost metric
-  (the divide-and-conquer algorithms re-issue structurally shared queries,
-  and a repeated crawl with a warm cache pays strictly less).
+  times, each sleep floored by the server's ``Retry-After``; terminal
+  errors map back onto the simulator's exceptions (``budget_exceeded`` ->
+  :class:`QueryBudgetExceeded`, ``unsupported_query`` ->
+  :class:`UnsupportedQueryError`), so algorithm code cannot tell a remote
+  run from a local one;
+* **never-billed caches** -- an LRU of answers and an optional crawl-store
+  ledger answer repeated queries client-side; hits advance neither
+  :attr:`~QueryClientCore.queries_issued` nor the server's billing counter;
+* **batched round trips** -- ``batch_query()`` sends a frontier wave as
+  one ``POST /api/batch`` with per-item billing and retries, and a
+  terminal failure carries every paid-for answer as ``partial_results``.
 
-For the execution engine's pipelined dispatch the client additionally
-offers **batched round trips** and **thread safety**: ``batch_query()``
-sends a whole frontier wave as one ``POST /api/batch`` (per-item billing,
-per-item fault retries with stable request ids, falling back to per-query
-dispatch against servers that do not advertise the capability), and every
-connection is thread-local while counters and the cache are lock-guarded,
-so ``workers > 1`` strategies may drive one client from several threads.
+A transport contributes one HTTP round trip (``_exchange``), the backoff
+sleeper and a way to run a protocol coroutine.  :class:`RemoteTopKInterface`
+is the blocking transport: thread-local keep-alive ``http.client``
+connections, with coroutines run to completion in the calling thread
+because its hooks never suspend.  The asyncio transport is
+:class:`~repro.service.aclient.AsyncRemoteTopKInterface`.  Counters and the
+cache are lock-guarded, so ``workers > 1`` strategies may drive one client
+from several threads.
 """
 
 from __future__ import annotations
 
 import http.client
+import inspect
 import json
+import math
 import socket
 import threading
 import time
 import urllib.parse
 import uuid
 from collections import OrderedDict
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Awaitable, Callable, Coroutine, Mapping, Sequence
 
 from ..hiddendb.attributes import Schema
 from ..hiddendb.errors import (
@@ -70,12 +75,14 @@ RETRY_AFTER_CAP = 30.0
 
 def _parse_retry_after(value: "str | float | None") -> float | None:
     """``Retry-After`` header/body value -> seconds (``None`` if absent
-    or malformed; negative values clamp to 0)."""
+    or malformed, non-finite included; negative values clamp to 0)."""
     if value is None:
         return None
     try:
         seconds = float(value)
     except (TypeError, ValueError):
+        return None
+    if not math.isfinite(seconds):
         return None
     return max(0.0, seconds)
 
@@ -95,15 +102,23 @@ class RemoteServiceError(HiddenDBError):
 
 
 class QueryClientCore:
-    """Transport-independent half of a remote hidden-DB client.
+    """The remote hidden-DB client protocol, written once.
 
     Everything that must behave *identically* whether the wire is driven
     by blocking sockets (:class:`RemoteTopKInterface`) or an asyncio
     event loop (:class:`~repro.service.aclient.AsyncRemoteTopKInterface`)
-    lives here, once: the never-billed LRU query cache and crawl-store
-    ledger mount, deterministic ``X-Request-Id`` replay derivation, error
-    classification, budget-header tracking and the telemetry counters.
-    Subclasses contribute only transport (``_request`` / ``_arequest``).
+    lives here: the single-query path, the batch loop and its
+    ``partial_results`` contract, the retry loop, the response tail
+    (budget and data-version headers, error classification,
+    ``Retry-After``, JSON body), the operator calls, the never-billed LRU
+    query cache and crawl-store ledger mount, deterministic
+    ``X-Request-Id`` replay derivation and the telemetry counters.  The
+    protocol runs as coroutines that only ever await the transport.
+
+    Subclasses contribute only transport: :meth:`_exchange` (one HTTP
+    round trip), a ``sleep`` callable for backoff (awaited when it returns
+    an awaitable), :meth:`_run` (drive a protocol coroutine to completion
+    for the blocking surface) and their connection lifecycle (``close``).
     """
 
     def _init_core(
@@ -118,6 +133,7 @@ class QueryClientCore:
         cache_size: int | None,
         ledger,
         replay_nonce: str | None,
+        sleep: Callable[[float], Awaitable[None] | None],
     ) -> None:
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
@@ -138,6 +154,7 @@ class QueryClientCore:
         self._max_retries = max_retries
         self._backoff = backoff
         self._backoff_cap = backoff_cap
+        self._sleep = sleep
         self._cache_size = cache_size or 0
         # Keyed by the canonical query key -- the same scheme as the
         # engine memo and the crawl-store ledger, so the layers can never
@@ -169,8 +186,9 @@ class QueryClientCore:
         #: instrumentation site a single is-not-None check.
         self._observer = None
 
-    def _apply_metadata(self, metadata: Mapping[str, Any]) -> None:
-        """Fold the ``/api/schema`` bootstrap payload into the client."""
+    def _fetch_metadata(self) -> None:
+        """Fetch the ``/api/schema`` bootstrap payload and fold it in."""
+        metadata = self._run(self._request("GET", "/api/schema"))
         self._schema = decode_schema(metadata["schema"])
         self._k = int(metadata["k"])
         self._service_name = str(metadata.get("name", ""))
@@ -319,6 +337,8 @@ class QueryClientCore:
         A load-shed 503 is a transient concurrency signal -- answered by
         shrinking the window, not by stalling it -- so its hint floors
         this request's retry sleep but never gates the other workers.
+        The hold-off is capped like the sleep (:data:`RETRY_AFTER_CAP`):
+        a hostile hint must not stall the whole window either.
         """
         if exc.status not in (429, 503) and exc.status is not None:
             return
@@ -330,7 +350,7 @@ class QueryClientCore:
                 retry_after is not None
                 and retry_after > self._pressure_retry_after
             ):
-                self._pressure_retry_after = retry_after
+                self._pressure_retry_after = min(retry_after, RETRY_AFTER_CAP)
 
     def take_throttle_signals(self) -> tuple[int, float]:
         """Drain pressure accumulated since the last call.
@@ -360,19 +380,17 @@ class QueryClientCore:
             return backoff
         return max(backoff, min(hint, RETRY_AFTER_CAP))
 
-    def _note_budget(self, headers: Mapping[str, str]) -> None:
-        remaining = headers.get("X-Budget-Remaining")
+    def _note_budget(self, remaining: str | None) -> None:
         if remaining is None:
-            remaining = headers.get("x-budget-remaining")
-        if remaining is not None:
-            try:
-                value = int(remaining)
-            except ValueError:
-                return
-            with self._lock:
-                self._budget_remaining = value
+            return
+        try:
+            value = int(remaining)
+        except ValueError:
+            return
+        with self._lock:
+            self._budget_remaining = value
 
-    def _note_data_version(self, headers: Mapping[str, str]) -> None:
+    def _note_data_version(self, advertised: "str | int | None") -> None:
         """Track the endpoint's ``X-Data-Version`` advertisement.
 
         A version ahead of the one we tracked means the hidden database
@@ -382,14 +400,11 @@ class QueryClientCore:
         paid for anyway.  Replayed answers may carry the *older* version
         they were billed under; those never roll the tracked version back.
         """
-        advertised = headers.get("X-Data-Version")
-        if advertised is None:
-            advertised = headers.get("x-data-version")
         if advertised is None:
             return
         try:
             version = int(advertised)
-        except ValueError:
+        except (TypeError, ValueError):
             return
         stale = False
         with self._lock:
@@ -403,15 +418,25 @@ class QueryClientCore:
                 "data_version_skew", version=version
             )
 
-    def _classify_payload(
-        self, status: int, payload: Mapping[str, Any]
-    ) -> Exception:
+    def _classify_payload(self, status: int, payload: Any) -> Exception:
         """Decoded error body -> retry / simulator exception (shared by the
-        transport layer and the per-item handling of batch answers)."""
+        response tail and the per-item handling of batch answers).
+
+        A body that is not a JSON object classifies by status alone; one
+        naming an unreadable budget limit is a :class:`RemoteServiceError`.
+        """
+        if not isinstance(payload, Mapping):
+            payload = {}
         error = payload.get("error", "")
         if error == "budget_exceeded":
             limit = payload.get("limit")
-            return QueryBudgetExceeded(int(limit) if limit is not None else 0)
+            try:
+                return QueryBudgetExceeded(int(limit or 0))
+            except (TypeError, ValueError):
+                return RemoteServiceError(
+                    f"HTTP {status}: malformed budget limit {limit!r}",
+                    status=status,
+                )
         if error == "unsupported_query":
             return UnsupportedQueryError(
                 payload.get("message", f"HTTP {status}")
@@ -422,8 +447,8 @@ class QueryClientCore:
                 status=status,
                 # Batch items carry the shaping deadline in the body
                 # (per-item headers do not survive the batch envelope);
-                # for whole responses the transport overrides this with
-                # the Retry-After header when present.
+                # for whole responses the response tail overrides this
+                # with the Retry-After header when present.
                 retry_after=_parse_retry_after(payload.get("retry_after")),
             )
         return RemoteServiceError(
@@ -431,13 +456,334 @@ class QueryClientCore:
             status=status,
         )
 
-    def _classify(self, status: int, raw: bytes) -> Exception:
-        """Map an HTTP error response onto retry / simulator semantics."""
+    # ------------------------------------------------------------------
+    # blocking surface (SearchEndpoint + operator calls)
+    # ------------------------------------------------------------------
+    def query(self, query: Query) -> QueryResult:
+        """Issue one query over the wire (or answer it from the cache).
+
+        Raises
+        ------
+        UnsupportedQueryError
+            The remote interface rejected the query shape.
+        QueryBudgetExceeded
+            This API key's server-side budget is exhausted.
+        RemoteServiceError
+            The service stayed unreachable/faulty past ``max_retries``, or
+            answered with a body that does not decode.
+        """
+        return self._run(self._query(query))
+
+    def batch_query(self, queries: Sequence[Query]) -> tuple[QueryResult, ...]:
+        """Answer several independent queries in one ``/api/batch`` trip.
+
+        Per-item semantics match :meth:`query` exactly: cache hits are
+        free, each billed item advances :attr:`queries_issued` by one, and
+        items that draw injected faults are retried (in ever smaller
+        follow-up batches) under stable request ids so the server never
+        bills an item twice.  Against a server that does not advertise the
+        batch capability this degrades to per-query dispatch.
+
+        Raises the first terminal per-item failure by batch position, with
+        every answer obtained (and billed) attached as
+        ``exc.partial_results`` -- a tuple aligned with ``queries`` whose
+        ``None`` holes mark the items that were *not* answered -- so
+        callers can still account for what they paid for.
+        """
+        return self._run(self._batch_query(list(queries)))
+
+    def server_stats(self) -> dict[str, Any]:
+        """The service's ``/api/stats`` payload (billing counters)."""
+        return self._run(self._request("GET", "/api/stats"))
+
+    def healthz(self) -> dict[str, Any]:
+        """The service's ``/healthz`` payload (liveness + fingerprint).
+
+        Never billed -- this is how a coordinator verifies a backend is
+        alive and serving the expected endpoint identity for free.
+        """
+        return self._run(self._request("GET", "/healthz"))
+
+    def refresh_data_version(self) -> int:
+        """Re-read the endpoint's data version over ``/healthz`` (free).
+
+        Folds the advertised version into the tracked one (dropping the
+        cache on skew) and returns it -- the cheap per-mount staleness
+        probe the coordinator and delta crawls use.
+        """
+        self._note_data_version(self.healthz().get("data_version", 0))
+        return self._data_version
+
+    def mutate(
+        self,
+        ops: Sequence[Mapping[str, Any]] | None = None,
+        *,
+        churn: Mapping[str, Any] | None = None,
+    ) -> dict[str, Any]:
+        """Apply an operator mutation batch via ``POST /api/mutate``.
+
+        Exactly one of ``ops`` (explicit insert/delete/update batch) or
+        ``churn`` (``{"frac": F, "seed": S}``, drawn server-side) must be
+        given.  Unbilled.  Returns the server's ``{"applied",
+        "data_version"}`` payload after folding the new version into the
+        tracked one (which drops the local cache).
+        """
+        if (ops is None) == (churn is None):
+            raise ValueError("exactly one of ops or churn is required")
+        body: dict[str, Any] = (
+            {"ops": list(ops)} if ops is not None else {"churn": dict(churn)}
+        )
+        payload = self._run(self._request("POST", "/api/mutate", body))
+        self._note_data_version(payload.get("data_version", 0))
+        return payload
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    # ------------------------------------------------------------------
+    # protocol coroutines (await only the transport hooks)
+    # ------------------------------------------------------------------
+    async def _query(self, query: Query) -> QueryResult:
+        cached = self._cache_lookup(query)
+        if cached is not None:
+            return cached
+        # One request id per *logical* query, reused across retries: the
+        # server replays an already-billed answer for a seen id, so a
+        # response lost after billing is never billed twice.  Durable
+        # crawls derive the id from the session nonce + canonical query
+        # key, extending the same guarantee across process restarts.
+        payload = await self._request(
+            "POST",
+            "/api/query",
+            {"query": encode_query(query)},
+            request_id=self._request_id(query),
+            trace_id=self._trace_id(query),
+        )
+        return self._answer(query, payload)
+
+    def _answer(self, query: Query, payload: Any) -> QueryResult:
+        """A billed answer body -> counted, cached :class:`QueryResult`."""
         try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            payload = {}
-        return self._classify_payload(status, payload)
+            rows, overflow, sequence = decode_answer(payload)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RemoteServiceError(
+                f"malformed answer body: {exc!r}"
+            ) from None
+        self._count_billed(query)
+        result = QueryResult(
+            query=query, rows=rows, overflow=overflow, sequence=sequence
+        )
+        self._cache_store(query, result)
+        return result
+
+    async def _batch_query(
+        self, queries: list[Query]
+    ) -> tuple[QueryResult, ...]:
+        results: list[QueryResult | None] = [None] * len(queries)
+        pending: list[int] = []
+        for index, query in enumerate(queries):
+            cached = self._cache_lookup(query)
+            if cached is not None:
+                results[index] = cached
+            else:
+                pending.append(index)
+        try:
+            if pending and not self._supports_batch:
+                # Pre-batch server: per-query dispatch, same contract.
+                for index in pending:
+                    results[index] = await self._query(queries[index])
+            elif pending:
+                await self._batch_rounds(queries, pending, results)
+        except HiddenDBError as exc:
+            # Aligned-with-holes: billed answers (including ones *after*
+            # the first failing position) stay attached; failed or unsent
+            # items stay None and are the only unanswered slots.
+            exc.partial_results = tuple(results)
+            raise
+        return tuple(results)  # type: ignore[return-value]
+
+    async def _batch_rounds(
+        self,
+        queries: list[Query],
+        pending: list[int],
+        results: list[QueryResult | None],
+    ) -> None:
+        """Send ``pending`` in ``/api/batch`` chunks, retrying retriable
+        items in ever smaller rounds; fills ``results`` in place and
+        raises the first terminal failure by batch position."""
+        ids = {index: self._request_id(queries[index]) for index in pending}
+        failures: dict[int, Exception] = {}
+        attempt = 0
+        while pending:
+            retry: list[int] = []
+            retry_after: float | None = None
+            for start in range(0, len(pending), self._max_batch):
+                chunk = pending[start : start + self._max_batch]
+                payload = await self._request(
+                    "POST",
+                    "/api/batch",
+                    encode_batch_request(
+                        [queries[i] for i in chunk], [ids[i] for i in chunk]
+                    ),
+                )
+                try:
+                    outcomes = decode_batch_answer(payload, len(chunk))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise RemoteServiceError(
+                        f"malformed batch answer: {exc!r}"
+                    ) from None
+                for index, (status, body) in zip(chunk, outcomes):
+                    if status < 400:
+                        try:
+                            results[index] = self._answer(queries[index], body)
+                        except RemoteServiceError as exc:
+                            failures[index] = exc
+                        continue
+                    exc = self._classify_payload(status, body)
+                    if isinstance(exc, _Retriable):
+                        self._note_throttle(exc)
+                        if exc.retry_after is not None and (
+                            retry_after is None
+                            or exc.retry_after > retry_after
+                        ):
+                            retry_after = exc.retry_after
+                        retry.append(index)
+                    else:
+                        failures[index] = exc
+            if not retry:
+                break
+            if attempt >= self._max_retries:
+                for index in retry:
+                    failures[index] = RemoteServiceError(
+                        f"batch item still failing after "
+                        f"{self._max_retries} retries",
+                    )
+                break
+            self._count_retry()
+            await self._pause(self._retry_delay(attempt + 1, retry_after))
+            attempt += 1
+            pending = retry
+        if failures:
+            raise failures[min(failures)]
+
+    async def _request(
+        self,
+        method: str,
+        path: str,
+        body: Mapping[str, Any] | None = None,
+        request_id: str | None = None,
+        trace_id: str | None = None,
+    ) -> Any:
+        """One logical request: attempts under the same headers until an
+        answer, a terminal error, or ``max_retries`` retries."""
+        data = None if body is None else json.dumps(body).encode("utf-8")
+        headers = {
+            "Content-Type": "application/json",
+            "X-Api-Key": self._api_key,
+        }
+        if request_id is not None:
+            headers["X-Request-Id"] = request_id
+        if trace_id is not None:
+            headers["X-Trace-Id"] = trace_id
+        failure: _Retriable | None = None
+        for attempt in range(self._max_retries + 1):
+            if failure is not None:
+                self._count_retry(trace_id=trace_id)
+                await self._pause(
+                    self._retry_delay(attempt, failure.retry_after)
+                )
+            if self._observer is not None:
+                self._observer.client_event(
+                    "attempt", trace_id=trace_id, path=path
+                )
+            try:
+                status, response_headers, raw = await self._exchange(
+                    method, path, data, headers
+                )
+                return self._response(
+                    method, path, status, response_headers, raw
+                )
+            except _Retriable as exc:
+                failure = exc
+                self._note_throttle(exc)
+                if self._observer is not None:
+                    self._observer.client_event(
+                        "fault", trace_id=trace_id, status=exc.status,
+                        path=path,
+                    )
+        raise RemoteServiceError(
+            f"{method} {path} still failing after {self._max_retries} "
+            f"retries: {failure.reason}",
+            status=failure.status,
+        )
+
+    def _response(
+        self,
+        method: str,
+        path: str,
+        status: int,
+        headers: Mapping[str, str],
+        raw: bytes,
+    ) -> Any:
+        """Response tail: fold the budget and data-version headers, map an
+        error status onto retry / simulator semantics, parse the body."""
+        # Budget headers arrive on error responses too (a 429 reports 0
+        # remaining); record them before classifying the status.
+        self._note_budget(headers.get("x-budget-remaining"))
+        self._note_data_version(headers.get("x-data-version"))
+        if status >= 400:
+            try:
+                payload = json.loads(raw.decode("utf-8"))
+            except ValueError:
+                payload = {}
+            exc = self._classify_payload(status, payload)
+            if isinstance(exc, _Retriable):
+                hinted = _parse_retry_after(headers.get("retry-after"))
+                if hinted is not None:
+                    exc.retry_after = hinted
+            raise exc
+        try:
+            return json.loads(raw.decode("utf-8"))
+        except ValueError as exc:
+            raise RemoteServiceError(
+                f"malformed response body from {method} {path}: {exc}",
+                status=status,
+            ) from None
+
+    async def _pause(self, seconds: float) -> None:
+        """Back off for ``seconds`` through the transport's sleeper."""
+        outcome = self._sleep(seconds)
+        if inspect.isawaitable(outcome):
+            await outcome
+
+    # ------------------------------------------------------------------
+    # transport hooks
+    # ------------------------------------------------------------------
+    async def _exchange(
+        self,
+        method: str,
+        path: str,
+        data: bytes | None,
+        headers: Mapping[str, str],
+    ) -> tuple[int, Mapping[str, str], bytes]:
+        """One HTTP round trip -> ``(status, headers, body)``.
+
+        The returned headers answer lower-cased names.  A transient
+        transport failure (refused, reset, timeout) raises
+        :class:`_Retriable` with ``status=None``.
+        """
+        raise NotImplementedError
+
+    def _run(self, coro: Coroutine[Any, Any, Any]) -> Any:
+        """Drive a protocol coroutine to completion; return its result."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Release the transport's connections (reopened on next use)."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # client-side telemetry
@@ -536,7 +882,8 @@ class QueryClientCore:
 
 
 class RemoteTopKInterface(QueryClientCore):
-    """A :class:`SearchEndpoint` speaking HTTP to a hidden-DB service.
+    """A :class:`SearchEndpoint` speaking HTTP to a hidden-DB service:
+    the blocking transport of the :class:`QueryClientCore` protocol.
 
     Parameters
     ----------
@@ -572,7 +919,8 @@ class RemoteTopKInterface(QueryClientCore):
         answers instead of billing them twice.  Durable sessions set this
         via :meth:`set_replay_nonce`.
     sleep:
-        Injection point for the backoff sleeper (tests pass a no-op).
+        Injection point for the backoff sleeper (tests pass a no-op); it
+        must block, not return an awaitable.
     """
 
     def __init__(
@@ -599,249 +947,53 @@ class RemoteTopKInterface(QueryClientCore):
             cache_size=cache_size,
             ledger=ledger,
             replay_nonce=replay_nonce,
+            sleep=sleep,
         )
         # Connections are thread-local (HTTPConnection is not thread-safe;
         # pipelined strategies call query() from several worker threads);
         # every opened connection is also tracked for close().
         self._local = threading.local()
         self._conns: list[http.client.HTTPConnection] = []
-        self._sleep = sleep
-        self._apply_metadata(self._request("GET", "/api/schema"))
-
-    # ------------------------------------------------------------------
-    # SearchEndpoint surface
-    # ------------------------------------------------------------------
-    def query(self, query: Query) -> QueryResult:
-        """Issue one query over the wire (or answer it from the cache).
-
-        Raises
-        ------
-        UnsupportedQueryError
-            The remote interface rejected the query shape.
-        QueryBudgetExceeded
-            This API key's server-side budget is exhausted.
-        RemoteServiceError
-            The service stayed unreachable/faulty past ``max_retries``.
-        """
-        cached = self._cache_lookup(query)
-        if cached is not None:
-            return cached
-        # One request id per *logical* query, reused across retries: the
-        # server replays an already-billed answer for a seen id, so a
-        # response lost after billing is never billed twice.  Durable
-        # crawls derive the id from the session nonce + canonical query
-        # key, extending the same guarantee across process restarts.
-        payload = self._request(
-            "POST",
-            "/api/query",
-            {"query": encode_query(query)},
-            request_id=self._request_id(query),
-            trace_id=self._trace_id(query),
-        )
-        rows, overflow, sequence = decode_answer(payload)
-        self._count_billed(query)
-        result = QueryResult(
-            query=query, rows=rows, overflow=overflow, sequence=sequence
-        )
-        self._cache_store(query, result)
-        return result
-
-    def batch_query(self, queries: Sequence[Query]) -> tuple[QueryResult, ...]:
-        """Answer several independent queries in one ``/api/batch`` trip.
-
-        Per-item semantics match :meth:`query` exactly: cache hits are
-        free, each billed item advances :attr:`queries_issued` by one, and
-        items that draw injected faults are retried (in ever smaller
-        follow-up batches) under stable request ids so the server never
-        bills an item twice.  Against a server that does not advertise the
-        batch capability this degrades to per-query dispatch.
-
-        Raises the first terminal per-item failure by batch position, with
-        every answer obtained (and billed) attached as
-        ``exc.partial_results`` -- a tuple aligned with ``queries`` whose
-        ``None`` holes mark the items that were *not* answered or billed
-        -- so callers can still account for what they paid for.
-        """
-        queries = list(queries)
-        if not queries:
-            return ()
-        results: list[QueryResult | None] = [None] * len(queries)
-        pending: list[int] = []
-        for index, query in enumerate(queries):
-            cached = self._cache_lookup(query)
-            if cached is not None:
-                results[index] = cached
-            else:
-                pending.append(index)
-        if pending and not self._supports_batch:
-            try:
-                for index in pending:
-                    results[index] = self.query(queries[index])
-            except HiddenDBError as exc:
-                exc.partial_results = tuple(results)
-                raise
-            return tuple(results)
-        ids = {index: self._request_id(queries[index]) for index in pending}
-        failures: dict[int, Exception] = {}
-        attempt = 0
-        while pending:
-            retry: list[int] = []
-            retry_after: float | None = None
-            for start in range(0, len(pending), self._max_batch):
-                chunk = pending[start : start + self._max_batch]
-                try:
-                    payload = self._request(
-                        "POST",
-                        "/api/batch",
-                        encode_batch_request(
-                            [queries[i] for i in chunk],
-                            [ids[i] for i in chunk],
-                        ),
-                    )
-                    outcomes = decode_batch_answer(payload, len(chunk))
-                except HiddenDBError as exc:
-                    # Transport failed terminally for this chunk; answers
-                    # from earlier chunks/rounds were already folded into
-                    # ``results`` and must not be lost.
-                    exc.partial_results = tuple(results)
-                    raise
-                except ValueError as exc:
-                    wrapped = RemoteServiceError(
-                        f"malformed batch answer: {exc}"
-                    )
-                    wrapped.partial_results = tuple(results)
-                    raise wrapped from None
-                for index, (status, body) in zip(chunk, outcomes):
-                    if status < 400:
-                        rows, overflow, sequence = decode_answer(body)
-                        result = QueryResult(
-                            query=queries[index],
-                            rows=rows,
-                            overflow=overflow,
-                            sequence=sequence,
-                        )
-                        self._count_billed(queries[index])
-                        self._cache_store(queries[index], result)
-                        results[index] = result
-                        continue
-                    exc = self._classify_payload(status, body)
-                    if isinstance(exc, _Retriable):
-                        self._note_throttle(exc)
-                        if exc.retry_after is not None and (
-                            retry_after is None
-                            or exc.retry_after > retry_after
-                        ):
-                            retry_after = exc.retry_after
-                        retry.append(index)
-                    else:
-                        failures[index] = exc
-            if not retry:
-                break
-            if attempt >= self._max_retries:
-                for index in retry:
-                    failures[index] = RemoteServiceError(
-                        f"batch item still failing after "
-                        f"{self._max_retries} retries",
-                    )
-                break
-            self._count_retry()
-            self._sleep(self._retry_delay(attempt + 1, retry_after))
-            attempt += 1
-            pending = retry
-        if failures:
-            exc = failures[min(failures)]
-            # Aligned-with-holes: billed answers (including ones *after*
-            # the first failing position) stay attached; failed or unsent
-            # items stay None and are the only unbilled slots.
-            exc.partial_results = tuple(results)
-            raise exc
-        return tuple(results)  # type: ignore[return-value]
-
-    def server_stats(self) -> dict[str, Any]:
-        """The service's ``/api/stats`` payload (billing counters)."""
-        return self._request("GET", "/api/stats")
-
-    def healthz(self) -> dict[str, Any]:
-        """The service's ``/healthz`` payload (liveness + fingerprint).
-
-        Never billed -- this is how a coordinator verifies a backend is
-        alive and serving the expected endpoint identity for free.
-        """
-        return self._request("GET", "/healthz")
-
-    def refresh_data_version(self) -> int:
-        """Re-read the endpoint's data version over ``/healthz`` (free).
-
-        Folds the advertised version into the tracked one (dropping the
-        cache on skew) and returns it -- the cheap per-mount staleness
-        probe the coordinator and delta crawls use.
-        """
-        payload = self.healthz()
-        self._note_data_version(
-            {"X-Data-Version": str(payload.get("data_version", 0))}
-        )
-        return self._data_version
-
-    def mutate(
-        self,
-        ops: Sequence[Mapping[str, Any]] | None = None,
-        *,
-        churn: Mapping[str, Any] | None = None,
-    ) -> dict[str, Any]:
-        """Apply an operator mutation batch via ``POST /api/mutate``.
-
-        Exactly one of ``ops`` (explicit insert/delete/update batch) or
-        ``churn`` (``{"frac": F, "seed": S}``, drawn server-side) must be
-        given.  Unbilled.  Returns the server's ``{"applied",
-        "data_version"}`` payload after folding the new version into the
-        tracked one (which drops the local cache).
-        """
-        if (ops is None) == (churn is None):
-            raise ValueError("exactly one of ops or churn is required")
-        body: dict[str, Any] = (
-            {"ops": list(ops)} if ops is not None else {"churn": dict(churn)}
-        )
-        payload = self._request("POST", "/api/mutate", body)
-        self._note_data_version(
-            {"X-Data-Version": str(payload.get("data_version", 0))}
-        )
-        return payload
+        self._fetch_metadata()
 
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
-    def _request(
+    def _run(self, coro: Coroutine[Any, Any, Any]) -> Any:
+        """Run ``coro`` in the calling thread, in a single step.
+
+        Every hook of this transport blocks instead of suspending, so the
+        protocol coroutine completes on its first ``send`` -- no event
+        loop, no thread hop.
+        """
+        try:
+            coro.send(None)
+        except StopIteration as done:
+            return done.value
+        coro.close()
+        raise RuntimeError(
+            "blocking client protocol suspended (was an async sleep given?)"
+        )
+
+    async def _exchange(
         self,
         method: str,
         path: str,
-        body: Mapping[str, Any] | None = None,
-        request_id: str | None = None,
-        trace_id: str | None = None,
-    ) -> dict[str, Any]:
-        last_status: int | None = None
-        last_reason = "unknown error"
-        retry_after: float | None = None
-        for attempt in range(self._max_retries + 1):
-            if attempt:
-                self._count_retry(trace_id=trace_id)
-                self._sleep(self._retry_delay(attempt, retry_after))
-            try:
-                return self._send(method, path, body, request_id, trace_id)
-            except _Retriable as exc:
-                last_status = exc.status
-                last_reason = exc.reason
-                retry_after = exc.retry_after
-                self._note_throttle(exc)
-                if self._observer is not None:
-                    self._observer.client_event(
-                        "fault", trace_id=trace_id, status=exc.status,
-                        path=path,
-                    )
-        raise RemoteServiceError(
-            f"{method} {path} still failing after {self._max_retries} "
-            f"retries: {last_reason}",
-            status=last_status,
-        )
+        data: bytes | None,
+        headers: Mapping[str, str],
+    ) -> tuple[int, Mapping[str, str], bytes]:
+        try:
+            conn = self._connection()
+            conn.request(method, path, body=data, headers=headers)
+            response = conn.getresponse()
+            raw = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            # Transient transport failure (refused mid-restart, reset,
+            # timeout, half-closed keep-alive): reconnect on retry.
+            self._drop_connection()
+            raise _Retriable(str(exc) or type(exc).__name__, status=None) from None
+        # ``HTTPMessage`` lookups are case-insensitive.
+        return response.status, response.headers, raw
 
     def _connection(self) -> http.client.HTTPConnection:
         """This thread's persistent keep-alive connection (opened lazily).
@@ -889,65 +1041,6 @@ class RemoteTopKInterface(QueryClientCore):
         for conn in conns:
             conn.close()
 
-    def __enter__(self) -> "RemoteTopKInterface":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _send(
-        self,
-        method: str,
-        path: str,
-        body: Mapping[str, Any] | None,
-        request_id: str | None = None,
-        trace_id: str | None = None,
-    ) -> dict[str, Any]:
-        data = None if body is None else json.dumps(body).encode("utf-8")
-        headers = {
-            "Content-Type": "application/json",
-            "X-Api-Key": self._api_key,
-        }
-        if request_id is not None:
-            headers["X-Request-Id"] = request_id
-        if trace_id is not None:
-            headers["X-Trace-Id"] = trace_id
-        if self._observer is not None:
-            self._observer.client_event(
-                "attempt", trace_id=trace_id, path=path
-            )
-        try:
-            conn = self._connection()
-            conn.request(method, path, body=data, headers=headers)
-            response = conn.getresponse()
-            status = response.status
-            raw = response.read()
-            response_headers = response.headers
-        except (OSError, http.client.HTTPException) as exc:
-            # Transient transport failure (refused mid-restart, reset,
-            # timeout, half-closed keep-alive): reconnect on retry.
-            self._drop_connection()
-            raise _Retriable(str(exc) or type(exc).__name__, status=None) from None
-        # Budget headers arrive on error responses too (a 429 reports 0
-        # remaining); record them before classifying the status.
-        self._note_budget(response_headers)
-        self._note_data_version(response_headers)
-        if status >= 400:
-            exc = self._classify(status, raw)
-            if isinstance(exc, _Retriable):
-                hinted = _parse_retry_after(
-                    response_headers.get("Retry-After")
-                )
-                if hinted is not None:
-                    exc.retry_after = hinted
-            raise exc
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise RemoteServiceError(
-                f"malformed response body from {method} {path}: {exc}",
-                status=status,
-            ) from None
 
 class _Retriable(Exception):
     """Internal: a failure worth another attempt.

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service import HiddenDBServer
+from repro.service import (
+    AsyncRemoteTopKInterface,
+    HiddenDBServer,
+    RemoteTopKInterface,
+)
 
 
 @pytest.fixture
@@ -29,3 +33,26 @@ def serve():
 def no_sleep():
     """A no-op backoff sleeper keeping retry tests instant."""
     return lambda _seconds: None
+
+
+@pytest.fixture(
+    params=[RemoteTopKInterface, AsyncRemoteTopKInterface],
+    ids=["blocking", "async"],
+)
+def client_cls(request):
+    """Each remote-client transport, as a class to construct and patch.
+
+    A per-test subclass: patching its transport hooks leaves the real
+    class untouched, and every client a test opens is closed at teardown
+    (the async transport owns an event-loop thread).
+    """
+    opened = []
+
+    class Client(request.param):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    yield Client
+    for client in opened:
+        client.close()

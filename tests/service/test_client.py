@@ -1,4 +1,8 @@
-"""Tests of the resilient remote client: retries, caching, error mapping."""
+"""The remote-client contract -- retries, caching, error mapping,
+telemetry -- checked against both transports through ``client_cls``."""
+
+import asyncio
+import json
 
 import pytest
 
@@ -11,6 +15,7 @@ from repro.hiddendb import (
     UnsupportedQueryError,
 )
 from repro.service import FaultConfig, RemoteServiceError, RemoteTopKInterface
+from repro.service.client import _Retriable
 
 from ..conftest import make_table
 
@@ -22,25 +27,37 @@ def table():
     )
 
 
+def stub_exchange(monkeypatch, client_cls, bodies):
+    """Answer every ``path`` in ``bodies`` with ``(status, JSON body)``."""
+
+    async def exchange(self, method, path, data, headers):
+        status, body = bodies[path]
+        return status, {}, json.dumps(body).encode()
+
+    monkeypatch.setattr(client_cls, "_exchange", exchange)
+
+
 class TestEndpointSurface:
-    def test_implements_search_endpoint(self, serve, table):
+    def test_implements_search_endpoint(self, serve, table, client_cls):
         server = serve(table, k=2)
-        remote = RemoteTopKInterface(server.url)
+        remote = client_cls(server.url)
         assert isinstance(remote, SearchEndpoint)
         assert isinstance(TopKInterface(table, k=2), SearchEndpoint)
 
-    def test_schema_and_k_fetched_at_construction(self, serve, table):
+    def test_schema_and_k_fetched_at_construction(
+        self, serve, table, client_cls
+    ):
         server = serve(table, k=3, name="svc")
-        remote = RemoteTopKInterface(server.url)
+        remote = client_cls(server.url)
         assert remote.k == 3
         assert remote.service_name == "svc"
         assert remote.schema.m == table.schema.m
         assert [a.kind for a in remote.schema.ranking_attributes] == \
             [a.kind for a in table.schema.ranking_attributes]
 
-    def test_query_matches_in_process_answer(self, serve, table):
+    def test_query_matches_in_process_answer(self, serve, table, client_cls):
         server = serve(table, k=2)
-        remote = RemoteTopKInterface(server.url)
+        remote = client_cls(server.url)
         local = TopKInterface(table, k=2)
         query = Query.select_all().and_upper(0, 5)
         remote_result = remote.query(query)
@@ -51,17 +68,17 @@ class TestEndpointSurface:
         assert remote_result.query == query
         assert remote.queries_issued == 1
 
-    def test_unreachable_service(self, no_sleep):
+    def test_unreachable_service(self, no_sleep, client_cls):
         with pytest.raises(RemoteServiceError):
-            RemoteTopKInterface(
+            client_cls(
                 "http://127.0.0.1:9", max_retries=1, sleep=no_sleep, timeout=1.0
             )
 
 
 class TestErrorMapping:
-    def test_budget_exceeded_maps_to_exception(self, serve, table):
+    def test_budget_exceeded_maps_to_exception(self, serve, table, client_cls):
         server = serve(table, k=1, key_budget=2)
-        remote = RemoteTopKInterface(server.url, api_key="crawler")
+        remote = client_cls(server.url, api_key="crawler")
         remote.query(Query.select_all())
         remote.query(Query.select_all())
         with pytest.raises(QueryBudgetExceeded) as err:
@@ -71,21 +88,76 @@ class TestErrorMapping:
         assert remote.queries_issued == 2
         assert server.stats().usage("crawler").issued == 2
 
-    def test_unsupported_query_maps_to_exception(self, serve):
+    def test_unsupported_query_maps_to_exception(self, serve, client_cls):
         pq = make_table([(1, 1)], kinds=InterfaceKind.PQ, domain=10)
         server = serve(pq, k=1)
-        remote = RemoteTopKInterface(server.url)
+        remote = client_cls(server.url)
         with pytest.raises(UnsupportedQueryError):
             remote.query(Query.select_all().and_upper(0, 5))
         assert remote.queries_issued == 0
 
+    @pytest.mark.parametrize(
+        "status, body",
+        [
+            (200, {"overflow": False, "sequence": 1}),  # no rows
+            (200, [1, 2]),  # not an object
+            (200, {"rows": [{"rid": "x"}], "overflow": False, "sequence": 1}),
+            (429, {"error": "budget_exceeded", "limit": "many"}),
+        ],
+    )
+    def test_undecodable_answer_is_a_service_error(
+        self, serve, table, client_cls, monkeypatch, status, body
+    ):
+        server = serve(table, k=2)
+        remote = client_cls(server.url)
+        stub_exchange(monkeypatch, client_cls, {"/api/query": (status, body)})
+        with pytest.raises(RemoteServiceError):
+            remote.query(Query.select_all())
+        assert remote.queries_issued == 0
+
+    def test_undecodable_batch_item_keeps_paid_for_answers(
+        self, serve, table, client_cls, monkeypatch
+    ):
+        server = serve(table, k=2)
+        remote = client_cls(server.url)
+        answer = {"rows": [], "overflow": False, "sequence": 1}
+        stub_exchange(monkeypatch, client_cls, {"/api/batch": (200, {
+            "items": [
+                {"status": 200, "body": answer},
+                {"status": 200, "body": {"overflow": False, "sequence": 2}},
+            ],
+        })})
+        queries = [Query.select_all(), Query.select_all().and_upper(0, 5)]
+        with pytest.raises(RemoteServiceError) as err:
+            remote.batch_query(queries)
+        first, second = err.value.partial_results
+        assert first is not None and first.query == queries[0]
+        assert second is None
+        assert remote.queries_issued == 1
+
+    def test_undecodable_batch_envelope_is_a_service_error(
+        self, serve, table, client_cls, monkeypatch
+    ):
+        server = serve(table, k=2)
+        remote = client_cls(server.url)
+        stub_exchange(monkeypatch, client_cls, {"/api/batch": (200, {
+            "items": [{"body": {}}, {"status": 200}],
+        })})
+        with pytest.raises(RemoteServiceError) as err:
+            remote.batch_query(
+                [Query.select_all(), Query.select_all().and_upper(0, 5)]
+            )
+        assert err.value.partial_results == (None, None)
+
 
 class TestRetries:
-    def test_retries_absorb_injected_faults(self, serve, table, no_sleep):
+    def test_retries_absorb_injected_faults(
+        self, serve, table, no_sleep, client_cls
+    ):
         server = serve(
             table, k=2, faults=FaultConfig(error_rate=0.5, seed=3)
         )
-        remote = RemoteTopKInterface(
+        remote = client_cls(
             server.url, max_retries=50, sleep=no_sleep
         )
         local = TopKInterface(table, k=2)
@@ -96,9 +168,11 @@ class TestRetries:
         # Injected faults are never billed.
         assert server.stats().queries_total == 10
 
-    def test_gives_up_after_max_retries(self, serve, table, no_sleep):
+    def test_gives_up_after_max_retries(
+        self, serve, table, no_sleep, client_cls
+    ):
         server = serve(table, faults=FaultConfig(error_rate=1.0, seed=0))
-        remote = RemoteTopKInterface(
+        remote = client_cls(
             server.url, max_retries=3, sleep=no_sleep
         )
         with pytest.raises(RemoteServiceError) as err:
@@ -107,37 +181,37 @@ class TestRetries:
         assert remote.retries == 3
 
     def test_retries_reuse_one_request_id_per_logical_query(
-        self, serve, table, no_sleep, monkeypatch
+        self, serve, table, no_sleep, monkeypatch, client_cls
     ):
         # All attempts of one query() must share an X-Request-Id (so the
         # server can dedup billing), and distinct queries must use new ids.
         server = serve(table, k=2)
-        remote = RemoteTopKInterface(server.url, max_retries=5, sleep=no_sleep)
+        remote = client_cls(server.url, max_retries=5, sleep=no_sleep)
         seen: list[str | None] = []
-        original = RemoteTopKInterface._send
+        original = client_cls._exchange
         failed_once = []
 
-        def flaky_send(self, method, path, body, request_id=None, trace_id=None):
+        async def flaky_exchange(self, method, path, data, headers):
             if path == "/api/query":
-                seen.append(request_id)
+                seen.append(headers.get("X-Request-Id"))
                 if not failed_once:
                     failed_once.append(True)
-                    from repro.service.client import _Retriable
-
                     raise _Retriable("simulated lost response", status=None)
-            return original(self, method, path, body, request_id, trace_id)
+            return await original(self, method, path, data, headers)
 
-        monkeypatch.setattr(RemoteTopKInterface, "_send", flaky_send)
+        monkeypatch.setattr(client_cls, "_exchange", flaky_exchange)
         remote.query(Query.select_all())
         remote.query(Query.select_all().and_upper(0, 5))
         assert len(seen) == 3  # two attempts for query 1, one for query 2
         assert seen[0] is not None and seen[0] == seen[1]
         assert seen[2] is not None and seen[2] != seen[0]
 
-    def test_backoff_schedule_is_exponential_and_capped(self, serve, table):
+    def test_backoff_schedule_is_exponential_and_capped(
+        self, serve, table, client_cls
+    ):
         server = serve(table, faults=FaultConfig(error_rate=1.0, seed=0))
         slept: list[float] = []
-        remote = RemoteTopKInterface(
+        remote = client_cls(
             server.url, max_retries=5, backoff=0.1, backoff_cap=0.4,
             sleep=slept.append,
         )
@@ -145,30 +219,43 @@ class TestRetries:
             remote.query(Query.select_all())
         assert slept == [0.1, 0.2, 0.4, 0.4, 0.4]
 
+    def test_blocking_transport_refuses_a_suspending_sleep(
+        self, serve, table
+    ):
+        # The blocking client runs the protocol without an event loop, so
+        # a sleeper that suspends is an error, not a silent hang.
+        server = serve(table, faults=FaultConfig(error_rate=1.0, seed=0))
+        with RemoteTopKInterface(
+            server.url, max_retries=1, sleep=lambda _s: asyncio.sleep(0)
+        ) as remote:
+            with pytest.raises(RuntimeError, match="suspended"):
+                remote.query(Query.select_all())
+
 
 class TestQueryCache:
-    def test_cache_hits_are_free(self, serve, table):
+    def test_cache_hits_are_free(self, serve, table, client_cls):
         server = serve(table, k=2)
-        remote = RemoteTopKInterface(server.url, cache_size=16)
+        remote = client_cls(server.url, cache_size=16)
         query = Query.select_all().and_upper(0, 5)
         first = remote.query(query)
         second = remote.query(query)
         assert second is first
         assert remote.queries_issued == 1
         assert remote.cache_hits == 1
+        assert remote.cached_answer(query) is first
         assert server.stats().queries_total == 1
 
-    def test_distinct_queries_are_billed(self, serve, table):
+    def test_distinct_queries_are_billed(self, serve, table, client_cls):
         server = serve(table, k=2)
-        remote = RemoteTopKInterface(server.url, cache_size=16)
+        remote = client_cls(server.url, cache_size=16)
         remote.query(Query.select_all())
         remote.query(Query.select_all().and_upper(0, 5))
         assert remote.queries_issued == 2
         assert remote.cache_hits == 0
 
-    def test_lru_eviction(self, serve, table):
+    def test_lru_eviction(self, serve, table, client_cls):
         server = serve(table, k=2)
-        remote = RemoteTopKInterface(server.url, cache_size=1)
+        remote = client_cls(server.url, cache_size=1)
         a = Query.select_all()
         b = Query.select_all().and_upper(0, 5)
         remote.query(a)
@@ -179,17 +266,17 @@ class TestQueryCache:
         remote.query(a)  # hit
         assert remote.cache_hits == 1
 
-    def test_clear_cache(self, serve, table):
+    def test_clear_cache(self, serve, table, client_cls):
         server = serve(table, k=2)
-        remote = RemoteTopKInterface(server.url, cache_size=16)
+        remote = client_cls(server.url, cache_size=16)
         remote.query(Query.select_all())
         remote.clear_cache()
         remote.query(Query.select_all())
         assert remote.queries_issued == 2
 
-    def test_cache_disabled_by_default(self, serve, table):
+    def test_cache_disabled_by_default(self, serve, table, client_cls):
         server = serve(table, k=2)
-        remote = RemoteTopKInterface(server.url)
+        remote = client_cls(server.url)
         remote.query(Query.select_all())
         remote.query(Query.select_all())
         assert remote.queries_issued == 2
@@ -197,16 +284,18 @@ class TestQueryCache:
 
 
 class TestTelemetry:
-    def test_budget_remaining_tracks_headers(self, serve, table):
+    def test_budget_remaining_tracks_headers(self, serve, table, client_cls):
         server = serve(table, k=1, key_budget=3)
-        remote = RemoteTopKInterface(server.url)
+        remote = client_cls(server.url)
         assert remote.budget_remaining is None  # schema route has no header
         remote.query(Query.select_all())
         assert remote.budget_remaining == 2
 
-    def test_budget_remaining_reaches_zero_on_exhaustion(self, serve, table):
+    def test_budget_remaining_reaches_zero_on_exhaustion(
+        self, serve, table, client_cls
+    ):
         server = serve(table, k=1, key_budget=1)
-        remote = RemoteTopKInterface(server.url)
+        remote = client_cls(server.url)
         remote.query(Query.select_all())
         with pytest.raises(QueryBudgetExceeded):
             remote.query(Query.select_all())
@@ -214,21 +303,24 @@ class TestTelemetry:
         # leftover budget on an exhausted key.
         assert remote.budget_remaining == 0
 
-    def test_server_stats_accessor(self, serve, table):
+    def test_server_stats_accessor(self, serve, table, client_cls):
         server = serve(table, k=1)
-        remote = RemoteTopKInterface(server.url, api_key="me")
+        remote = client_cls(server.url, api_key="me")
         remote.query(Query.select_all())
         stats = remote.server_stats()
         assert stats["keys"]["me"]["issued"] == 1
 
-    def test_connection_survives_close_and_context_manager(self, serve, table):
+    def test_connection_survives_close_and_context_manager(
+        self, serve, table, client_cls
+    ):
         server = serve(table, k=1)
-        with RemoteTopKInterface(server.url) as remote:
+        with client_cls(server.url) as remote:
             remote.query(Query.select_all())
             remote.close()  # next request transparently reconnects
             remote.query(Query.select_all())
             assert remote.queries_issued == 2
 
-    def test_rejects_malformed_url(self):
-        with pytest.raises(ValueError):
-            RemoteTopKInterface("127.0.0.1:8080")
+    def test_rejects_malformed_url(self, client_cls):
+        for url in ("127.0.0.1:8080", "ftp://nope"):
+            with pytest.raises(ValueError):
+                client_cls(url)

@@ -17,6 +17,7 @@ from repro.hiddendb import Query
 from repro.service import FaultConfig, RemoteTopKInterface
 from repro.service.client import (
     RETRY_AFTER_CAP,
+    RemoteServiceError,
     _parse_retry_after,
 )
 from repro.service.server import LOAD_SHED_RETRY_AFTER, _TokenBucket
@@ -67,8 +68,6 @@ class TestServerThrottling:
         # Burst exhausted after two queries; the third is throttled.
         client.query(query)
         client.query(query)
-        from repro.service.client import RemoteServiceError
-
         with pytest.raises(RemoteServiceError) as err:
             client.query(query)
         assert err.value.status == 429
@@ -174,6 +173,25 @@ class TestClientRetryAfter:
         assert _parse_retry_after(2) == 2.0
         assert _parse_retry_after("-3") == 0.0
         assert _parse_retry_after("soon") is None
+        # Non-finite hints are malformed, not an infinite wait.
+        assert _parse_retry_after("inf") is None
+        assert _parse_retry_after("-inf") is None
+        assert _parse_retry_after("nan") is None
+        assert _parse_retry_after(float("inf")) is None
+
+    def test_throttle_holdoff_is_capped(self, serve, client_cls):
+        # One token per ~10000 s: the second query's 429 names a wait far
+        # past the cap, which must not become the window's hold-off.
+        table = TABLES["rq3"]
+        server = serve(table, k=5, rate_limit=1e-4, burst=1)
+        client = client_cls(server.url, api_key="slow", max_retries=0)
+        client.query(Query.select_all())
+        with pytest.raises(RemoteServiceError) as err:
+            client.query(Query.select_all())
+        assert err.value.status == 429
+        count, retry_after = client.take_throttle_signals()
+        assert count == 1
+        assert 0.0 < retry_after <= RETRY_AFTER_CAP
 
     def test_hint_floors_the_backoff(self, serve):
         table = TABLES["rq3"]
