@@ -7,7 +7,9 @@ bookkeeping the paper's evaluation needs:
 * the query cost (number of issued queries since the session began);
 * the first-retrieval cost of every distinct tuple, which yields the
   *anytime* discovery curve of Figures 20-24;
-* the full query/answer log, consumed by the PQ plane-pruning rules.
+* the full query/answer log, consumed by the PQ plane-pruning rules;
+* the skyline of everything retrieved so far, maintained by block folds
+  (the BASELINE crawler's local skyline extraction, done as it crawls).
 
 Results are reported as a :class:`DiscoveryResult`.  Skylines are compared by
 **value vectors** throughout the library: under the paper's general
@@ -43,6 +45,11 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from ..store import CrawlStore, SessionRecord
     from .registry import AlgorithmInfo, DiscoveryConfig
     from .skyband import SkybandResult
+
+#: First-seen rows per fold into the maintained skyline: enough to amortise
+#: numpy's per-call cost, few enough that an early block, which survives
+#: almost whole, is cheap to compare against itself.
+FOLD_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -183,6 +190,12 @@ class DiscoverySession:
         self._incomplete = False
         self._first_seen: dict[int, TraceEntry] = {}
         self._log: list[QueryResult] = []
+        #: Skyline of the rows folded so far: each distinct vector (in
+        #: coordinate-sum order) with every row carrying it, the vectors as
+        #: a matrix, and the first-seen rows not folded yet.
+        self._skyline: dict[tuple[int, ...], list[Row]] = {}
+        self._sky_matrix: np.ndarray | None = None
+        self._unfolded: list[Row] = []
         self._engine = QueryEngine(interface, strategy=strategy, dedup=dedup)
         # Budget accounting is reservation-based so it stays exact under
         # concurrent dispatch: every transport claims a unit *before* it
@@ -199,10 +212,6 @@ class DiscoverySession:
         #: session, carried into :attr:`cost` so a resumed run reports the
         #: cumulative billed total.
         self._prior_cost = 0
-        #: Incrementally maintained skyline-so-far value vectors (durable
-        #: runs only): checkpoints snapshot it in O(|skyline|) instead of
-        #: recomputing the skyline of everything retrieved.
-        self._sky_values: np.ndarray | None = None
         # Observability plane (bound by ``attach_observer``; ``None`` keeps
         # every instrumentation hook a single is-not-None check).
         self._observer = None
@@ -316,10 +325,11 @@ class DiscoverySession:
             if row.rid not in self._first_seen:
                 entry = TraceEntry(cost, row)
                 self._first_seen[row.rid] = entry
-                if self._store is not None:
-                    self._track_skyline(row)
+                self._unfolded.append(row)
                 if self._on_tuple is not None:
                     self._on_tuple(entry)
+        if len(self._unfolded) >= FOLD_ROWS:
+            self._fold()
         self._log.append(result)
         if self._on_query is not None:
             self._on_query(result)
@@ -500,27 +510,13 @@ class DiscoverySession:
         """The crawl-store session backing this run, if durable."""
         return self._store_session
 
-    def _track_skyline(self, row: Row) -> None:
-        """Fold one newly retrieved row into the skyline-so-far tracker."""
-        updated = incremental_skyline_update(
-            self._sky_values, np.asarray(row.values, dtype=np.int64)
-        )
-        if updated is not None:
-            self._sky_values = updated
-
-    def _skyline_snapshot(self) -> list[list[int]]:
-        """Distinct skyline-so-far value vectors, sorted (checkpoint view)."""
-        if self._sky_values is None:
-            return []
-        distinct = np.unique(self._sky_values, axis=0)
-        return [[int(v) for v in row] for row in distinct]
-
     def save_checkpoint(self) -> None:
         """Snapshot the crawl's progress into the store (no-op otherwise)."""
         if self._store is None or self._store_session is None:
             return
         self._records_since_checkpoint = 0
-        skyline = self._skyline_snapshot()
+        self._fold()
+        skyline = sorted(self._skyline)
         self._store.save_checkpoint(
             self._store_session.session_id,
             {
@@ -561,7 +557,7 @@ class DiscoverySession:
             "algorithm": result.algorithm,
             "total_cost": int(result.total_cost),
             "complete": bool(result.complete),
-            "skyline_size": len(rows),
+            "skyline_size": len({row.values for row in rows}),
             "skyline": [[int(v) for v in row.values] for row in rows],
             "stats": result.stats.as_dict() if result.stats is not None else None,
         }
@@ -588,20 +584,38 @@ class DiscoverySession:
         """Whether the tuple with row id ``rid`` has been retrieved."""
         return rid in self._first_seen
 
+    def _fold(self) -> None:
+        """Fold the buffered first-seen rows into the maintained skyline.
+
+        A row tying a kept vector joins that vector's rows, so the kernel
+        sees each new distinct vector once, however tied the data.
+        """
+        fresh: dict[tuple[int, ...], list[Row]] = {}
+        for row in self._unfolded:
+            ties = self._skyline.get(row.values)
+            if ties is None:
+                ties = fresh.setdefault(row.values, [])
+            ties.append(row)
+        self._unfolded = []
+        if not fresh:
+            return
+        block = np.array(list(fresh), dtype=np.int64)
+        kept = block[:0] if self._sky_matrix is None else self._sky_matrix
+        positions = incremental_skyline_update(kept, block).tolist()
+        groups = [*self._skyline.items(), *fresh.items()]
+        self._skyline = dict(groups[position] for position in positions)
+        self._sky_matrix = np.concatenate([kept, block])[positions]
+
     def confirmed_skyline(self) -> list[Row]:
         """Skyline of the tuples retrieved so far."""
-        return skyline_of_rows(self.retrieved_rows)
+        folded = [row for ties in self._skyline.values() for row in ties]
+        return skyline_of_rows(folded + self._unfolded)
 
     def result(self, algorithm: str, complete: bool = True) -> DiscoveryResult:
         """Package the session state into a :class:`DiscoveryResult`."""
-        skyline = skyline_of_rows(self.retrieved_rows)
-        skyline_rids = {row.rid for row in skyline}
+        skyline = self.confirmed_skyline()
         trace = sorted(
-            (
-                entry
-                for entry in self._first_seen.values()
-                if entry.row.rid in skyline_rids
-            ),
+            (self._first_seen[row.rid] for row in skyline),
             key=lambda entry: (entry.cost, entry.row.rid),
         )
         return DiscoveryResult(

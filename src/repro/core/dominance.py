@@ -1,12 +1,20 @@
-"""Dominance tests and offline skyline / K-skyband computation.
+"""Dominance tests and skyline / K-skyband computation.
 
 These are the classical *full-access* operators (Borzsony et al., ICDE 2001)
 used in two roles:
 
 * as the ground-truth oracle that verifies the hidden-database discovery
   algorithms (the oracle sees the raw matrix; the algorithms never do);
-* as the local post-processing step of the BASELINE crawler, which first
-  crawls every tuple and then extracts the skyline locally.
+* as the skyline each discovery session maintains over the tuples it
+  retrieves -- for the BASELINE crawler, the paper's local extraction step.
+
+One sort-filter kernel (SFS, Chomicki et al., ICDE 2003) computes every
+skyline.  Vectors in ascending coordinate-sum order can only be dominated
+by earlier ones; each chunk is tested against the kept skyline, strongest
+vectors first, then against its own survivors, on column-wise 2-D masks.
+:func:`skyline_indices` runs it once over the distinct vectors of a
+matrix, and :func:`incremental_skyline_update` folds blocks of new vectors
+into a maintained skyline with the same chunk step.
 
 All values are in preference space: smaller is better on every attribute.
 A tuple ``t`` dominates ``u`` iff ``t <= u`` component-wise and ``t < u`` on
@@ -44,105 +52,102 @@ def dominated_by_any(values: Sequence[int], rows: Iterable[Row]) -> bool:
     return any(dominates(row.values, values) for row in rows)
 
 
+#: Cells of one ``kept x chunk`` dominance mask (a few MB of scratch).
+_MASK_CELLS = 1 << 22
+#: Distinct vectors per chunk of :func:`skyline_indices`.
+_CHUNK = 256
+#: Kept vectors a chunk meets first: in coordinate-sum order the strongest,
+#: which dominate most candidates.
+_STRONGEST = 192
+
+
 def _dominated_by_block(chunk: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """Mask of ``chunk`` rows dominated by at least one row of ``kept``.
 
-    Broadcast in sub-blocks of ``kept`` to bound peak memory at roughly
-    ``block * len(chunk) * m`` elements.
+    Compares column by column on 2-D ``kept x chunk`` masks (weakly better
+    on every column, strictly better on one), in sub-blocks of ``kept``
+    sized to :data:`_MASK_CELLS`.  Identical vectors do not dominate each
+    other, so a row never dominates itself.
     """
     mask = np.zeros(chunk.shape[0], dtype=bool)
-    block = max(1, 8_000_000 // max(chunk.shape[0] * chunk.shape[1], 1))
+    columns = np.ascontiguousarray(chunk.T)
+    block = max(1, _MASK_CELLS // max(chunk.shape[0], 1))
     for start in range(0, kept.shape[0], block):
-        piece = kept[start : start + block]
-        weakly = np.all(piece[:, None, :] <= chunk[None, :, :], axis=2)
-        strictly = np.any(piece[:, None, :] < chunk[None, :, :], axis=2)
-        mask |= np.any(weakly & strictly, axis=0)
+        piece = np.ascontiguousarray(kept[start : start + block].T)[:, :, None]
+        weakly = piece[0] <= columns[0]
+        strictly = piece[0] < columns[0]
+        for column in range(1, columns.shape[0]):
+            weakly &= piece[column] <= columns[column]
+            strictly |= piece[column] < columns[column]
+        mask |= (weakly & strictly).any(axis=0)
     return mask
+
+
+def _filter_chunk(chunk: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Positions of the ``chunk`` rows that neither a ``kept`` row nor
+    another ``chunk`` row dominates.
+
+    ``kept`` is a skyline in coordinate-sum order, so its strongest vectors
+    go first.  Survivors are compared with each other only: a row dominated
+    by a filtered-out row is dominated by whatever filtered that row out.
+    """
+    alive = np.flatnonzero(~_dominated_by_block(chunk, kept[:_STRONGEST]))
+    if kept.shape[0] > _STRONGEST and alive.size:
+        alive = alive[~_dominated_by_block(chunk[alive], kept[_STRONGEST:])]
+    if alive.size > 1:
+        survivors = chunk[alive]
+        alive = alive[~_dominated_by_block(survivors, survivors)]
+    return alive
 
 
 def skyline_indices(matrix: np.ndarray) -> np.ndarray:
     """Row positions of the skyline of ``matrix``, sorted ascending.
 
-    Sort-filter-skyline over the *distinct* value vectors: vectors are
-    visited in ascending coordinate-sum order (no vector can be dominated by
-    a later one) in chunks, each chunk first filtered against the kept
-    skyline in one vectorised pass and only the survivors compared pairwise.
-    Duplicated vectors do not dominate each other, so every row carrying a
-    skyline vector is on the skyline.
+    One sort-filter pass (SFS, Chomicki et al., ICDE 2003) over the
+    *distinct* vectors in ascending coordinate-sum order, in which no vector
+    is dominated by a later one: each chunk goes through
+    :func:`_filter_chunk` against the skyline kept so far and its survivors
+    join it.  The one sort also makes identical vectors adjacent, so tied
+    data costs what its distinct vectors cost; since identical vectors never
+    dominate each other, every row carrying a skyline vector is kept.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError("matrix must be 2-D")
-    n = matrix.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    unique, inverse = np.unique(matrix, axis=0, return_inverse=True)
-    order = np.argsort(unique.sum(axis=1), kind="stable")
-    sorted_values = unique[order]
-    kept_rows: list[np.ndarray] = []
-    kept_values = np.empty((0, matrix.shape[1]), dtype=matrix.dtype)
-    chunk_size = 4096
-    for start in range(0, sorted_values.shape[0], chunk_size):
-        chunk = sorted_values[start : start + chunk_size]
-        # Two-pass filter: most tuples die against the strongest (lowest
-        # coordinate-sum) skyline points, so test those first and run the
-        # full comparison only for the survivors.
-        strongest = kept_values[:192]
-        alive = ~_dominated_by_block(chunk, strongest)
-        if kept_values.shape[0] > strongest.shape[0] and bool(alive.any()):
-            survivors = chunk[alive]
-            alive_positions = np.flatnonzero(alive)
-            still = ~_dominated_by_block(survivors, kept_values[192:])
-            alive = np.zeros(chunk.shape[0], dtype=bool)
-            alive[alive_positions[still]] = True
-        fresh: list[np.ndarray] = []
-        fresh_values = np.empty((0, matrix.shape[1]), dtype=matrix.dtype)
-        for candidate in chunk[alive]:
-            if fresh_values.shape[0]:
-                weakly = np.all(fresh_values <= candidate, axis=1)
-                strictly = np.any(fresh_values < candidate, axis=1)
-                if bool(np.any(weakly & strictly)):
-                    continue
-            fresh.append(candidate)
-            fresh_values = np.vstack([fresh_values, candidate[None, :]])
-        if fresh:
-            kept_rows.extend(fresh)
-            kept_values = np.vstack([kept_values] + [f[None, :] for f in fresh])
-    if not kept_rows:
-        return np.empty(0, dtype=np.int64)
-    # Map skyline vectors back to every original row carrying one of them.
-    skyline_set = {tuple(int(v) for v in row) for row in kept_rows}
-    unique_is_skyline = np.fromiter(
-        (tuple(int(v) for v in row) in skyline_set for row in unique),
-        dtype=bool,
-        count=unique.shape[0],
-    )
-    return np.flatnonzero(unique_is_skyline[inverse])
+    order = np.lexsort((*matrix.T, matrix.sum(axis=1)))
+    ordered = matrix[order]
+    first = np.ones(ordered.shape[0], dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    distinct = ordered[first]
+    on_skyline = np.zeros(distinct.shape[0], dtype=bool)
+    kept = distinct[:0]
+    for start in range(0, distinct.shape[0], _CHUNK):
+        chunk = distinct[start : start + _CHUNK]
+        fresh = _filter_chunk(chunk, kept)
+        kept = np.concatenate([kept, chunk[fresh]])
+        on_skyline[start + fresh] = True
+    return np.sort(order[on_skyline[np.cumsum(first) - 1]])
 
 
 def incremental_skyline_update(
-    skyline_values: np.ndarray | None, values: np.ndarray
-) -> np.ndarray | None:
-    """Fold one value vector into an incrementally maintained skyline.
+    skyline: np.ndarray, block: np.ndarray
+) -> np.ndarray:
+    """Fold a block of new vectors into a maintained skyline.
 
-    ``skyline_values`` is the current skyline's (s, m) distinct-vector
-    matrix (``None`` when empty); returns the updated matrix, or ``None``
-    when nothing changed (``values`` is dominated by -- or ties -- a kept
-    vector).  Sound because domination is transitive: a vector dominated
-    now can never re-enter, and identical vectors do not dominate each
-    other, so one copy represents every tie.  O(s * m) per call.
+    ``skyline`` is ``(s, m)`` in coordinate-sum order; ``block`` is
+    ``(b, m)``.  Returns the positions in ``np.concatenate((skyline,
+    block))`` of the union's skyline, again in coordinate-sum order.  The
+    block takes the chunk step of :func:`skyline_indices`, then kept vectors
+    its survivors dominate drop.  Identical vectors never dominate each
+    other, so every copy of a skyline vector is kept; callers pass each
+    distinct vector once to keep the masks small.
     """
-    if skyline_values is None:
-        return values[None, :]
-    # A kept vector weakly dominating ``values`` means ``values`` is
-    # either strictly dominated or an exact tie; both are already covered.
-    if bool(np.any(np.all(skyline_values <= values, axis=1))):
-        return None
-    keep = ~(
-        np.all(values <= skyline_values, axis=1)
-        & np.any(values < skyline_values, axis=1)
-    )
-    return np.vstack([skyline_values[keep], values[None, :]])
+    fresh = _filter_chunk(block, skyline)
+    survivors = block[fresh]
+    kept = np.flatnonzero(~_dominated_by_block(skyline, survivors))
+    positions = np.concatenate([kept, skyline.shape[0] + fresh])
+    sums = np.concatenate([skyline[kept], survivors]).sum(axis=1)
+    return positions[np.argsort(sums, kind="stable")]
 
 
 def skyline_of_rows(rows: Sequence[Row]) -> list[Row]:
@@ -150,8 +155,7 @@ def skyline_of_rows(rows: Sequence[Row]) -> list[Row]:
     if not rows:
         return []
     matrix = np.array([row.values for row in rows], dtype=np.int64)
-    keep = set(skyline_indices(matrix).tolist())
-    return [row for position, row in enumerate(rows) if position in keep]
+    return [rows[position] for position in skyline_indices(matrix).tolist()]
 
 
 def dominator_counts(matrix: np.ndarray, cap: int | None = None) -> np.ndarray:

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro import CrawlStore, Discoverer, DiscoveryConfig
+from repro.core import base
 from repro.core.base import DiscoverySession, run_with_budget_guard
+from repro.core.dominance import skyline_of_rows
 from repro.hiddendb import Query, TopKInterface
 
-from ..conftest import make_table
+from ..conftest import make_table, parity_run_params
 
 
 def _interface(values=((0, 9), (5, 5), (9, 0), (6, 6)), k=2, **kwargs):
@@ -69,6 +72,47 @@ class TestDiscoverySession:
         session.issue(Query.select_all())
         values = {row.values for row in session.confirmed_skyline()}
         assert values == {(0, 9), (5, 5), (9, 0)}
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["memory", "store"])
+@pytest.mark.parametrize("algorithm,table", list(parity_run_params()))
+def test_maintained_skyline_matches_one_pass(
+    monkeypatch, algorithm, table, durable
+):
+    """Folded every few rows, the maintained skyline still yields the
+    skyline of everything retrieved, and so do durable checkpoints."""
+    monkeypatch.setattr(base, "FOLD_ROWS", 7)
+    store = CrawlStore.memory() if durable else None
+    result = Discoverer(DiscoveryConfig(store=store)).run(
+        TopKInterface(table, k=5, name=algorithm), algorithm
+    )
+    assert set(result.skyline) == set(skyline_of_rows(result.retrieved))
+    if durable:
+        checkpoint = store.sessions()[0].checkpoint
+        assert checkpoint["skyline"] == sorted(
+            list(vector) for vector in result.skyline_values
+        )
+
+
+def test_fold_hands_the_kernel_each_new_vector_once(monkeypatch):
+    """Rows tying a vector -- kept or in the same block -- join its rows;
+    the block kernel sees new distinct vectors only."""
+    blocks = []
+    update = base.incremental_skyline_update
+
+    def spy(kept, block):
+        blocks.append(sorted(map(tuple, block.tolist())))
+        return update(kept, block)
+
+    monkeypatch.setattr(base, "incremental_skyline_update", spy)
+    monkeypatch.setattr(base, "FOLD_ROWS", 4)
+    table = make_table([(1, 2)] * 6 + [(2, 1)] * 5 + [(3, 3)] * 5, domain=5)
+    session = DiscoverySession(TopKInterface(table, k=16))
+    session.issue(Query.select_all())
+    assert blocks == [[(1, 2), (2, 1), (3, 3)]]
+    result = session.result("ties")
+    assert len(result.skyline) == 11
+    assert set(result.skyline_values) == {(1, 2), (2, 1)}
 
 
 class TestDiscoveryResult:

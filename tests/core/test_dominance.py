@@ -3,17 +3,29 @@
 import numpy as np
 import pytest
 
+from repro.core import dominance
 from repro.core.dominance import (
     dominated_by_any,
     dominates,
     dominates_row,
     dominator_counts,
+    incremental_skyline_update,
     skyband_indices,
     skyband_of_rows,
     skyline_indices,
     skyline_of_rows,
 )
 from repro.hiddendb import Row
+
+
+def _shadowed_front(size):
+    """``size`` incomparable vectors on an anti-diagonal (rows ``size`` on),
+    each shadowed by one vector only it dominates (rows ``0..size-1``).  A
+    skyline this large outgrows the strongest kept vectors the filter
+    tests first, so most shadows meet their dominator only later."""
+    x = np.arange(size)
+    front = np.stack([x, size - 1 - x], axis=1)
+    return np.concatenate([front + [0, 1], front])
 
 
 class TestDominates:
@@ -68,12 +80,17 @@ class TestSkylineIndices:
         with pytest.raises(ValueError):
             skyline_indices(np.zeros((2, 2, 2)))
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_naive_on_random_data(self, seed):
+    @pytest.mark.parametrize(
+        "seed, domain",
+        [pytest.param(seed, 6, id=str(seed)) for seed in range(8)]
+        # 200 rows over 72 distinct vectors; 13 skyline rows tie on 4.
+        + [pytest.param(28, 3, id="duplicates")],
+    )
+    def test_matches_naive_on_random_data(self, seed, domain):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 300))
         m = int(rng.integers(1, 5))
-        matrix = rng.integers(0, 6, (n, m))
+        matrix = rng.integers(0, domain, (n, m))
         naive = {
             i
             for i in range(n)
@@ -84,7 +101,7 @@ class TestSkylineIndices:
         assert set(skyline_indices(matrix).tolist()) == naive
 
     def test_large_chunked_path(self):
-        # Exceed the 4096 chunk size to exercise the multi-chunk code path.
+        # Many sort-filter chunks: exercise the multi-chunk code path.
         rng = np.random.default_rng(1)
         matrix = rng.integers(0, 50, (10_000, 3))
         indices = skyline_indices(matrix)
@@ -95,6 +112,43 @@ class TestSkylineIndices:
                 for other in sky
                 if not np.array_equal(other, candidate)
             )
+
+    def test_dominators_beyond_the_strongest_kept_vectors(self):
+        matrix = _shadowed_front(600)
+        assert skyline_indices(matrix).tolist() == list(range(600, 1200))
+
+    def test_kept_rows_split_across_comparison_masks(self, monkeypatch):
+        monkeypatch.setattr(dominance, "_MASK_CELLS", 1)  # one kept row each
+        matrix = _shadowed_front(300)
+        assert skyline_indices(matrix).tolist() == list(range(300, 600))
+
+    def test_tied_rows_filtered_once_per_distinct_vector(self, monkeypatch):
+        """3000 rows on 6 vectors: the filter sees 6 vectors, and every
+        copy of the 3 skyline vectors comes back."""
+        seen = []
+        filter_chunk = dominance._filter_chunk
+
+        def spy(chunk, kept):
+            seen.append(len(chunk))
+            return filter_chunk(chunk, kept)
+
+        monkeypatch.setattr(dominance, "_filter_chunk", spy)
+        vectors = np.array([[0, 3], [1, 1], [3, 0], [1, 2], [2, 2], [3, 3]])
+        matrix = vectors[np.arange(3000) % 6]
+        expected = [i for i in range(3000) if i % 6 < 3]
+        assert skyline_indices(matrix).tolist() == expected
+        assert sum(seen) == 6
+
+
+class TestIncrementalSkylineUpdate:
+    def test_block_folds_match_one_pass(self):
+        matrix = _shadowed_front(600)
+        order = np.random.default_rng(0).permutation(len(matrix))
+        kept = np.empty(0, dtype=np.int64)
+        for block in np.array_split(order, 8):
+            positions = incremental_skyline_update(matrix[kept], matrix[block])
+            kept = np.concatenate([kept, block])[positions]
+        assert sorted(kept.tolist()) == list(range(600, 1200))
 
 
 class TestSkylineOfRows:

@@ -18,12 +18,18 @@ from repro.core import (
     pq_db_skyband,
     rq_db_skyband,
 )
-from repro.core.dominance import dominates, skyline_indices
+from repro.core.dominance import (
+    dominates,
+    incremental_skyline_update,
+    skyline_indices,
+    skyline_of_rows,
+)
 from repro.hiddendb import (
     InterfaceKind,
     LexicographicRanker,
     LinearRanker,
     RandomSkylineRanker,
+    Row,
     TopKInterface,
 )
 
@@ -132,6 +138,54 @@ def test_every_non_skyline_tuple_is_dominated_by_a_skyline_tuple(values):
     for position in range(len(matrix)):
         if position not in indices:
             assert any(dominates(s, matrix[position]) for s in sky)
+
+
+# Three values per attribute: most vectors repeat, so ties are the norm.
+tied_matrices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda m: st.lists(
+        st.tuples(*([st.integers(min_value=0, max_value=2)] * m)),
+        min_size=1,
+        max_size=60,
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=tied_matrices, data=st.data())
+def test_block_folds_match_one_skyline_pass(values, data):
+    """Folding rows into a maintained skyline block by block keeps exactly
+    the rows one ``skyline_of_rows`` pass over all of them keeps."""
+    m = len(values[0])
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(values)), max_size=6)))
+    blocks = [values[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(values)])]
+    for extra in ([], [data.draw(st.sampled_from(values))] * 3):
+        blocks.insert(data.draw(st.integers(0, len(blocks))), extra)
+    at = data.draw(st.integers(1, len(blocks)))
+    earlier = [vector for block in blocks[:at] for vector in block]
+    if earlier:
+        # A block dominating every vector folded before it: one better on
+        # the first attribute than all of them.
+        floor = np.min(earlier, axis=0).tolist()
+        floor[0] -= 1
+        blocks.insert(at, [tuple(floor)])
+    rows: list[Row] = []
+    kept_rows: list[Row] = []
+    kept = np.empty((0, m), dtype=np.int64)
+    for block_values in blocks:
+        block_rows = [
+            Row(len(rows) + offset, tuple(vector))
+            for offset, vector in enumerate(block_values)
+        ]
+        rows += block_rows
+        block = np.array(block_values, dtype=np.int64).reshape(-1, m)
+        positions = incremental_skyline_update(kept, block)
+        union = kept_rows + block_rows
+        kept_rows = [union[position] for position in positions]
+        kept = np.concatenate([kept, block])[positions]
+        assert (np.diff(kept.sum(axis=1)) >= 0).all()
+    assert {row.rid for row in kept_rows} == {
+        row.rid for row in skyline_of_rows(rows)
+    }
 
 
 # Distinct-vector instances for skyband (duplicates make band membership

@@ -135,6 +135,34 @@ class TestSkybandResume:
         assert catalog[0].result["band"] == 2
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(
+            lambda d, iface: d.run(iface, "baseline").skyline, id="skyline"
+        ),
+        pytest.param(
+            lambda d, iface: d.skyband(iface, 2).skyband, id="skyband"
+        ),
+    ],
+)
+def test_catalog_skyline_size_counts_distinct_vectors(run):
+    """Two rows tying one skyline vector file as one vector, the count
+    checkpoints and ``DiscoveryResult.skyline_size`` report."""
+    from ..conftest import make_table
+
+    table = make_table([(1, 2), (1, 2), (2, 1), (3, 3)], domain=5)
+    store = CrawlStore.memory()
+    rows = run(
+        Discoverer(DiscoveryConfig(store=store)),
+        TopKInterface(table, k=4, name="ties"),
+    )
+    assert len(rows) == 3
+    filed = store.catalog()[0]
+    assert filed.result["skyline_size"] == 2
+    assert filed.checkpoint["skyline_size"] == 2
+
+
 class TestLedgerBilling:
     def test_in_window_duplicates_bill_once(self):
         """Dedup off + ledger mounted: an identical query dispatched while
@@ -173,23 +201,27 @@ class TestLedgerBilling:
             assert store.sessions()[0].billed == 1, strategy.name
 
     def test_skyline_tracker_stays_distinct_under_ties(self):
-        """Rows tying an existing skyline vector must not bloat the
-        incremental tracker (one copy represents them all)."""
+        """Rows tying a skyline vector are all kept by the maintained
+        skyline, but the checkpoint lists each vector once."""
         from repro.core.base import DiscoverySession
-        from repro.hiddendb import Row
+        from repro.hiddendb import Query, QueryResult, Row
 
         from ..conftest import make_table
 
         table = make_table([(1, 2), (1, 2), (1, 2), (2, 1)], domain=5)
+        store = CrawlStore.memory()
         session = DiscoverySession(TopKInterface(table, k=4, name="ties"))
-        session.attach_store(CrawlStore.memory(), algorithm="ties")
-        for rid in range(8):
-            session._track_skyline(Row(rid, (1, 2)))
-        session._track_skyline(Row(99, (2, 1)))
-        assert session._sky_values.shape[0] == 2
-        assert {tuple(v) for v in session._skyline_snapshot()} == {
-            (1, 2), (2, 1)
-        }
+        session.attach_store(store, algorithm="ties", checkpoint_every=1)
+        answers = [(Row(rid, (1, 2)),) for rid in range(8)]
+        answers.append((Row(99, (2, 1)),))
+        for sequence, rows in enumerate(answers, start=1):
+            session.record(
+                QueryResult(Query.select_all(), rows, False, sequence)
+            )
+        checkpoint = store.sessions()[0].checkpoint
+        assert checkpoint["skyline"] == [[1, 2], [2, 1]]
+        assert checkpoint["skyline_size"] == 2
+        assert len(session.confirmed_skyline()) == 9
 
     def test_different_rankers_never_share_a_ledger(self):
         """The endpoint fingerprint pins the ranking function: same table,
