@@ -5,10 +5,12 @@ one at high worker counts and writes the numbers via :mod:`_record`:
 
 * ``baseline_diamonds_async_vs_pipelined`` -- wall time of a wide-window
   remote crawl (per-request dispatch, injected wide-area latency) under
-  ``PipelinedStrategy`` (one OS thread + one blocking ``http.client``
-  connection per worker) vs ``AsyncStrategy`` driving the non-blocking
-  :class:`~repro.service.aclient.AsyncRemoteTopKInterface` (one event
-  loop, pooled connections, minimal HTTP parsing).  The acceptance bar:
+  the one concurrent strategy on each of its transports: the blocking
+  :class:`~repro.service.RemoteTopKInterface` called from the strategy's
+  thread pool (one OS thread + one ``http.client`` connection per
+  worker; configured as ``"pipelined"``) vs the non-blocking
+  :class:`~repro.service.aclient.AsyncRemoteTopKInterface` awaited on its
+  own event loop (pooled connections, minimal HTTP parsing).  The acceptance bar:
   at ``WORKERS`` (>= 16) in-flight queries the async plane must beat the
   thread pool's wall time, at identical skyline and billed cost.  Both
   strategies are timed ``TRIALS`` times and compared min-to-min, since

@@ -3,12 +3,16 @@
 Measures what a second mirror of the hidden database buys: the same
 discovery crawl, over latency-injected remote backends, drained
 
-* through ONE backend under ``PipelinedStrategy`` (a ``WORKERS``-wide
-  in-flight window, per-query dispatch -- the single-deployment
-  baseline), vs
-* through TWO mirrored backends under ``ShardedStrategy`` with the same
+* through ONE backend with a ``WORKERS``-wide in-flight window and
+  per-query dispatch (the single-deployment baseline), vs
+* through TWO mirrored backends behind an ``EndpointSet`` with the same
   ``WORKERS`` per backend (so the aggregate window doubles, split by
   canonical-key shard with work stealing).
+
+Both runs use the one concurrent strategy (``strategy="async"`` over a
+blocking endpoint, i.e. its thread pool), configured the way the
+coordinator daemon configures a job: ``workers`` is the per-backend width
+times the number of backends.
 
 Because the paper's cost model bills a query identically no matter which
 mirror answers it, the two runs must issue the same query set -- the
@@ -36,16 +40,15 @@ import time
 from _record import record
 
 from repro import Discoverer, DiscoveryConfig, TopKInterface
-from repro.coordinator import EndpointSet, ShardedStrategy
-from repro.core.engine import PipelinedStrategy
+from repro.coordinator import EndpointSet
 from repro.datagen import diamonds_table
 from repro.service import FaultConfig, HiddenDBServer, RemoteTopKInterface
 
 N = 2_000
 K = 10
 SEED = 2
-#: In-flight window per backend -- the pipelined baseline gets the same
-#: window over its single backend, the sharded run gets it per mirror.
+#: In-flight window per backend -- the single-backend baseline gets the
+#: same window over its one backend, the sharded run gets it per mirror.
 WORKERS = 4
 #: Timed runs per variant (min is compared -- see the module docstring).
 TRIALS = 3
@@ -66,15 +69,15 @@ def test_record_two_backends_beat_one_at_identical_cost():
         for _ in range(2)
     ]
     try:
-        pipelined_walls = []
+        single_walls = []
         for _ in range(TRIALS):
             client = RemoteTopKInterface(servers[0].url)
-            strategy = PipelinedStrategy(workers=WORKERS, batch_size=1)
-            start = time.perf_counter()
-            single = Discoverer(DiscoveryConfig(strategy=strategy)).run(
-                client, "baseline"
+            config = DiscoveryConfig(
+                strategy="async", workers=WORKERS, batch_size=1
             )
-            pipelined_walls.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            single = Discoverer(config).run(client, "baseline")
+            single_walls.append(time.perf_counter() - start)
             client.close()
             assert single.skyline_values == reference.skyline_values
             assert single.total_cost == reference.total_cost
@@ -83,11 +86,11 @@ def test_record_two_backends_beat_one_at_identical_cost():
         shards = None
         for _ in range(TRIALS):
             pool = EndpointSet([server.url for server in servers])
-            strategy = ShardedStrategy(pool, workers_per_backend=WORKERS)
-            start = time.perf_counter()
-            sharded = Discoverer(DiscoveryConfig(strategy=strategy)).run(
-                pool, "baseline"
+            config = DiscoveryConfig(
+                strategy="async", workers=WORKERS * pool.size
             )
+            start = time.perf_counter()
+            sharded = Discoverer(config).run(pool, "baseline")
             sharded_walls.append(time.perf_counter() - start)
             shards = [entry["issued"] for entry in pool.stats()]
             pool.close()
@@ -97,9 +100,9 @@ def test_record_two_backends_beat_one_at_identical_cost():
         for server in servers:
             server.stop()
 
-    wall_pipelined = min(pipelined_walls)
+    wall_single = min(single_walls)
     wall_sharded = min(sharded_walls)
-    speedup = wall_pipelined / wall_sharded
+    speedup = wall_single / wall_sharded
     record(
         "coordinator",
         "baseline_diamonds_two_backends_vs_one",
@@ -109,7 +112,7 @@ def test_record_two_backends_beat_one_at_identical_cost():
         queries=reference.total_cost,
         skyline_size=len(reference.skyline_values),
         shard_issued=shards,
-        wall_pipelined_1_backend=wall_pipelined,
+        wall_pipelined_1_backend=wall_single,
         wall_sharded_2_backends=wall_sharded,
         speedup=speedup,
         trials=TRIALS,
@@ -118,6 +121,6 @@ def test_record_two_backends_beat_one_at_identical_cost():
     assert sum(shards) == reference.total_cost
     assert speedup >= MIN_SPEEDUP, (
         f"2-backend sharded crawl only {speedup:.2f}x faster than the "
-        f"1-backend pipelined baseline (walls: {sharded_walls} vs "
-        f"{pipelined_walls})"
+        f"1-backend baseline (walls: {sharded_walls} vs "
+        f"{single_walls})"
     )

@@ -98,7 +98,6 @@ from .core import (
     DiscoveryConfig,
     DiscoveryResult,
     EngineStats,
-    PipelinedStrategy,
     SerialStrategy,
     SkybandResult,
     algorithm_names,
@@ -138,7 +137,6 @@ __all__ = [
     "Interval",
     "LexicographicRanker",
     "LinearRanker",
-    "PipelinedStrategy",
     "Query",
     "QueryBudgetExceeded",
     "QueryLedger",

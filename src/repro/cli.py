@@ -33,10 +33,14 @@ registered by third-party plugins imported before the CLI runs).  The
 ``discover`` / ``skyband`` / ``stats`` commands accept ``--url`` to crawl a
 remote service through :class:`repro.service.RemoteTopKInterface` instead
 of building an in-process interface, and expose the execution engine:
-``--workers N`` pipelines independent frontier queries (batched into
-``--batch-size`` sized ``/api/batch`` round trips against the service),
-``--dedup`` memoizes repeated identical queries within the run, and
-``discover --verbose`` prints the resulting engine counters.
+``--workers N`` keeps N independent frontier queries in flight (batched
+into ``--batch-size`` sized ``/api/batch`` round trips against the
+service), ``--dedup`` memoizes repeated identical queries within the run,
+and ``discover --verbose`` prints the resulting engine counters.  There
+is one concurrent strategy, and for ``--url`` runs the ``--strategy``
+name also picks the client it drives: ``async`` builds the asyncio
+client, whose event loop carries the window, and anything else builds
+the blocking client, called from a ``--workers``-wide thread pool.
 
 Examples::
 
@@ -48,7 +52,7 @@ Examples::
     repro figures --list
 
     # reproduce a paper figure over the wire (ephemeral servers) with a
-    # 4-wide pipelined engine, or durably against a reusable ledger
+    # 4-wide concurrent engine, or durably against a reusable ledger
     repro figures fig13 --remote --workers 4
     repro figures fig13 --store figs.db --resume
 
@@ -61,7 +65,7 @@ Examples::
     repro datagen build-db --dataset uniform --n 1000000 --out data.sqlite
     repro serve --table-db data.sqlite --k 10 --port 8080
 
-    # terminal 2: crawl it over the wire -- 8 pipelined workers, 16
+    # terminal 2: crawl it over the wire -- 8 worker threads, 16
     # queries per round trip, run-scoped dedup, engine telemetry
     repro discover --url http://127.0.0.1:8080 --workers 8 --batch-size 16 \
         --dedup --verbose
@@ -121,6 +125,10 @@ from .hiddendb import LinearRanker, Table, TopKInterface
 from .service.client import RemoteServiceError
 from .service.server import ServiceStartupError
 from .store import CrawlStore, StoreError
+
+#: ``--strategy`` choices: the registered names plus the ``pipelined``
+#: alias of ``async`` that older scripts pass.
+STRATEGY_CHOICES = [*STRATEGY_NAMES, "pipelined"]
 
 DATASETS: dict[str, Callable[[int, int], Table]] = {
     "diamonds": lambda n, seed: diamonds_table(n, seed=seed),
@@ -747,17 +755,18 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--cache", type=int, default=0, metavar="SIZE",
                          help="client-side LRU query cache for --url runs "
                          "(cache hits are not billed; default off)")
-        sub.add_argument("--strategy", choices=list(STRATEGY_NAMES),
+        sub.add_argument("--strategy", choices=STRATEGY_CHOICES,
                          default=None,
                          help="execution strategy draining the query "
                          "frontier: 'serial' (one query at a time, the "
-                         "parity reference), 'pipelined' (a thread pool of "
-                         "--workers blocking dispatchers) or 'async' (an "
-                         "event loop keeping --workers queries in flight "
-                         "on non-blocking sockets; remote runs get the "
-                         "asyncio client).  Default: pipelined when "
-                         "--workers > 1, serial otherwise (the historical "
-                         "behaviour).  All strategies produce the same "
+                         "parity reference) or 'async' (--workers queries "
+                         "in flight; 'pipelined' is an alias).  The "
+                         "endpoint picks the transport: --url runs under "
+                         "'async' get the asyncio client and keep the "
+                         "window on its event loop, every other run calls "
+                         "a blocking endpoint from a --workers-wide thread "
+                         "pool.  Default: async when --workers > 1, serial "
+                         "otherwise.  All strategies produce the same "
                          "skyline and billed cost")
         sub.add_argument("--workers", type=_workers_arg, default=1,
                          metavar="N|auto",
@@ -765,9 +774,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "frontier queries are kept in flight (default 1 = "
                          "serial; skyline and query cost are unchanged). "
                          "'auto' enables AIMD adaptive control: the window "
-                         "grows on clean completions and halves on 429/503/"
-                         "timeout pressure, honoring server Retry-After "
-                         "hints, within [--min-workers, --max-workers]")
+                         "grows on clean completions and shrinks to 3/4 on "
+                         "429/503/timeout pressure, honoring server "
+                         "Retry-After hints, within [--min-workers, "
+                         "--max-workers]")
         sub.add_argument("--min-workers", type=int, default=None, metavar="N",
                          help="adaptive window floor (needs --workers auto; "
                          "default 1)")
@@ -996,9 +1006,9 @@ def build_parser() -> argparse.ArgumentParser:
                      "re-running a figure replays it free")
     sub.add_argument("--resume", action="store_true",
                      help="resume checkpointed figure runs from --store")
-    sub.add_argument("--strategy", choices=list(STRATEGY_NAMES), default=None,
+    sub.add_argument("--strategy", choices=STRATEGY_CHOICES, default=None,
                      help="execution strategy for the figure crawls "
-                     "(default: pipelined when --workers > 1, else serial)")
+                     "(default: async when --workers > 1, else serial)")
     sub.add_argument("--workers", type=int, default=1, metavar="N",
                      help="in-flight window per crawl (default 1 = serial)")
     sub.add_argument("--batch-size", type=int, default=16, metavar="N",

@@ -10,11 +10,9 @@ discovery as a shared service over a **pool** of backends and a
   backends (each with its own API key and budget) behind one
   :class:`~repro.hiddendb.SearchEndpoint`: fingerprint-verified, sharded
   by canonical query key, with work stealing when a backend stalls or
-  exhausts its budget;
-* :class:`ShardedStrategy` -- the execution-engine strategy that drains
-  a frontier across every backend of a set while preserving the engine's
-  cost/skyline determinism (a sharded run pays exactly what a serial
-  single-backend run pays);
+  exhausts its budget.  The execution engine drains a set like any
+  other endpoint, so a sharded run pays exactly what a serial
+  single-backend run pays;
 * :class:`CrawlCoordinator` -- the ``repro coordinate`` daemon: accepts
   jobs over JSON (``POST /api/jobs``), streams anytime progress
   (``GET /api/jobs/<id>``), cancels (``DELETE``), and checkpoints every
@@ -46,7 +44,6 @@ from .endpoints import (
     BackendSpec,
     EndpointSet,
     EndpointSetError,
-    ShardedStrategy,
 )
 
 __all__ = [
@@ -57,5 +54,4 @@ __all__ = [
     "JobCancelled",
     "JobRejected",
     "RESUMABLE_STATUSES",
-    "ShardedStrategy",
 ]

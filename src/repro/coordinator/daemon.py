@@ -71,7 +71,7 @@ from ..hiddendb.errors import HiddenDBError
 from ..service.server import ServiceStartupError, _QuietThreadingHTTPServer
 from ..service.wire import JOB_SPEC_DEFAULTS, decode_job_spec, encode_job_spec, encode_schema
 from ..store import CrawlStore
-from .endpoints import BackendSpec, EndpointSet, ShardedStrategy
+from .endpoints import BackendSpec, EndpointSet
 
 logger = logging.getLogger("repro.coordinator")
 
@@ -673,12 +673,7 @@ class CrawlCoordinator:
                 observer=self._observer,
             )
             algo = get_algorithm(record.algorithm)
-            strategy = ShardedStrategy(
-                endpoints,
-                workers_per_backend=int(
-                    spec["workers"] or self._workers_per_backend
-                ),
-            )
+            per_backend = int(spec["workers"] or self._workers_per_backend)
             update_every = max(int(spec["checkpoint_every"]), 1)
             answers = itertools.count(1)
 
@@ -691,10 +686,15 @@ class CrawlCoordinator:
                 if next(answers) % update_every == 0:
                     store.update_job(job_id, progress=self._progress_of(active))
 
+            # The set routes each query to its home backend, so the one
+            # concurrent strategy drains it like any endpoint; a window of
+            # per-backend width x pool size keeps about the per-backend
+            # width in flight on every mirror.
             cfg = DiscoveryConfig(
                 budget=spec["budget"],
                 dedup=spec["dedup"],
-                strategy=strategy,
+                strategy="async",
+                workers=per_backend * endpoints.size,
                 store=store,
                 session_id=record.session_id,
                 checkpoint_every=update_every,
@@ -731,10 +731,7 @@ class CrawlCoordinator:
             )
             self._skyline_verified_at[job_id] = time.monotonic()
             if watching:
-                self._watch(
-                    active, record, spec, endpoints, algo, strategy,
-                    update_every, on_query,
-                )
+                self._watch(active, spec, endpoints, algo, cfg)
                 store.update_job(
                     job_id, status="cancelled", error="watch stopped"
                 )
@@ -761,13 +758,10 @@ class CrawlCoordinator:
     def _watch(
         self,
         active: _ActiveJob,
-        record: Any,
         spec: Mapping[str, Any],
         endpoints: EndpointSet,
         algo: Any,
-        strategy: ShardedStrategy,
-        update_every: int,
-        on_query: Any,
+        cfg: DiscoveryConfig,
     ) -> None:
         """Continuous-monitor loop of a ``watch`` job.
 
@@ -787,17 +781,9 @@ class CrawlCoordinator:
         while not active.cancel.wait(interval):
             cycles += 1
             endpoints.refresh_data_version()
-            delta_cfg = DiscoveryConfig(
-                budget=spec["budget"],
-                dedup=spec["dedup"],
-                strategy=strategy,
-                store=self._store,
-                session_id=record.session_id,
-                checkpoint_every=update_every,
-                on_query=on_query,
-                mode="delta",
-            )
-            repair = DeltaCrawl(endpoints, algo, delta_cfg).run()
+            repair = DeltaCrawl(
+                endpoints, algo, cfg.replace(mode="delta")
+            ).run()
             report = repair.freshness
             assert report is not None
             if report.billed:

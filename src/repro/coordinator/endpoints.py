@@ -22,10 +22,11 @@ Because the paper's cost metric bills a query the same no matter which
 mirror answers it, sharding changes wall-clock time only: a crawl fanned
 over an :class:`EndpointSet` issues the exact query set -- and therefore
 pays the exact cost and discovers the exact skyline -- of a single-backend
-run.  :class:`ShardedStrategy` plugs the set into the execution engine via
-the :meth:`~repro.core.engine.PipelinedStrategy._endpoint_for` drain hook,
-keeping the engine's strict dispatch-order merge (the determinism
-invariant) untouched.
+run.  The set is a plain endpoint, so the execution engine drains it like
+any other: :class:`~repro.core.engine.AsyncStrategy` calls
+:meth:`EndpointSet.query` from its thread pool, the set routes each call
+to its home backend, and the engine's strict dispatch-order merge (the
+determinism invariant) never learns that there are several backends.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from typing import Any, Callable, Iterable
 
 from ..hiddendb import Query, QueryBudgetExceeded, QueryResult
 from ..hiddendb.errors import HiddenDBError
-from ..core.adaptive import AdaptiveWindow, resolve_workers
-from ..core.engine import DEFAULT_WORKERS, PipelinedStrategy, QueryEngine
 from ..service.client import RemoteServiceError, RemoteTopKInterface
 from ..service.server import ANONYMOUS_KEY
 
@@ -91,28 +90,6 @@ class _Backend:
         self.error: Exception | None = None
 
 
-class _ShardLease(object):
-    """The set pinned to one query's home shard (what workers transport on).
-
-    Returned by :meth:`EndpointSet.lease`; its :meth:`query` starts at the
-    leased home backend and steals from the rest of the pool only if the
-    home cannot answer.
-    """
-
-    __slots__ = ("_set", "_home")
-
-    def __init__(self, pool: "EndpointSet", home: int) -> None:
-        self._set = pool
-        self._home = home
-
-    @property
-    def queries_issued(self) -> int:
-        return self._set.queries_issued
-
-    def query(self, query: Query) -> QueryResult:
-        return self._set._query_from(self._home, query)
-
-
 class EndpointSet:
     """N :class:`RemoteTopKInterface` backends behind one search endpoint.
 
@@ -134,8 +111,8 @@ class EndpointSet:
         and work-steal counters and is forwarded to every backend client
         (transport attempt/retry/fault events).
 
-    The set deliberately does **not** expose ``batch_query``: sharded
-    drains route every query individually so each lands on its home
+    The set deliberately does **not** expose ``batch_query``: the engine
+    then dispatches every query individually, so each lands on its home
     backend (and budget exhaustion is observed per query, when stealing
     must kick in).
     """
@@ -324,12 +301,6 @@ class EndpointSet:
         """Number of pooled backends."""
         return len(self._backends)
 
-    @property
-    def clients(self) -> tuple[Any, ...]:
-        """The per-backend HTTP clients, in shard order (telemetry seam:
-        per-backend throttle signals feed per-backend AIMD windows)."""
-        return tuple(b.client for b in self._backends)
-
     def shard_of(self, key: str) -> int:
         """Stable home-backend index for a canonical query key.
 
@@ -339,15 +310,9 @@ class EndpointSet:
         """
         return zlib.crc32(key.encode("utf-8")) % len(self._backends)
 
-    def lease(self, key: str) -> _ShardLease:
-        """A transport view pinned to ``key``'s home shard."""
-        return _ShardLease(self, self.shard_of(key))
-
     def query(self, query: Query) -> QueryResult:
         """Answer ``query`` from its home backend (stealing if it cannot)."""
-        return self._query_from(self.shard_of(query.canonical_key()), query)
-
-    def _query_from(self, home: int, query: Query) -> QueryResult:
+        home = self.shard_of(query.canonical_key())
         budget_error: Exception | None = None
         transport_error: Exception | None = None
         n = len(self._backends)
@@ -394,6 +359,20 @@ class EndpointSet:
     # ------------------------------------------------------------------
     # telemetry
     # ------------------------------------------------------------------
+    def take_throttle_signals(self) -> tuple[int, float]:
+        """Pool-wide pressure since the last call: ``(count, 0.0)``.
+
+        Adds up every backend client's 429/503/timeout count, so a
+        ``workers="auto"`` drain over the pool backs off as one window.
+        No ``Retry-After`` is reported: each client already sleeps out
+        its own server's hint before retrying, and a pool-wide hold-off
+        would let one throttled mirror stall dispatch to all the others.
+        """
+        count = sum(
+            b.client.take_throttle_signals()[0] for b in self._backends
+        )
+        return count, 0.0
+
     def stats(self) -> list[dict[str, Any]]:
         """Per-backend share of this set's billed work (local counters)."""
         return [
@@ -465,130 +444,8 @@ class EndpointSet:
         )
 
 
-class ShardedAdaptiveController:
-    """One AIMD window per backend; the drain gates on their *sum*.
-
-    A pool throttles per mirror (each has its own token bucket and
-    concurrency cap), so a single shared window would let one slow mirror
-    collapse dispatch to the healthy ones.  Instead every backend gets
-    its own :class:`~repro.core.adaptive.AdaptiveWindow` fed by that
-    backend client's throttle signals; completions are credited to the
-    key's home shard.  Dispatch holds off only until the *soonest* mirror
-    is clear -- a throttled backend's shrunken window already bounds the
-    pressure it sees.
-    """
-
-    def __init__(
-        self,
-        endpoints: EndpointSet,
-        *,
-        min_size: int = 1,
-        max_size: int = 32,
-        on_event: Callable[[str, int], None] | None = None,
-    ) -> None:
-        self._endpoints = endpoints
-        self._on_event = on_event
-        self._windows = tuple(
-            AdaptiveWindow(
-                min_size=min_size,
-                max_size=max_size,
-                on_event=self._relay if on_event is not None else None,
-                signal_source=getattr(client, "take_throttle_signals", None),
-            )
-            for client in endpoints.clients
-        )
-
-    def _relay(self, kind: str, _size: int) -> None:
-        # Events report the aggregate window the drain actually sees.
-        self._on_event(kind, self.size)
-
-    @property
-    def size(self) -> int:
-        return sum(w.size for w in self._windows)
-
-    @property
-    def increases(self) -> int:
-        return sum(w.increases for w in self._windows)
-
-    @property
-    def decreases(self) -> int:
-        return sum(w.decreases for w in self._windows)
-
-    def holdoff_remaining(self, now: float | None = None) -> float:
-        return min(w.holdoff_remaining(now) for w in self._windows)
-
-    def dispatch_allowed(self, now: float | None = None) -> bool:
-        return self.holdoff_remaining(now) <= 0.0
-
-    def poll(self) -> None:
-        for window in self._windows:
-            window.poll()
-
-    def record_success(self, key: str | None = None) -> None:
-        if key is None:
-            return
-        self._windows[self._endpoints.shard_of(key)].record_success(key)
-
-
-class ShardedStrategy(PipelinedStrategy):
-    """Drain a frontier across every backend of an :class:`EndpointSet`.
-
-    A pipelined window of ``workers_per_backend * set.size`` single-query
-    transports, where each in-flight query is routed to its canonical
-    key's home backend via the engine's
-    :meth:`~repro.core.engine.PipelinedStrategy._endpoint_for` hook.  The
-    engine's dispatch-order merge is inherited unchanged, so a sharded
-    run issues the exact query set (hence cost and skyline) of a
-    single-backend run -- only the wall-clock shrinks, because the
-    aggregate in-flight window spans every mirror's latency budget.
-
-    ``workers_per_backend="auto"`` gives every backend its own AIMD
-    window (bounded by ``min_workers`` / ``max_workers``, per backend)
-    via :class:`ShardedAdaptiveController`, so a throttled mirror backs
-    off without starving the rest of the pool.
-
-    ``batch_size`` is pinned to 1: batching would route whole chunks to
-    one backend and hide per-query budget exhaustion from the stealer.
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        endpoints: EndpointSet,
-        *,
-        workers_per_backend: "int | str" = DEFAULT_WORKERS,
-        min_workers: int | None = None,
-        max_workers: int | None = None,
-    ) -> None:
-        adaptive, width, lo, hi = resolve_workers(
-            workers_per_backend, min_workers, max_workers
-        )
-        # The pool window is per-backend width x pool size; adaptive runs
-        # get the ceiling as pool capacity and per-backend AIMD bounds.
-        super().__init__(workers=width * endpoints.size, batch_size=1)
-        self.adaptive = adaptive
-        self.min_workers = lo
-        self.max_workers = hi
-        self.endpoints = endpoints
-        self.workers_per_backend = width
-
-    def _make_controller(self, engine: QueryEngine) -> ShardedAdaptiveController:
-        return ShardedAdaptiveController(
-            self.endpoints,
-            min_size=self.min_workers,
-            max_size=self.max_workers,
-            on_event=engine.note_window_event,
-        )
-
-    def _endpoint_for(self, engine: QueryEngine, item) -> _ShardLease:
-        return self.endpoints.lease(item.key)
-
-
 __all__ = [
     "BackendSpec",
     "EndpointSet",
     "EndpointSetError",
-    "ShardedAdaptiveController",
-    "ShardedStrategy",
 ]

@@ -46,7 +46,6 @@ from .engine import (
     EngineStats,
     ExecutionStrategy,
     Frontier,
-    PipelinedStrategy,
     QueryEngine,
     SerialStrategy,
     make_strategy,
@@ -95,7 +94,6 @@ __all__ = [
     "EngineStats",
     "ExecutionStrategy",
     "Frontier",
-    "PipelinedStrategy",
     "PlaneState",
     "QueryEngine",
     "SerialStrategy",

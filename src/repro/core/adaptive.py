@@ -217,7 +217,7 @@ class AdaptiveWindow:
     # ------------------------------------------------------------------
     # the control loop
     # ------------------------------------------------------------------
-    def record_success(self, key: "str | None" = None) -> None:
+    def record_success(self) -> None:
         """A dispatched query completed cleanly (additive increase)."""
         self._clean = True
         before = self.size

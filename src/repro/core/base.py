@@ -32,13 +32,7 @@ from ..hiddendb.interface import QueryResult
 from ..hiddendb.query import Query
 from ..hiddendb.table import Row
 from .dominance import incremental_skyline_update, skyline_of_rows
-from .engine import (
-    EngineStats,
-    ExecutionStrategy,
-    Frontier,
-    QueryEngine,
-    make_strategy,
-)
+from .engine import EngineStats, ExecutionStrategy, Frontier, QueryEngine
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..freshness import DeltaReport
@@ -282,11 +276,11 @@ class DiscoverySession:
     def reserve_budget(self) -> None:
         """Claim one unit of the session allowance ahead of a transport.
 
-        Thread-safe (pipelined strategies reserve from worker threads) and
-        exact: issuing never exceeds the budget, and a budget sufficient
-        for a serial run is sufficient for a pipelined one (the strategies
-        issue the same query set).  Memoized answers never reserve --
-        dedup hits are free.
+        Thread-safe (the concurrent strategy reserves from pool threads)
+        and exact: issuing never exceeds the budget, and a budget
+        sufficient for a serial run is sufficient for a concurrent one (the
+        strategies issue the same query set).  Memoized answers never
+        reserve -- dedup hits are free.
         """
         if self._budget is None:
             return
@@ -356,13 +350,6 @@ class DiscoverySession:
         """
         if config is None:
             return cls(interface, dedup=default_dedup)
-        strategy = make_strategy(
-            config.strategy,
-            workers=config.workers,
-            batch_size=config.batch_size,
-            min_workers=config.min_workers,
-            max_workers=config.max_workers,
-        )
         dedup = config.dedup if config.dedup is not None else default_dedup
         session = cls(
             interface,
@@ -370,7 +357,7 @@ class DiscoverySession:
             budget=config.budget,
             on_query=config.on_query,
             on_tuple=config.on_tuple,
-            strategy=strategy,
+            strategy=config.execution_strategy(),
             dedup=dedup,
         )
         if config.store is not None:

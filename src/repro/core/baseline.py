@@ -38,8 +38,8 @@ def crawl_all(session: DiscoverySession, root: Query | None = None) -> bool:
 
     The region subdivisions are expanded through a LIFO
     :class:`~repro.core.engine.Frontier`: each split depends only on its
-    own region's answer, so sibling regions crawl concurrently under a
-    pipelined strategy while the serial strategy reproduces the historical
+    own region's answer, so sibling regions crawl concurrently under the
+    concurrent strategy while the serial strategy reproduces the historical
     depth-first stack order exactly.
     """
     schema = session.schema

@@ -22,13 +22,14 @@ queries.  This module makes that structure explicit and pluggable:
   - :class:`SerialStrategy` transports one query at a time, inline, in
     the frontier's order -- bit-identical to the pre-engine
     implementations (the parity reference).
-  - :class:`PipelinedStrategy` keeps a window of queries in flight on a
-    thread pool of blocking transports, packing them into
-    ``batch_query()`` round trips when the endpoint supports it.
-  - :class:`AsyncStrategy` keeps the same bounded window in flight on an
-    asyncio event loop (one daemon thread, non-blocking sockets against
-    an async endpoint): a "worker" is just an in-flight slot, not an OS
-    thread, so very wide windows cost nothing to stand up.
+  - :class:`AsyncStrategy` keeps a bounded window of queries in flight,
+    packing them into ``batch_query()`` / ``abatch_query()`` round trips
+    when the endpoint supports it.  The endpoint picks the transport: an
+    endpoint that owns an event loop (``aio_runner``, i.e. the asyncio
+    remote client) has its coroutines awaited on that loop, where a
+    "worker" is an in-flight slot rather than an OS thread; any other
+    endpoint is called on a ``workers``-wide thread pool.  ``"pipelined"``
+    is accepted as an alias of ``"async"``.
 * :class:`QueryEngine` -- per-session plumbing shared by all paths:
   run-scoped query memoization (with dedup enabled, an identical query is
   never billed twice) and the :class:`EngineStats` counters attached to
@@ -65,7 +66,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from ..hiddendb.endpoint import EventLoopRunner, as_async_endpoint
 from ..hiddendb.errors import HiddenDBError, QueryBudgetExceeded
 from ..hiddendb.interface import QueryResult
 from ..hiddendb.query import Query
@@ -78,12 +78,13 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 #: Default number of queries packed into one ``batch_query()`` round trip.
 DEFAULT_BATCH_SIZE = 16
 
-#: Default thread-pool width of :class:`PipelinedStrategy`.
+#: Default window width of :class:`AsyncStrategy`.
 DEFAULT_WORKERS = 4
 
 #: Registered execution-strategy names (the CLI / ``DiscoveryConfig``
-#: currency; resolve one with :func:`make_strategy`).
-STRATEGY_NAMES = ("serial", "pipelined", "async")
+#: currency; resolve one with :func:`make_strategy`, which also accepts
+#: ``"pipelined"`` as an alias of ``"async"``).
+STRATEGY_NAMES = ("serial", "async")
 
 
 @dataclass(frozen=True)
@@ -215,13 +216,10 @@ class QueryEngine:
         #: repeated drains so the learned window width persists across
         #: frontier expansions within one session.
         self._adaptive = None
-        #: Thread pool of the outermost active pipelined drain; nested
+        #: Thread pool of the outermost active thread-pool drain; nested
         #: drains (an expansion callback running a sub-frontier) reuse it
         #: instead of churning a fresh pool per recursion level.
         self._drain_pool: "ThreadPoolExecutor | None" = None
-        #: Event-loop runner of the outermost active async drain (same
-        #: reuse rule as the thread pool).
-        self._async_runner: "EventLoopRunner | None" = None
         #: Observability hook (:class:`repro.obs.RunObserver`), bound by
         #: ``DiscoverySession.attach_observer``.  ``None`` keeps every
         #: instrumentation site a single is-not-None check; when set, the
@@ -712,7 +710,7 @@ class _DrainCore:
             if self._controller is not None:
                 # Only answers that actually came back count as clean
                 # completions (a failed resolve raised above).
-                self._controller.record_success(head.key)
+                self._controller.record_success()
         if engine.observer is not None:
             engine.observer.merged(
                 head.key or head.memo_key, transported=head.transported
@@ -772,20 +770,16 @@ class _WindowedStrategy(ExecutionStrategy):
         """The engine's AIMD controller, created on first adaptive drain."""
         if not self.adaptive:
             return None
-        controller = engine._adaptive
-        if controller is None:
-            controller = engine._adaptive = self._make_controller(engine)
-        return controller
-
-    def _make_controller(self, engine: QueryEngine):
-        return AdaptiveWindow(
-            min_size=self.min_workers,
-            max_size=self.max_workers,
-            on_event=engine.note_window_event,
-            signal_source=getattr(
-                engine.interface, "take_throttle_signals", None
-            ),
-        )
+        if engine._adaptive is None:
+            engine._adaptive = AdaptiveWindow(
+                min_size=self.min_workers,
+                max_size=self.max_workers,
+                on_event=engine.note_window_event,
+                signal_source=getattr(
+                    engine.interface, "take_throttle_signals", None
+                ),
+            )
+        return engine._adaptive
 
     # -- transport hooks (subclass responsibility) ---------------------
     def _open(self, engine: QueryEngine):
@@ -842,20 +836,19 @@ class _WindowedStrategy(ExecutionStrategy):
 class _TransportContext:
     """Per-drain transport state handed between the strategy hooks."""
 
-    __slots__ = ("batch_query", "endpoint", "pool", "runner", "owns")
+    __slots__ = ("query", "batch_query", "pool", "runner", "owns")
 
     def __init__(
-        self, batch_query=None, endpoint=None, pool=None, runner=None,
-        owns=False,
+        self, query, batch_query=None, pool=None, runner=None, owns=False
     ) -> None:
+        self.query = query
         self.batch_query = batch_query
-        self.endpoint = endpoint
         self.pool = pool
         self.runner = runner
         self.owns = owns
 
 
-def _transport_one(session, interface, query) -> QueryResult:
+def _transport_one(session, query_fn, query) -> QueryResult:
     """One guarded single-query transport (any transport thread).
 
     Session-budget reservation happens here, immediately before the query
@@ -865,7 +858,7 @@ def _transport_one(session, interface, query) -> QueryResult:
     """
     session.reserve_budget()
     try:
-        return interface.query(query)
+        return query_fn(query)
     except BaseException:
         session.release_budget()
         raise
@@ -921,11 +914,11 @@ def _transport_batch(session, batch_query, queries):
     return results
 
 
-async def _transport_one_async(session, endpoint, query) -> QueryResult:
+async def _transport_one_async(session, aquery, query) -> QueryResult:
     """Async twin of :func:`_transport_one` (event-loop thread)."""
     session.reserve_budget()
     try:
-        return await endpoint.aquery(query)
+        return await aquery(query)
     except BaseException:
         session.release_budget()
         raise
@@ -951,6 +944,19 @@ async def _transport_batch_async(session, abatch_query, queries):
     return results
 
 
+def _resolve_shape(
+    workers: "int | str",
+    batch_size: int,
+    min_workers: "int | None",
+    max_workers: "int | None",
+) -> "tuple[bool, int, int, int]":
+    """Validate the engine knobs: :func:`resolve_workers` + ``batch_size``."""
+    shape = resolve_workers(workers, min_workers, max_workers)
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    return shape
+
+
 class SerialStrategy(_WindowedStrategy):
     """One query at a time, in frontier order -- the parity reference.
 
@@ -966,129 +972,46 @@ class SerialStrategy(_WindowedStrategy):
     stepwise = True
 
     def _open(self, engine: QueryEngine) -> _TransportContext:
-        return _TransportContext()
+        return _TransportContext(engine.interface.query)
 
     def _submit(self, context, chunk, session, engine) -> None:
         for item in chunk:  # window of one: at most a single entry
             future: Future = Future()
             item.future = future
             try:
-                result = _transport_one(session, engine.interface, item.query)
+                result = _transport_one(session, context.query, item.query)
             except BaseException as exc:
                 future.set_exception(exc)
             else:
                 future.set_result(result)
 
 
-class PipelinedStrategy(_WindowedStrategy):
-    """Windowed concurrent dispatch on a thread pool of blocking calls.
-
-    A window of frontier queries is kept in flight on a thread pool of
-    ``workers`` threads; when the endpoint offers ``batch_query()`` the
-    window widens to ``workers * batch_size`` queries, packed up to
-    ``batch_size`` per task so each task is a single round trip (one POST
-    against the networked service).  Answers are merged by the shared
-    drain core strictly in dispatch order, which is what makes pipelined
-    runs produce the same skyline and billable cost as serial ones (see
-    the module docstring).
-    """
-
-    name = "pipelined"
-
-    def __init__(
-        self,
-        workers: "int | str" = DEFAULT_WORKERS,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        *,
-        min_workers: "int | None" = None,
-        max_workers: "int | None" = None,
-    ) -> None:
-        adaptive, width, lo, hi = resolve_workers(
-            workers, min_workers, max_workers
-        )
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.adaptive = adaptive
-        self.workers = width
-        self.min_workers = lo
-        self.max_workers = hi
-        self.batch_size = batch_size
-
-    def _endpoint_for(self, engine: QueryEngine, item: _Dispatched):
-        """Shard-aware drain hook: the endpoint transporting ``item``.
-
-        The default routes every per-query transport to the session's
-        single interface.  Sharded deployments
-        (:class:`repro.coordinator.ShardedStrategy`) override this to
-        pick a backend by the entry's canonical key, so one logical
-        frontier fans out across several API keys while the drain core's
-        windowing, in-order merge and billing stay untouched -- which is
-        why sharding preserves cost/skyline parity for free.
-        """
-        return engine.interface
-
-    def _open(self, engine: QueryEngine) -> _TransportContext:
-        # Nested drains (a callback running a sub-frontier mid-merge)
-        # share the outermost drain's pool instead of churning one
-        # executor per recursion level.  Only transports run on the pool,
-        # never drains, so reuse cannot deadlock the driver.
-        owns = engine._drain_pool is None
-        if owns:
-            pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-engine"
-            )
-            engine._drain_pool = pool
-        else:
-            pool = engine._drain_pool
-        batch_query = (
-            getattr(engine.interface, "batch_query", None)
-            if self.batch_size > 1
-            else None
-        )
-        return _TransportContext(batch_query=batch_query, pool=pool, owns=owns)
-
-    def _close(self, engine: QueryEngine, context) -> None:
-        if context.owns:
-            engine._drain_pool = None
-            context.pool.shutdown(wait=True)
-
-    def _submit(self, context, chunk, session, engine) -> None:
-        queries = [item.query for item in chunk]
-        if context.batch_query is not None and len(chunk) > 1:
-            engine.note_batch()
-            future = context.pool.submit(
-                _transport_batch, session, context.batch_query, queries
-            )
-            for index, item in enumerate(chunk):
-                item.future = future
-                item.batch_index = index
-        else:
-            for item, query in zip(chunk, queries):
-                item.future = context.pool.submit(
-                    _transport_one, session,
-                    self._endpoint_for(engine, item), query,
-                )
-
-
 class AsyncStrategy(_WindowedStrategy):
-    """Windowed concurrent dispatch on an asyncio event loop.
+    """Windowed concurrent dispatch; the endpoint picks the transport.
 
-    The same bounded in-flight window and dispatch-order merge as
-    :class:`PipelinedStrategy`, but transports are coroutines on one
-    event-loop thread instead of blocking calls on ``workers`` OS
-    threads: ``workers`` here is just the window width, so very wide
-    windows (hundreds of queries in flight against a remote service) cost
-    no thread stand-up, no per-thread connections and no GIL-contended
-    context switching.
+    A window of ``workers`` transport tasks is kept in flight.  When the
+    endpoint batches, each task packs up to ``batch_size`` queries into
+    one round trip (one POST against the networked service), so the
+    window holds ``workers * batch_size`` queries.  Answers are merged by
+    the shared drain core strictly in dispatch order, which is what makes
+    concurrent runs produce the same skyline and billable cost as serial
+    ones (see the module docstring).
 
-    Endpoints that speak async natively (``aquery`` /
-    ``abatch_query``, e.g.
-    :class:`~repro.service.aclient.AsyncRemoteTopKInterface`) are awaited
-    directly over non-blocking sockets; plain blocking endpoints are
-    adapted via
-    :func:`~repro.hiddendb.endpoint.as_async_endpoint` and run on the
-    loop's thread executor, so ``DiscoveryConfig(strategy="async")``
-    works against any endpoint.
+    The transport follows the endpoint:
+
+    * an endpoint that owns an event loop (``aio_runner``, as
+      :class:`~repro.service.aclient.AsyncRemoteTopKInterface` does) has
+      its ``aquery`` / ``abatch_query`` coroutines awaited on that loop.
+      A worker is then an in-flight slot, not an OS thread, so wide
+      windows cost no thread stand-up, and the endpoint's pooled
+      connections stay on the loop that owns them;
+    * any other endpoint has its blocking ``query`` / ``batch_query``
+      called on a thread pool of ``workers`` threads.
+
+    Each transport is the fast one for its kind of endpoint, so there is
+    no knob that could pair them the slow way round.  A pure-async
+    endpoint without a loop of its own goes through
+    :func:`~repro.hiddendb.endpoint.as_sync_endpoint`.
     """
 
     name = "async"
@@ -1101,71 +1024,66 @@ class AsyncStrategy(_WindowedStrategy):
         min_workers: "int | None" = None,
         max_workers: "int | None" = None,
     ) -> None:
-        adaptive, width, lo, hi = resolve_workers(
-            workers, min_workers, max_workers
-        )
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.adaptive = adaptive
-        self.workers = width
-        self.min_workers = lo
-        self.max_workers = hi
+        (
+            self.adaptive, self.workers, self.min_workers, self.max_workers
+        ) = _resolve_shape(workers, batch_size, min_workers, max_workers)
         self.batch_size = batch_size
 
     def _open(self, engine: QueryEngine) -> _TransportContext:
-        endpoint = as_async_endpoint(engine.interface)
-        # An async-native endpoint with its own event loop (the asyncio
-        # remote client) runs transports *on that loop*: one thread hop
-        # per query instead of two (strategy loop -> endpoint loop), and
-        # the endpoint's pooled connections are already loop-affine.
-        shared = getattr(endpoint, "aio_runner", None)
-        if shared is not None:
+        interface = engine.interface
+        batched = self.batch_size > 1
+        runner = getattr(interface, "aio_runner", None)
+        if runner is not None:
             return _TransportContext(
-                batch_query=(
-                    getattr(endpoint, "abatch_query", None)
-                    if self.batch_size > 1
-                    else None
-                ),
-                endpoint=endpoint,
-                runner=shared,
-                owns=False,
+                interface.aquery,
+                getattr(interface, "abatch_query", None) if batched else None,
+                runner=runner,
             )
-        owns = engine._async_runner is None
+        # Nested drains (a callback running a sub-frontier mid-merge)
+        # share the outermost drain's pool instead of churning one
+        # executor per recursion level.  Only transports run on the pool,
+        # never drains, so reuse cannot deadlock the driver.
+        owns = engine._drain_pool is None
         if owns:
-            runner = EventLoopRunner(name="repro-async")
-            engine._async_runner = runner
-        else:
-            runner = engine._async_runner
-        batch_query = (
-            getattr(endpoint, "abatch_query", None)
-            if self.batch_size > 1
-            else None
-        )
+            engine._drain_pool = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-engine"
+            )
         return _TransportContext(
-            batch_query=batch_query, endpoint=endpoint, runner=runner,
+            interface.query,
+            getattr(interface, "batch_query", None) if batched else None,
+            pool=engine._drain_pool,
             owns=owns,
         )
 
     def _close(self, engine: QueryEngine, context) -> None:
         if context.owns:
-            engine._async_runner = None
-            context.runner.close()
+            engine._drain_pool = None
+            context.pool.shutdown(wait=True)
 
     def _submit(self, context, chunk, session, engine) -> None:
         queries = [item.query for item in chunk]
         if context.batch_query is not None and len(chunk) > 1:
             engine.note_batch()
-            future = context.runner.submit(
-                _transport_batch_async(session, context.batch_query, queries)
+            future = self._spawn(
+                context, _transport_batch, _transport_batch_async,
+                session, context.batch_query, queries,
             )
             for index, item in enumerate(chunk):
                 item.future = future
                 item.batch_index = index
         else:
             for item, query in zip(chunk, queries):
-                item.future = context.runner.submit(
-                    _transport_one_async(session, context.endpoint, query)
+                item.future = self._spawn(
+                    context, _transport_one, _transport_one_async,
+                    session, context.query, query,
                 )
+
+    @staticmethod
+    def _spawn(context, blocking, coroutine, *args) -> Future:
+        """Start one transport task on the endpoint's loop or the pool."""
+        if context.runner is not None:
+            return context.runner.submit(coroutine(*args))
+        return context.pool.submit(blocking, *args)
 
 
 def make_strategy(
@@ -1177,49 +1095,40 @@ def make_strategy(
 ) -> ExecutionStrategy:
     """Resolve a strategy name into an :class:`ExecutionStrategy`.
 
-    ``None`` keeps the historical implicit switch: ``workers > 1`` means
-    pipelined, otherwise serial.  Explicit names (``"serial"``,
-    ``"pipelined"``, ``"async"`` -- see :data:`STRATEGY_NAMES`) pin the
-    strategy regardless of the worker count, except that ``"serial"``
-    with ``workers > 1`` is rejected as contradictory.  An
-    :class:`ExecutionStrategy` *instance* is returned as-is (it already
-    carries its own worker/batch shape) -- the seam through which custom
-    strategies such as the coordinator's sharded drain reach the facade.
+    The one validator of the engine knobs (``DiscoveryConfig`` calls it
+    too): whatever the name, ``workers`` / ``min_workers`` /
+    ``max_workers`` go through
+    :func:`~repro.core.adaptive.resolve_workers` and ``batch_size`` must
+    be >= 1.
 
-    ``workers="auto"`` yields an adaptive (AIMD-windowed) pipelined or
-    async strategy whose in-flight window floats in
-    ``[min_workers, max_workers]`` (see :mod:`repro.core.adaptive`);
-    ``None`` then defaults to pipelined, and ``"serial"`` is rejected
-    (its window is one by definition).
+    ``None`` keeps the historical implicit switch: ``workers > 1`` (or
+    ``"auto"``) means :class:`AsyncStrategy`, otherwise serial.  Explicit
+    names (:data:`STRATEGY_NAMES`, plus ``"pipelined"`` as an alias of
+    ``"async"``) pin the strategy regardless of the worker count, except
+    that ``"serial"`` with ``workers > 1`` or ``workers="auto"`` is
+    rejected as contradictory (its window is one by definition).  An
+    :class:`ExecutionStrategy` *instance* is returned as-is: it already
+    carries its own worker/batch shape.
+
+    ``workers="auto"`` yields an adaptive (AIMD-windowed) strategy whose
+    in-flight window floats in ``[min_workers, max_workers]`` (see
+    :mod:`repro.core.adaptive`).
     """
+    adaptive, width, _, _ = _resolve_shape(
+        workers, batch_size, min_workers, max_workers
+    )
     if isinstance(name, ExecutionStrategy):
         return name
-    auto = workers == "auto"
     if name is None:
-        if auto or workers > 1:
-            return PipelinedStrategy(
-                workers=workers, batch_size=batch_size,
-                min_workers=min_workers, max_workers=max_workers,
-            )
-        return SerialStrategy()
+        name = "async" if adaptive or width > 1 else "serial"
     if name == "serial":
-        if auto:
+        if adaptive or width > 1:
             raise ValueError(
-                "strategy 'serial' is single-worker; workers='auto' needs "
-                "'pipelined' / 'async'"
-            )
-        if workers > 1:
-            raise ValueError(
-                f"strategy 'serial' is single-worker; drop workers={workers} "
-                f"or pick 'pipelined' / 'async'"
+                f"strategy 'serial' is single-worker; drop "
+                f"workers={workers!r} or pick 'async'"
             )
         return SerialStrategy()
-    if name == "pipelined":
-        return PipelinedStrategy(
-            workers=workers, batch_size=batch_size,
-            min_workers=min_workers, max_workers=max_workers,
-        )
-    if name == "async":
+    if name in ("async", "pipelined"):
         return AsyncStrategy(
             workers=workers, batch_size=batch_size,
             min_workers=min_workers, max_workers=max_workers,
@@ -1238,7 +1147,6 @@ __all__ = [
     "EngineStats",
     "ExecutionStrategy",
     "Frontier",
-    "PipelinedStrategy",
     "QueryEngine",
     "SerialStrategy",
     "make_strategy",

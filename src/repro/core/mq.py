@@ -87,7 +87,7 @@ def mq_db_sky(session: DiscoverySession) -> None:
     # enumeration is unconditional -- every ``P AND B_i = v`` query below
     # the per-attribute ceiling is issued regardless of the others'
     # answers -- so the whole sweep goes through one frontier and a
-    # pipelined strategy overlaps the point probes; only the *resolution*
+    # concurrent strategy overlaps the point probes; only the *resolution*
     # of an overflowing probe (which ends in a state-dependent range tree)
     # runs synchronously inside its expansion callback.
     domain_sizes = schema.domain_sizes

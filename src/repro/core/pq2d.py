@@ -84,7 +84,7 @@ def pq_2d_sky(session: DiscoverySession) -> None:
     # own rectangle plus its own answer), so the two chains are routed as
     # independent callback chains through one LIFO frontier: the serial
     # strategy finishes the second rectangle first -- the historical stack
-    # order -- while a pipelined strategy keeps one line query of *each*
+    # order -- while the concurrent strategy keeps one line query of *each*
     # rectangle in flight.
     rectangles = [
         _Rect(0, x1 - 1, y1 + 1, y_max),

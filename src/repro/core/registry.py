@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace as _dc_replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from ..hiddendb.attributes import InterfaceKind, Schema
-from .engine import DEFAULT_BATCH_SIZE, STRATEGY_NAMES, ExecutionStrategy
+from .engine import DEFAULT_BATCH_SIZE, ExecutionStrategy, make_strategy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..hiddendb.endpoint import SearchEndpoint
@@ -90,32 +90,33 @@ class DiscoveryConfig:
         Attach the full query/answer log to the returned result
         (``result.query_log``), for :func:`repro.core.stats.summarize_log`.
     strategy:
-        Execution-strategy name: ``"serial"``, ``"pipelined"`` or
-        ``"async"`` (see :data:`~repro.core.engine.STRATEGY_NAMES`).
-        ``None`` (the default) keeps the historical implicit switch --
-        ``workers > 1`` means pipelined, otherwise serial.  An
+        Execution-strategy name: ``"serial"`` or ``"async"`` (see
+        :data:`~repro.core.engine.STRATEGY_NAMES`; ``"pipelined"`` is
+        accepted as an alias of ``"async"``).  ``None`` (the default)
+        keeps the historical implicit switch -- ``workers > 1`` means
+        async, otherwise serial.  An
         :class:`~repro.core.engine.ExecutionStrategy` *instance* is also
         accepted and used as-is (it carries its own worker/batch shape;
-        ``workers`` / ``batch_size`` below are ignored then) -- the seam
-        custom drains such as the coordinator's sharded strategy plug
-        into.  All strategies run the same shared drain core, so the
-        skyline and billed cost are identical; only wall time differs.
+        ``workers`` / ``batch_size`` below are then only validated).  All
+        strategies run the same shared drain core, so the skyline and
+        billed cost are identical; only wall time differs.
     workers:
-        Execution-engine concurrency: the dispatch-window width.  With
-        the (default) implicit strategy, ``1`` drains frontiers with the
-        bit-identical :class:`~repro.core.engine.SerialStrategy` and
-        ``> 1`` switches to the
-        :class:`~repro.core.engine.PipelinedStrategy`, which keeps up to
-        this many dispatch tasks in flight while merging answers in
-        deterministic order (same skyline, same billable cost).  Under
-        ``strategy="async"`` a worker is just an in-flight slot on the
-        event loop, not an OS thread, so wide windows are cheap.  The
-        literal ``"auto"`` makes the window *adaptive*: an AIMD
-        controller (:mod:`repro.core.adaptive`) grows it on clean
-        completions and shrinks it on 429/503/timeout pressure within
-        ``[min_workers, max_workers]``, honoring the server's
-        ``Retry-After``.  Adaptivity changes wall-clock only -- the
-        skyline and billed cost are identical at any window width.
+        Execution-engine concurrency: the dispatch-window width.  ``1``
+        drains frontiers with the bit-identical
+        :class:`~repro.core.engine.SerialStrategy` and ``> 1`` with the
+        :class:`~repro.core.engine.AsyncStrategy`, which keeps up to this
+        many dispatch tasks in flight while merging answers in
+        deterministic order (same skyline, same billable cost).  The
+        endpoint decides what a worker is: against an endpoint with its
+        own event loop (the asyncio remote client) it is an in-flight
+        slot on that loop, so wide windows are cheap; against any other
+        endpoint it is a thread of the drain's pool.  The literal
+        ``"auto"`` makes the window *adaptive*: an AIMD controller
+        (:mod:`repro.core.adaptive`) grows it on clean completions and
+        shrinks it on 429/503/timeout pressure within ``[min_workers,
+        max_workers]``, honoring the server's ``Retry-After``.
+        Adaptivity changes wall-clock only -- the skyline and billed cost
+        are identical at any window width.
     min_workers / max_workers:
         Bounds of the adaptive window; only meaningful with
         ``workers="auto"`` (defaults 1 and 32).
@@ -208,56 +209,7 @@ class DiscoveryConfig:
             raise ValueError(f"budget must be >= 0, got {self.budget}")
         if self.band < 1:
             raise ValueError(f"band must be >= 1, got {self.band}")
-        auto = self.workers == "auto"
-        if isinstance(self.workers, str):
-            if not auto:
-                raise ValueError(
-                    f"workers must be a positive int or 'auto', "
-                    f"got {self.workers!r}"
-                )
-        elif self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if not auto and (
-            self.min_workers is not None or self.max_workers is not None
-        ):
-            raise ValueError(
-                "min_workers/max_workers require workers='auto'"
-            )
-        if self.min_workers is not None and self.min_workers < 1:
-            raise ValueError(
-                f"min_workers must be >= 1, got {self.min_workers}"
-            )
-        if self.max_workers is not None:
-            floor = self.min_workers if self.min_workers is not None else 1
-            if self.max_workers < floor:
-                raise ValueError(
-                    f"max_workers must be >= min_workers, "
-                    f"got {self.max_workers} < {floor}"
-                )
-        if (
-            self.strategy is not None
-            and not isinstance(self.strategy, ExecutionStrategy)
-            and self.strategy not in STRATEGY_NAMES
-        ):
-            raise ValueError(
-                f"unknown execution strategy {self.strategy!r}; "
-                f"pick one of {', '.join(STRATEGY_NAMES)} or pass an "
-                f"ExecutionStrategy instance"
-            )
-        if self.strategy == "serial" and auto:
-            raise ValueError(
-                "strategy 'serial' is single-worker; workers='auto' needs "
-                "'pipelined' / 'async'"
-            )
-        if self.strategy == "serial" and not auto and self.workers > 1:
-            raise ValueError(
-                f"strategy 'serial' is single-worker; drop "
-                f"workers={self.workers} or pick 'pipelined' / 'async'"
-            )
-        if self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
+        self.execution_strategy()  # validates the engine knobs
         if self.checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
@@ -293,6 +245,20 @@ class DiscoveryConfig:
                 f"trace must be a path, writable file-like, TraceWriter "
                 f"or RunObserver, got {type(self.trace).__name__}"
             )
+
+    def execution_strategy(self) -> ExecutionStrategy:
+        """The strategy this config names, built by
+        :func:`~repro.core.engine.make_strategy`, the one validator of
+        ``strategy`` / ``workers`` / ``min_workers`` / ``max_workers`` /
+        ``batch_size``.  Construction calls it to validate; sessions and
+        delta repairs call it to build their strategy."""
+        return make_strategy(
+            self.strategy,
+            workers=self.workers,
+            batch_size=self.batch_size,
+            min_workers=self.min_workers,
+            max_workers=self.max_workers,
+        )
 
     def replace(self, **changes: Any) -> "DiscoveryConfig":
         """A copy of this config with ``changes`` applied."""

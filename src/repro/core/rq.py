@@ -125,7 +125,7 @@ def rq_db_sky(
     # therefore degenerates to synchronous :meth:`Frontier.fetch` calls --
     # the engine's memo, stats and budget still apply (which is what makes
     # the skyband extension's repeated subspace trees dedupe), but a
-    # pipelined strategy gains no concurrency here by design.
+    # concurrent strategy gains no concurrency here by design.
     frontier = session.frontier()
     stack: list[tuple[Query, Query]] = [(base, base)]
     while stack:

@@ -55,7 +55,7 @@ def sq_db_sky(
 
     The tree is expanded through a :class:`~repro.core.engine.Frontier`: a
     node's children depend only on that node's own answer (its pivot), so
-    every queued query is independent of its siblings and a pipelined
+    every queued query is independent of its siblings and the concurrent
     strategy may hold a whole wave of them in flight.  The FIFO frontier
     order reproduces the breadth-first traversal of Algorithm 1 exactly.
     """

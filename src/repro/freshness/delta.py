@@ -59,7 +59,6 @@ import numpy as np
 
 from ..core.base import DiscoveryResult, DiscoverySession
 from ..core.dominance import dominates, skyline_indices
-from ..core.engine import make_strategy
 from ..hiddendb.errors import QueryBudgetExceeded
 from ..hiddendb.interface import QueryResult
 from ..hiddendb.query import Query
@@ -135,7 +134,7 @@ class DeltaLedger:
     the current epoch and diffs it against the stale answer it replaces,
     growing the dirty set -- the cascade's propagation step.
 
-    Thread-safe: pipelined/async strategies consult from their merge path
+    Thread-safe: the concurrent strategy consults from its merge path
     while transports complete concurrently.
     """
 
@@ -438,9 +437,7 @@ class DeltaCrawl:
             budget=budget,
             on_query=cfg.on_query,
             on_tuple=cfg.on_tuple,
-            strategy=make_strategy(
-                cfg.strategy, workers=cfg.workers, batch_size=cfg.batch_size
-            ),
+            strategy=cfg.execution_strategy(),
             dedup=cfg.dedup if cfg.dedup is not None else False,
         )
         session.attach_store(

@@ -10,13 +10,11 @@ every issued query counted against an optional rate limit.
 from .attributes import Attribute, InterfaceKind, Schema
 from .endpoint import (
     AsyncBatchSearchEndpoint,
-    AsyncEndpointAdapter,
     AsyncSearchEndpoint,
     BatchSearchEndpoint,
     EventLoopRunner,
     SearchEndpoint,
     SyncEndpointAdapter,
-    as_async_endpoint,
     as_sync_endpoint,
 )
 from .errors import (
@@ -47,14 +45,12 @@ from .table import Row, Table
 
 __all__ = [
     "AsyncBatchSearchEndpoint",
-    "AsyncEndpointAdapter",
     "AsyncSearchEndpoint",
     "Attribute",
     "BatchSearchEndpoint",
     "ENGINE_CHOICES",
     "EventLoopRunner",
     "SyncEndpointAdapter",
-    "as_async_endpoint",
     "as_sync_endpoint",
     "HiddenDBError",
     "InterfaceKind",

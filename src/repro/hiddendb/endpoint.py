@@ -33,12 +33,15 @@ An endpoint may additionally offer the **optional** ``batch_query()``
 member (:class:`BatchSearchEndpoint`): several independent queries
 answered in one call -- billed, validated and fault-injected *per item*,
 but paying transport overhead (one HTTP round trip against the networked
-service) only once.  The execution engine's
-:class:`~repro.core.engine.PipelinedStrategy` discovers the member by
+service) only once.  The execution engine's concurrent
+:class:`~repro.core.engine.AsyncStrategy` discovers the member by
 duck-typing and packs frontier waves into batches; endpoints without it
-are served with per-query dispatch.  Endpoints that implement
-``batch_query`` (or that are driven with ``workers > 1``) must tolerate
-concurrent ``query()`` calls from multiple threads.
+are served with per-query dispatch.  That strategy calls a blocking
+endpoint from a thread pool, so endpoints that implement ``batch_query``
+(or that are driven with ``workers > 1``) must tolerate concurrent
+``query()`` calls from multiple threads.  An endpoint that owns an event
+loop (an ``aio_runner``, like the asyncio remote client) is awaited on
+that loop instead.
 """
 
 from __future__ import annotations
@@ -106,9 +109,9 @@ class AsyncSearchEndpoint(Protocol):
     contract per query, but ``aquery()`` is a coroutine, so an event-loop
     execution strategy can keep hundreds of queries in flight on one
     thread.  :class:`~repro.service.aclient.AsyncRemoteTopKInterface` is
-    the canonical implementation; any blocking endpoint can be adapted
-    with :func:`as_async_endpoint` (and any async endpoint made blocking
-    with :func:`as_sync_endpoint`), so the two worlds compose freely.
+    the canonical implementation.  The engine awaits ``aquery`` only on
+    an endpoint that owns its event loop (``aio_runner``); any other
+    async endpoint is made blocking with :func:`as_sync_endpoint`.
     """
 
     @property
@@ -149,13 +152,14 @@ class AsyncBatchSearchEndpoint(AsyncSearchEndpoint, Protocol):
 class EventLoopRunner:
     """An asyncio event loop on a daemon thread, fed from other threads.
 
-    The bridge both directions of the sync/async seam stand on: the async
-    execution strategy submits transport coroutines here and receives
-    :class:`concurrent.futures.Future`\\ s (the same currency thread-pool
-    transports use), and :class:`SyncEndpointAdapter` runs an async
-    endpoint's coroutines here to present a blocking surface.  One runner
-    owns one loop for its whole lifetime, so loop-affine resources
-    (pooled connections) stay valid across calls.
+    The bridge both directions of the sync/async seam stand on: the
+    execution engine submits transport coroutines to an async endpoint's
+    own runner and receives :class:`concurrent.futures.Future`\\ s (the
+    same currency thread-pool transports use), and
+    :class:`SyncEndpointAdapter` runs an async endpoint's coroutines here
+    to present a blocking surface.  One runner owns one loop for its whole
+    lifetime, so loop-affine resources (pooled connections) stay valid
+    across calls.
     """
 
     def __init__(self, name: str = "repro-aio") -> None:
@@ -216,52 +220,13 @@ class EventLoopRunner:
         self.close()
 
 
-class AsyncEndpointAdapter:
-    """Async view of a blocking :class:`SearchEndpoint`.
-
-    ``aquery`` (and ``abatch_query``, when the wrapped endpoint batches)
-    run the blocking call on the event loop's thread executor, so a plain
-    endpoint -- the in-process simulator, the blocking HTTP client -- can
-    be driven by the async execution strategy unchanged.  Everything else
-    (schema, counters, caches, replay nonces) is delegated verbatim.
-    """
-
-    def __init__(self, endpoint: SearchEndpoint) -> None:
-        self._endpoint = endpoint
-        if hasattr(endpoint, "batch_query"):
-            # Instance attribute, found before __getattr__: the batch
-            # member only exists when the wrapped endpoint has one, so
-            # duck-typed capability checks stay truthful.
-            self.abatch_query = self._abatch_query
-
-    def __getattr__(self, name: str):
-        return getattr(self._endpoint, name)
-
-    @property
-    def wrapped(self) -> SearchEndpoint:
-        """The underlying blocking endpoint."""
-        return self._endpoint
-
-    async def aquery(self, query: Query) -> QueryResult:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self._endpoint.query, query)
-
-    async def _abatch_query(
-        self, queries: Sequence[Query]
-    ) -> tuple[QueryResult, ...]:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, self._endpoint.batch_query, list(queries)
-        )
-
-
 class SyncEndpointAdapter:
     """Blocking view of an :class:`AsyncSearchEndpoint`.
 
     Runs the endpoint's coroutines on a private :class:`EventLoopRunner`
     (started lazily, closed via :meth:`close`), so an async-native
-    endpoint drops into serial/pipelined strategies and every other
-    blocking call site.
+    endpoint without a loop of its own drops into every execution
+    strategy and every other blocking call site.
     """
 
     def __init__(self, endpoint: AsyncSearchEndpoint) -> None:
@@ -312,13 +277,6 @@ class SyncEndpointAdapter:
         self.close()
 
 
-def as_async_endpoint(endpoint) -> "AsyncSearchEndpoint":
-    """``endpoint`` itself if it already speaks async, adapted otherwise."""
-    if hasattr(endpoint, "aquery"):
-        return endpoint
-    return AsyncEndpointAdapter(endpoint)
-
-
 def as_sync_endpoint(endpoint) -> "SearchEndpoint":
     """``endpoint`` itself if it already blocks, adapted otherwise."""
     if hasattr(endpoint, "query"):
@@ -328,12 +286,10 @@ def as_sync_endpoint(endpoint) -> "SearchEndpoint":
 
 __all__ = [
     "AsyncBatchSearchEndpoint",
-    "AsyncEndpointAdapter",
     "AsyncSearchEndpoint",
     "BatchSearchEndpoint",
     "EventLoopRunner",
     "SearchEndpoint",
     "SyncEndpointAdapter",
-    "as_async_endpoint",
     "as_sync_endpoint",
 ]

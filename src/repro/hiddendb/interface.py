@@ -117,7 +117,7 @@ class TopKInterface:
         self._count = 0
         self._log: list[QueryResult] | None = [] if record_log else None
         # Billing (check budget, then charge) must be atomic: the execution
-        # engine's pipelined strategy issues queries from worker threads.
+        # engine's concurrent strategy issues queries from pool threads.
         self._lock = threading.Lock()
         # Batches may bill upfront (one lock round-trip) only when answering
         # cannot fail afterwards: queries validated, every declared filter

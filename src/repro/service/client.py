@@ -950,7 +950,7 @@ class RemoteTopKInterface(QueryClientCore):
             sleep=sleep,
         )
         # Connections are thread-local (HTTPConnection is not thread-safe;
-        # pipelined strategies call query() from several worker threads);
+        # the concurrent strategy calls query() from its thread pool);
         # every opened connection is also tracked for close().
         self._local = threading.local()
         self._conns: list[http.client.HTTPConnection] = []
@@ -1001,8 +1001,8 @@ class RemoteTopKInterface(QueryClientCore):
         One crawl issues thousands of sequential queries; reusing one
         HTTP/1.1 connection per thread avoids paying connect/teardown per
         query (the server keeps connections alive for exactly this
-        reason).  Connections are thread-local because pipelined
-        strategies issue queries from several worker threads at once.
+        reason).  Connections are thread-local because the concurrent
+        strategy issues queries from several pool threads at once.
         """
         conn = getattr(self._local, "conn", None)
         if conn is None:

@@ -42,7 +42,7 @@ fingerprint, superseded same-name registrations, and orphaned rows.
 
 The store is a single SQLite file in WAL mode (durable across ``kill -9``),
 or fully in-memory via :meth:`CrawlStore.memory` for tests.  All operations
-are thread-safe: pipelined strategies read the ledger from worker threads.
+are thread-safe: the concurrent strategy reads the ledger from pool threads.
 """
 
 from __future__ import annotations
@@ -345,7 +345,7 @@ class CrawlStore:
             Path(self._path).parent.mkdir(parents=True, exist_ok=True)
         # One shared connection, serialised by an RLock: ledger lookups
         # happen on the driver thread, but a ledger mounted as a remote
-        # client's cache is read from pipelined worker threads too.
+        # client's cache is read from the drain's pool threads too.
         self._conn = sqlite3.connect(
             self._path, check_same_thread=False, isolation_level=None
         )

@@ -136,9 +136,9 @@ def parity_run_params():
 
 # ----------------------------------------------------------------------
 # execution-strategy axis: every parity suite runs each algorithm under
-# every registered strategy (serial is the reference; pipelined and async
-# must produce the identical skyline and billed cost, in-process and
-# over the wire)
+# every registered strategy (serial is the reference; async must produce
+# the identical skyline and billed cost, in-process and over the wire,
+# both batched and with one query per transport task)
 # ----------------------------------------------------------------------
 
 #: Window/batch shape used by the strategy-parity suites: small enough to
@@ -149,24 +149,34 @@ PARITY_BATCH_SIZE = 8
 
 def strategy_configs(workers: int = PARITY_WORKERS,
                      batch_size: int = PARITY_BATCH_SIZE):
-    """One ``DiscoveryConfig`` per registered execution strategy."""
+    """``{column: DiscoveryConfig}``: one column per registered execution
+    strategy, plus an ``-unbatched`` column for each concurrent one.
+
+    The unbatched column keeps the window ``workers`` wide but sends one
+    query per transport task, the shape an endpoint without
+    ``batch_query`` (the coordinator's ``EndpointSet``) is always driven
+    in, so the per-query transport path stays under every parity grid.
+    """
     from repro.core import STRATEGY_NAMES, DiscoveryConfig
 
     configs = {}
     for name in STRATEGY_NAMES:
         if name == "serial":
             configs[name] = DiscoveryConfig(strategy="serial")
-        else:
-            configs[name] = DiscoveryConfig(
-                strategy=name, workers=workers, batch_size=batch_size
-            )
+            continue
+        configs[name] = DiscoveryConfig(
+            strategy=name, workers=workers, batch_size=batch_size
+        )
+        configs[f"{name}-unbatched"] = DiscoveryConfig(
+            strategy=name, workers=workers, batch_size=1
+        )
     return configs
 
 
 def parity_strategy_params(workers: int = PARITY_WORKERS,
                            batch_size: int = PARITY_BATCH_SIZE):
-    """``(strategy name, DiscoveryConfig)`` pytest params, one per
-    registered execution strategy."""
+    """``(column, DiscoveryConfig)`` pytest params, one per
+    :func:`strategy_configs` column."""
     for name, config in strategy_configs(workers, batch_size).items():
         yield pytest.param(name, config, id=name)
 

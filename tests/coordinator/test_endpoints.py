@@ -11,12 +11,7 @@ import zlib
 import pytest
 
 from repro import Discoverer, DiscoveryConfig, TopKInterface
-from repro.coordinator import (
-    BackendSpec,
-    EndpointSet,
-    EndpointSetError,
-    ShardedStrategy,
-)
+from repro.coordinator import BackendSpec, EndpointSet, EndpointSetError
 from repro.datagen import diamonds_table
 from repro.hiddendb import Interval, Query, QueryBudgetExceeded
 
@@ -24,6 +19,12 @@ from ..conftest import truth_values
 
 K = 5
 N = 400
+
+
+def sharded(pool: EndpointSet, per_backend: int = 4) -> DiscoveryConfig:
+    """The engine config a coordinator job drains ``pool`` with: the one
+    concurrent strategy, ``per_backend`` in flight per mirror."""
+    return DiscoveryConfig(strategy="async", workers=per_backend * pool.size)
 
 
 @pytest.fixture
@@ -102,15 +103,12 @@ class TestShardedParity:
     ):
         a, b = mirrors(table, 2, k=K)
         with EndpointSet([a.url, b.url]) as pool:
-            strategy = ShardedStrategy(pool, workers_per_backend=2)
-            result = Discoverer(DiscoveryConfig(strategy=strategy)).run(
-                pool, "rq"
-            )
+            result = Discoverer(sharded(pool, 2)).run(pool, "rq")
         assert result.complete
         assert result.skyline_values == reference.skyline_values
         assert result.skyline_values == truth_values(table)
         assert result.total_cost == reference.total_cost
-        assert result.stats.strategy == "sharded"
+        assert result.stats.strategy == "async"
         # Both mirrors actually carried work: the whole point of sharding.
         shares = [entry["issued"] for entry in pool.stats()]
         assert all(share > 0 for share in shares)
@@ -121,9 +119,7 @@ class TestShardedParity:
     ):
         servers = mirrors(table, 3, k=K)
         with EndpointSet([s.url for s in servers]) as pool:
-            result = Discoverer(
-                DiscoveryConfig(strategy=ShardedStrategy(pool))
-            ).run(pool, "rq")
+            result = Discoverer(sharded(pool)).run(pool, "rq")
         assert result.skyline_values == reference.skyline_values
         assert result.total_cost == reference.total_cost
 
@@ -140,10 +136,7 @@ class TestWorkStealing:
             table, 2, k=K, budgets=[{"starved": budget_a}, None]
         )
         with EndpointSet([f"{a.url}=starved", b.url]) as pool:
-            strategy = ShardedStrategy(pool, workers_per_backend=2)
-            result = Discoverer(DiscoveryConfig(strategy=strategy)).run(
-                pool, "rq"
-            )
+            result = Discoverer(sharded(pool, 2)).run(pool, "rq")
             stats = pool.stats()
         assert result.complete
         assert result.skyline_values == reference.skyline_values
@@ -161,9 +154,7 @@ class TestWorkStealing:
             budgets=[{"ka": budget}, {"kb": budget}],
         )
         with EndpointSet([f"{a.url}=ka", f"{b.url}=kb"]) as pool:
-            result = Discoverer(
-                DiscoveryConfig(strategy=ShardedStrategy(pool))
-            ).run(pool, "rq")
+            result = Discoverer(sharded(pool)).run(pool, "rq")
         # The standard anytime contract: a partial skyline, every billed
         # query accounted for, no hard failure.
         assert not result.complete
@@ -176,6 +167,47 @@ class TestWorkStealing:
             pool.query(Query.select_all())
             with pytest.raises(QueryBudgetExceeded):
                 pool.query(Query({0: Interval(0, 0)}))
+
+
+class _StubClient:
+    """A backend client that only reports the pressure it is handed."""
+
+    endpoint_fingerprint = "stub-fingerprint"
+    data_version = 0
+
+    def __init__(self, url, **_kwargs):
+        self.url = url
+        self.pending = (0, 0.0)
+
+    def take_throttle_signals(self):
+        taken, self.pending = self.pending, (0, 0.0)
+        return taken
+
+    def close(self):
+        pass
+
+
+class TestThrottleSignals:
+    def test_pool_sums_pressure_and_reports_no_retry_after(self):
+        made = []
+
+        def factory(url, **kwargs):
+            made.append(_StubClient(url, **kwargs))
+            return made[-1]
+
+        urls = ["http://a:1", "http://b:2", "http://c:3"]
+        with EndpointSet(urls, client_factory=factory) as pool:
+            assert [client.url for client in made] == urls
+            assert pool.take_throttle_signals() == (0, 0.0)
+            # Two of three mirrors throttled, each with its own hint: the
+            # pool reports their summed count and no pool-wide hold-off
+            # (each client already sleeps out its own Retry-After).
+            made[0].pending = (2, 1.5)
+            made[2].pending = (1, 0.25)
+            assert pool.take_throttle_signals() == (3, 0.0)
+            # Taking drains every client, like the clients themselves.
+            assert pool.take_throttle_signals() == (0, 0.0)
+            assert [client.pending for client in made] == [(0, 0.0)] * 3
 
 
 class TestTelemetry:

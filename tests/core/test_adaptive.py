@@ -17,7 +17,7 @@ from repro.core.adaptive import (
     AdaptiveWindow,
     resolve_workers,
 )
-from repro.core.engine import AsyncStrategy, PipelinedStrategy
+from repro.core.engine import AsyncStrategy
 
 
 class FakeClock:
@@ -216,25 +216,22 @@ class TestResolveWorkers:
 
 
 class TestStrategyWiring:
-    @pytest.mark.parametrize("name,cls", [
-        ("pipelined", PipelinedStrategy),
-        ("async", AsyncStrategy),
-    ])
-    def test_auto_builds_adaptive_strategy(self, name, cls):
+    @pytest.mark.parametrize("name", ["pipelined", "async"])
+    def test_auto_builds_adaptive_strategy(self, name):
         strategy = make_strategy(name, workers="auto", max_workers=8)
-        assert isinstance(strategy, cls)
+        assert isinstance(strategy, AsyncStrategy)
         assert strategy.adaptive
         assert strategy.min_workers == 1
         assert strategy.max_workers == 8
         assert strategy.workers == 8  # pool sized for the ceiling
 
-    def test_auto_defaults_to_pipelined(self):
+    def test_auto_defaults_to_async(self):
         strategy = make_strategy(None, workers="auto")
-        assert isinstance(strategy, PipelinedStrategy)
+        assert isinstance(strategy, AsyncStrategy)
         assert strategy.adaptive
 
     def test_fixed_width_is_not_adaptive(self):
-        strategy = make_strategy("pipelined", workers=4)
+        strategy = make_strategy("async", workers=4)
         assert not strategy.adaptive
         assert strategy.min_workers == strategy.max_workers == 4
 
@@ -268,7 +265,7 @@ class TestConfigValidation:
 class TestEngineStatsSurface:
     def test_as_dict_carries_window_fields(self):
         stats = EngineStats(
-            strategy="pipelined", workers=8, mean_window=3.5,
+            strategy="async", workers=8, mean_window=3.5,
             window_decreases=2,
         )
         payload = stats.as_dict()

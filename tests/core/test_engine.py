@@ -1,5 +1,7 @@
 """Tests for the frontier execution engine (repro.core.engine)."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from repro.core.base import DiscoverySession
 from repro.core.engine import (
     AsyncStrategy,
     EngineStats,
-    PipelinedStrategy,
+    ExecutionStrategy,
     SerialStrategy,
     make_strategy,
 )
@@ -43,12 +45,12 @@ class TestEngineStats:
         assert result.stats.batched == 0
         assert result.stats.max_in_flight == 1
 
-    def test_pipelined_run_reports_strategy_and_concurrency(self):
+    def test_concurrent_run_reports_strategy_and_concurrency(self):
         table = TABLES["rq3"]
         result = Discoverer(DiscoveryConfig(workers=4)).run(
             TopKInterface(table, k=5), "baseline"
         )
-        assert result.stats.strategy == "pipelined"
+        assert result.stats.strategy == "async"
         assert result.stats.workers == 4
         assert result.stats.issued == result.total_cost
         # The crawl's region splits are independent waves: concurrency and
@@ -82,9 +84,10 @@ class TestEngineStats:
 class TestStrategyParity:
     """Satellite: every algorithm x every strategy, identical results.
 
-    Serial, pipelined and async all run the shared drain core, so the
+    Serial and async both run the shared drain core, so the
     skyline value set and the billable query cost must be identical under
-    every strategy (the remote half lives in tests/service).
+    every strategy, batched or one query per task (the remote half lives
+    in tests/service).
     """
 
     @pytest.mark.parametrize(
@@ -93,7 +96,9 @@ class TestStrategyParity:
     def test_in_process_parity(self, algorithm, table, strategy, config):
         serial = Discoverer().run(TopKInterface(table, k=5), algorithm)
         result = Discoverer(config).run(TopKInterface(table, k=5), algorithm)
-        assert result.stats.strategy == strategy
+        assert result.stats.strategy == config.strategy
+        if config.batch_size == 1:
+            assert result.stats.batches == 0
         assert result.skyline_values == serial.skyline_values
         assert result.total_cost == serial.total_cost
         assert result.complete == serial.complete
@@ -219,14 +224,11 @@ class TestFrontierOrdering:
         frontier.drain()
         assert seen == [7, 5, 3]
 
-    @pytest.mark.parametrize(
-        "strategy",
-        [PipelinedStrategy(workers=4), AsyncStrategy(workers=4)],
-        ids=["pipelined", "async"],
-    )
-    def test_concurrent_strategies_merge_in_dispatch_order(self, strategy):
+    def test_concurrent_strategy_merges_in_dispatch_order(self):
         table = TABLES["rq3"]
-        session = DiscoverySession(TopKInterface(table, k=5), strategy=strategy)
+        session = DiscoverySession(
+            TopKInterface(table, k=5), strategy=AsyncStrategy(workers=4)
+        )
         seen = []
         frontier = session.frontier()
         for value in range(8):
@@ -238,7 +240,7 @@ class TestFrontierOrdering:
     def test_callbacks_may_extend_the_frontier(self):
         table = TABLES["rq3"]
         session = DiscoverySession(
-            TopKInterface(table, k=5), strategy=PipelinedStrategy(workers=2)
+            TopKInterface(table, k=5), strategy=AsyncStrategy(workers=2)
         )
         seen = []
         frontier = session.frontier()
@@ -269,12 +271,43 @@ class TestFrontierOrdering:
         assert session.cost == 1
 
 
+class TestTransportChoice:
+    """The endpoint, not a knob, picks the concurrent strategy's transport.
+
+    A blocking endpoint is called from the drain's thread pool; the
+    asyncio client is awaited on its own loop (that half needs a server
+    and lives in ``tests/service/test_async_client.py``).
+    """
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_blocking_endpoint_runs_on_the_thread_pool(self, batch_size):
+        threads = []
+
+        class Recording(TopKInterface):
+            def query(self, query):
+                threads.append(threading.current_thread().name)
+                return super().query(query)
+
+            def batch_query(self, queries):
+                threads.append(threading.current_thread().name)
+                return super().batch_query(queries)
+
+        session = DiscoverySession(
+            Recording(TABLES["rq3"], k=5),
+            strategy=make_strategy("async", workers=4, batch_size=batch_size),
+        )
+        frontier = session.frontier()
+        for value in range(8):
+            frontier.add(Query.select_all().and_upper(0, value))
+        frontier.drain()
+        assert session.engine_stats.issued == 8
+        assert threads
+        assert all(name.startswith("repro-engine") for name in threads)
+        assert (session.engine_stats.batches > 0) == (batch_size > 1)
+
+
 class TestStrategyValidation:
-    def test_pipelined_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            PipelinedStrategy(workers=0)
-        with pytest.raises(ValueError):
-            PipelinedStrategy(batch_size=0)
+    def test_async_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             AsyncStrategy(workers=0)
         with pytest.raises(ValueError):
@@ -304,7 +337,7 @@ class TestStrategyValidation:
             TopKInterface(table, k=5), DiscoveryConfig(strategy="async", workers=6)
         )
         assert isinstance(serial.engine.strategy, SerialStrategy)
-        assert isinstance(piped.engine.strategy, PipelinedStrategy)
+        assert isinstance(piped.engine.strategy, AsyncStrategy)
         assert piped.engine.strategy.workers == 3
         assert isinstance(explicit.engine.strategy, AsyncStrategy)
         assert explicit.engine.strategy.workers == 6
@@ -312,10 +345,8 @@ class TestStrategyValidation:
     def test_make_strategy_resolution(self):
         # None keeps the historical workers switch (back compat).
         assert isinstance(make_strategy(None, workers=1), SerialStrategy)
-        assert isinstance(make_strategy(None, workers=2), PipelinedStrategy)
+        assert isinstance(make_strategy(None, workers=2), AsyncStrategy)
         assert isinstance(make_strategy("serial"), SerialStrategy)
-        piped = make_strategy("pipelined", workers=1, batch_size=4)
-        assert isinstance(piped, PipelinedStrategy) and piped.workers == 1
         asy = make_strategy("async", workers=16, batch_size=4)
         assert isinstance(asy, AsyncStrategy)
         assert asy.workers == 16 and asy.batch_size == 4
@@ -323,6 +354,53 @@ class TestStrategyValidation:
             make_strategy("serial", workers=2)
         with pytest.raises(ValueError):
             make_strategy("nope")
+
+    def test_pipelined_is_an_alias_of_async(self):
+        piped = make_strategy("pipelined", workers=1, batch_size=4)
+        assert type(piped) is AsyncStrategy
+        assert piped.name == "async"
+        assert piped.workers == 1 and piped.batch_size == 4
+        config = DiscoveryConfig(strategy="pipelined", workers=3)
+        assert type(config.execution_strategy()) is AsyncStrategy
+
+    @pytest.mark.parametrize("name", [None, "serial", "async", "pipelined"])
+    def test_make_strategy_validates_every_name(self, name):
+        # make_strategy is the one validator of the engine knobs: a bad
+        # width or batch size is refused whichever strategy is named,
+        # never silently downgraded to serial.
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            make_strategy(name, workers=0)
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            make_strategy(name, batch_size=0)
+        with pytest.raises(ValueError, match="positive int or 'auto'"):
+            make_strategy(name, workers="many")
+        with pytest.raises(ValueError, match="require workers='auto'"):
+            make_strategy(name, workers=1, max_workers=4)
+
+    def test_instances_pass_through_after_validation(self):
+        strategy = AsyncStrategy(workers=3)
+        assert make_strategy(strategy) is strategy
+        assert isinstance(strategy, ExecutionStrategy)
+        with pytest.raises(ValueError):
+            make_strategy(strategy, batch_size=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(workers=0),
+        dict(batch_size=0),
+        dict(workers="many"),
+        dict(strategy="serial", workers="auto"),
+        dict(workers="auto", min_workers=4, max_workers=2),
+    ])
+    def test_config_refuses_what_make_strategy_refuses(self, kwargs):
+        # The config has no checks of its own for these knobs: it refuses
+        # exactly what make_strategy refuses, with the same message.
+        knobs = dict(kwargs)
+        name = knobs.pop("strategy", None)
+        with pytest.raises(ValueError) as direct:
+            make_strategy(name, **knobs)
+        with pytest.raises(ValueError) as via_config:
+            DiscoveryConfig(**kwargs)
+        assert str(via_config.value) == str(direct.value)
 
 
 class TestPipelinedBudgets:

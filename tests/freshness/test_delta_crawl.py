@@ -289,6 +289,24 @@ class TestConfigSurface:
         with pytest.raises(ValueError, match="delta"):
             Discoverer(config).skyband(interface, 2)
 
+    @pytest.mark.parametrize("bounds,width", [
+        (dict(max_workers=4), 4),
+        (dict(min_workers=2, max_workers=3), 3),
+    ], ids=["max4", "min2-max3"])
+    def test_delta_keeps_the_adaptive_bounds(self, bounds, width):
+        """A repair session builds its strategy the way a full crawl does,
+        so ``workers="auto"`` keeps the configured window bounds."""
+        config = DiscoveryConfig(workers="auto", **bounds)
+        _, interface, store, initial = crawl_then_churn(
+            PARITY_KIND_MIXES["rq3"], base_config=config
+        )
+        assert initial.stats.workers == width
+        repaired = Discoverer(
+            config.replace(store=store, mode="delta")
+        ).run(interface)
+        assert repaired.complete
+        assert repaired.stats.workers == width
+
     def test_run_delta_convenience_wrapper(self):
         kinds = PARITY_KIND_MIXES["rq3"]
         table, interface, store, _ = crawl_then_churn(kinds)

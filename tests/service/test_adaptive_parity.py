@@ -4,15 +4,16 @@
 queries are issued or how answers merge -- so for every registered
 algorithm, an adaptive drain against a fault- and rate-limit-injected
 server must reproduce the serial in-process skyline and billed cost
-exactly, under every windowed strategy (pipelined, async, and sharded
-across two mirrors).
+exactly, on every transport of the concurrent strategy: the thread pool
+over the blocking client (named "pipelined"), the asyncio client's own
+loop (named "async"), and the thread pool over two mirrors.
 """
 
 import pytest
 
 from repro import Discoverer, TopKInterface
 from repro.core import DiscoveryConfig
-from repro.coordinator import EndpointSet, ShardedStrategy
+from repro.coordinator import EndpointSet
 from repro.service import (
     AsyncRemoteTopKInterface,
     FaultConfig,
@@ -54,7 +55,7 @@ class TestAdaptiveParity:
         config = DiscoveryConfig(strategy=strategy, **AUTO)
         result = Discoverer(config).run(remote, algorithm)
 
-        assert result.stats.strategy == strategy
+        assert result.stats.strategy == "async"
         assert result.skyline_values == reference.skyline_values
         assert result.complete == reference.complete
         assert result.total_cost == reference.total_cost
@@ -73,13 +74,13 @@ class TestAdaptiveParity:
         with EndpointSet(
             [f"{a.url}=shard-a", f"{b.url}=shard-b"], **CLIENT
         ) as pool:
-            strategy = ShardedStrategy(
-                pool, workers_per_backend="auto", max_workers=6
+            # One pool-wide window: the set reports its mirrors' summed
+            # pressure, and each client sleeps out its own Retry-After.
+            config = DiscoveryConfig(
+                strategy="async", workers="auto", max_workers=6 * pool.size
             )
-            result = Discoverer(DiscoveryConfig(strategy=strategy)).run(
-                pool, algorithm
-            )
-            assert result.stats.strategy == "sharded"
+            result = Discoverer(config).run(pool, algorithm)
+            assert result.stats.strategy == "async"
             assert result.skyline_values == reference.skyline_values
             assert result.total_cost == reference.total_cost
             # The pool billed exactly the reference cost, split across

@@ -7,7 +7,13 @@ batch-vs-single answers, fault convergence under the async strategy,
 replay ids, the ledger mount and the sync adapter.
 """
 
+import asyncio
+
+import pytest
+
 from repro import CrawlStore, Discoverer, DiscoveryConfig, TopKInterface
+from repro.core.base import DiscoverySession
+from repro.core.engine import AsyncStrategy
 from repro.hiddendb import Query, as_sync_endpoint
 from repro.hiddendb.endpoint import EventLoopRunner
 from repro.service import AsyncRemoteTopKInterface, FaultConfig
@@ -111,6 +117,40 @@ class TestQuerySemantics:
             assert warm.queries_issued == 0
             assert warm.ledger_hits == reference.total_cost
             assert server.stats().queries_total == billed
+
+
+class TestTransportChoice:
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_strategy_awaits_the_client_on_its_own_loop(
+        self, serve, batch_size
+    ):
+        """The one concurrent strategy awaits an endpoint that owns an
+        event loop on that loop, and never touches its blocking surface."""
+        server = serve(TABLES["rq3"], k=5)
+        with AsyncRemoteTopKInterface(server.url) as client:
+            loops = []
+            for name in ("aquery", "abatch_query"):
+                async def recording(arg, _inner=getattr(client, name)):
+                    loops.append(asyncio.get_running_loop())
+                    return await _inner(arg)
+
+                setattr(client, name, recording)
+
+            def blocking(*_args):
+                raise AssertionError("the drain used the blocking surface")
+
+            client.query = client.batch_query = blocking
+            session = DiscoverySession(
+                client,
+                strategy=AsyncStrategy(workers=4, batch_size=batch_size),
+            )
+            frontier = session.frontier()
+            for value in range(8):
+                frontier.add(Query.select_all().and_upper(0, value))
+            frontier.drain()
+            assert session.engine_stats.issued == 8
+            assert loops
+            assert all(loop is client.aio_runner.loop for loop in loops)
 
 
 class TestSyncAdapter:

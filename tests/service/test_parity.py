@@ -22,15 +22,36 @@ from ..conftest import (
     PARITY_TABLES as TABLES,
     parity_candidate_table as candidate_table,
     parity_run_params as run_params,
-    parity_run_strategy_params,
+    strategy_configs,
 )
 
+#: The client axis of the wire grid.  The concurrent strategy calls the
+#: blocking client from its thread pool and awaits the asyncio client on
+#: the client's own event loop, so each client pins one transport.
+CLIENTS = {
+    "blocking": RemoteTopKInterface,
+    "asyncio": AsyncRemoteTopKInterface,
+}
 
-def _remote_client(server, strategy: str, api_key: str):
-    """The client flavour a strategy is meant to drive over the wire."""
-    if strategy == "async":
-        return AsyncRemoteTopKInterface(server.url, api_key=api_key)
-    return RemoteTopKInterface(server.url, api_key=api_key)
+
+def wire_grid_params():
+    """``(algorithm, table, config, client class)`` params: every algorithm
+    serially over the blocking client, and in every concurrent column
+    (batched and unbatched) over each client."""
+    for algo_param in run_params():
+        algorithm, table = algo_param.values
+        for name, config in strategy_configs().items():
+            if name == "serial":
+                yield pytest.param(
+                    algorithm, table, config, RemoteTopKInterface,
+                    id=f"{algorithm}-serial",
+                )
+                continue
+            for client, client_cls in CLIENTS.items():
+                yield pytest.param(
+                    algorithm, table, config, client_cls,
+                    id=f"{algorithm}-{name}-{client}",
+                )
 
 
 def skyband_params():
@@ -67,35 +88,33 @@ class TestRemoteParity:
         )
 
     @pytest.mark.parametrize(
-        "algorithm,table,strategy,config", parity_run_strategy_params()
+        "algorithm,table,config,client_cls", wire_grid_params()
     )
     def test_every_algorithm_matches_under_every_strategy(
-        self, serve, algorithm, table, strategy, config
+        self, serve, algorithm, table, config, client_cls
     ):
-        """The full parity grid: algorithm x strategy, over the wire.
+        """The full parity grid: algorithm x strategy x client, over the wire.
 
-        Whatever drains the frontier -- serial, a thread pool, or the
-        asyncio data plane against the non-blocking client -- the remote
-        run must bill exactly the serial in-process cost and discover the
-        identical skyline.
+        Whatever drains the frontier -- serial, the thread pool over the
+        blocking client, or the asyncio client's own event loop -- the
+        remote run must bill exactly the serial in-process cost and
+        discover the identical skyline.
         """
         local = TopKInterface(table, k=5)
         local_result = Discoverer().run(local, algorithm)
 
         server = serve(table, k=5)
-        key = f"{algorithm}-{strategy}"
-        remote = _remote_client(server, strategy, key)
+        key = f"{algorithm}-{config.strategy}-{client_cls.__name__}"
+        remote = client_cls(server.url, api_key=key)
         remote_result = Discoverer(config).run(remote, algorithm)
 
-        assert remote_result.stats.strategy == strategy
+        assert remote_result.stats.strategy == config.strategy
         assert remote_result.skyline_values == local_result.skyline_values
         assert remote_result.complete == local_result.complete
         assert remote_result.total_cost == local_result.total_cost
         assert remote.queries_issued == local.queries_issued
         assert server.stats().usage(key).issued == local.queries_issued
-        close = getattr(remote, "close", None)
-        if close is not None:
-            close()
+        remote.close()
 
     @pytest.mark.parametrize("algorithm,table", skyband_params())
     def test_skyband_extensions_match_in_process(

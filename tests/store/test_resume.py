@@ -1,7 +1,7 @@
 """Crash/resume parity: the durable crawl acceptance suite.
 
 Every registered algorithm, in-process and over the wire, serial and
-pipelined, is killed after N answers and resumed from the store.  The
+concurrent, is killed after N answers and resumed from the store.  The
 resumed run must reproduce the uninterrupted run's skyline at no more
 than its billed cost (exactly its cost in the serial case), and a warm
 re-run over an unchanged endpoint must bill zero queries.
@@ -29,7 +29,9 @@ K = 5
 ALGORITHM_PARAMS = list(parity_run_params())
 
 #: Execution shapes the crash/resume contract is pinned under: the serial
-#: reference, the thread-pool plane and the asyncio plane.
+#: reference and the concurrent strategy under both of its names.  Over
+#: the wire, "pipelined" drives the blocking client (the strategy's thread
+#: pool) and "async" the asyncio client (its own event loop).
 EXECUTION_PARAMS = [
     pytest.param(dict(strategy="serial", workers=1), id="serial"),
     pytest.param(dict(strategy="pipelined", workers=4), id="pipelined"),
@@ -167,21 +169,16 @@ class TestLedgerBilling:
     def test_in_window_duplicates_bill_once(self):
         """Dedup off + ledger mounted: an identical query dispatched while
         its twin is still in flight must resolve from the ledger at merge
-        time -- pipelined and async exactly like serial (the shared drain
-        core owns this rule for every strategy)."""
+        time -- concurrently exactly like serially (the shared drain core
+        owns this rule for every strategy)."""
         from repro.core.base import DiscoverySession
-        from repro.core.engine import (
-            AsyncStrategy,
-            PipelinedStrategy,
-            SerialStrategy,
-        )
+        from repro.core.engine import AsyncStrategy, SerialStrategy
         from repro.hiddendb import Query
 
         table = diamonds_table(200, seed=1)
         query = Query.select_all().and_upper(0, 3)
         for strategy in (
             SerialStrategy(),
-            PipelinedStrategy(workers=4),
             AsyncStrategy(workers=4),
         ):
             store = CrawlStore.memory()

@@ -58,7 +58,7 @@ class TestDiscoverCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "engine" in out
-        assert "pipelined" in out
+        assert "async" in out
         assert "issued=" in out
 
     def test_workers_do_not_change_reported_cost(self, capsys):
@@ -100,7 +100,8 @@ class TestDiscoverCommand:
         ]
         assert pick(reference, "queries") == pick(out, "queries")
         assert pick(reference, "skyline") == pick(out, "skyline")
-        assert strategy in out  # --verbose names the strategy
+        # --verbose names the strategy ("pipelined" is an alias of async)
+        assert ("async" if strategy == "pipelined" else strategy) in out
         assert "wall=" in out  # ... and the wall-time/throughput counters
 
     def test_serial_strategy_with_workers_is_rejected(self, capsys):
