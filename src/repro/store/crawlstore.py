@@ -3,7 +3,7 @@
 Under the paper's cost model every answered top-k query is *paid for*; a
 real hidden-web crawl runs for hours against per-key budgets, and a crash
 or restart that throws those answers away re-bills them.  :class:`CrawlStore`
-makes crawls durable by persisting three things:
+makes crawls durable by persisting four things:
 
 * the **query ledger** -- canonically-keyed ``Query -> QueryResult``
   records, shared across runs, processes and client restarts.  The
@@ -33,12 +33,24 @@ Kill a crawl mid-run, rerun the same command, and discovery completes with
 the same skyline at no more than the uninterrupted cost; a warm second run
 over an unchanged endpoint bills zero queries.
 
-Endpoint identity is a **fingerprint** over the schema, ``k`` and service
-name.  Mounting a store against an endpoint whose fingerprint does not
-match any registration raises :class:`StoreMismatchError` (stale answers
-from a different dataset/k must never be replayed), and :meth:`CrawlStore.gc`
-prunes registrations whose stored schema no longer hashes to their
+Endpoint identity is a **fingerprint** over the schema, ``k``, service
+name and ranking label (:func:`endpoint_descriptor`).  Mounting a store
+against an endpoint whose fingerprint does not match any registration
+raises :class:`StoreMismatchError` (stale answers from a different
+dataset/k/ranking must never be replayed), and :meth:`CrawlStore.gc`
+prunes registrations whose stored descriptor no longer hashes to their
 fingerprint, superseded same-name registrations, and orphaned rows.
+
+Ledger answers are stored packed (layout version 3, :func:`pack_answer`):
+one little-endian integer array ``[flags, sequence, width]`` followed by
+``rid`` and the ``width`` values of every row, in int32 when every number
+fits and int64 otherwise.  Bit 0 of ``flags`` is the overflow flag and
+bit 1 marks the int64 form, so the first byte says how to read the rest.
+A read decodes the array with one conversion and builds one ``Row`` per
+distinct packed row per :class:`QueryLedger` view.  Rows are interned by
+their exact bytes, never by rid: an update keeps a tuple's rid while
+changing its values.  Version 1 and 2 files, whose answers are wire-codec
+JSON, migrate in place when opened, in one transaction.
 
 The store is a single SQLite file in WAL mode (durable across ``kill -9``),
 or fully in-memory via :meth:`CrawlStore.memory` for tests.  All operations
@@ -54,18 +66,21 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Mapping
+
+import numpy as np
 
 from ..hiddendb.attributes import Schema
 from ..hiddendb.interface import QueryResult
 from ..hiddendb.query import Query
+from ..hiddendb.table import Row
 
 # The fingerprint scheme lives in the wire module (the server advertises
 # it over ``/healthz`` and ``/api/schema``); re-exported here because the
 # store is its historical home and ledger identity is where it matters.
 from ..service.wire import (
     decode_answer,
-    encode_answer,
+    decode_query,
     encode_query,
     endpoint_descriptor,
     endpoint_fingerprint,
@@ -75,7 +90,21 @@ from ..service.wire import (
 #: Bump when the on-disk layout changes incompatibly.  Version 2 added
 #: the freshness plane: per-entry ledger epochs + TTLs, the endpoint
 #: ``data_version`` column and the ``store_meta`` schema-version table.
-STORE_VERSION = 2
+#: Version 3 stores each ledger answer as one packed integer array
+#: (:func:`pack_answer`) instead of JSON.
+STORE_VERSION = 3
+
+_LEDGER_DDL = """
+CREATE TABLE IF NOT EXISTS ledger (
+    fingerprint  TEXT NOT NULL,
+    qkey         TEXT NOT NULL,
+    query_json   TEXT NOT NULL,
+    answer       BLOB NOT NULL,
+    billed_at    REAL NOT NULL,
+    epoch        INTEGER NOT NULL DEFAULT 0,
+    expires_at   REAL,
+    PRIMARY KEY (fingerprint, qkey)
+)"""
 
 _DDL = """
 CREATE TABLE IF NOT EXISTS store_meta (
@@ -90,17 +119,7 @@ CREATE TABLE IF NOT EXISTS endpoints (
     data_version INTEGER NOT NULL DEFAULT 0,
     created_at   REAL NOT NULL,
     last_seen    REAL NOT NULL
-);
-CREATE TABLE IF NOT EXISTS ledger (
-    fingerprint  TEXT NOT NULL,
-    qkey         TEXT NOT NULL,
-    query_json   TEXT NOT NULL,
-    answer_json  TEXT NOT NULL,
-    billed_at    REAL NOT NULL,
-    epoch        INTEGER NOT NULL DEFAULT 0,
-    expires_at   REAL,
-    PRIMARY KEY (fingerprint, qkey)
-);
+);""" + _LEDGER_DDL + """;
 CREATE TABLE IF NOT EXISTS sessions (
     session_id       TEXT PRIMARY KEY,
     fingerprint      TEXT NOT NULL,
@@ -133,17 +152,117 @@ CREATE TABLE IF NOT EXISTS jobs (
 CREATE INDEX IF NOT EXISTS jobs_by_status ON jobs (status, updated_at);
 """
 
+#: Bits of a packed answer's first word (see :func:`pack_answer`).
+_OVERFLOW, _WIDE = 1, 2
+_INT32_MIN, _INT32_MAX = -(2 ** 31), 2 ** 31 - 1
+
+
+def pack_answer(
+    rows: tuple[Row, ...], overflow: bool, sequence: int
+) -> bytes:
+    """Encode one answer as a packed little-endian integer array.
+
+    Words: ``flags`` (bit 0 overflow, bit 1 int64 form), ``sequence``,
+    the row ``width``, then ``rid`` and the values of every row.  The
+    array is int32 when every word fits and int64 otherwise; a number
+    outside int64 raises :class:`OverflowError` rather than wrapping.
+    """
+    width = len(rows[0].values) if rows else 0
+    words = [_OVERFLOW if overflow else 0, int(sequence), width]
+    for row in rows:
+        if len(row.values) != width:
+            raise ValueError(
+                f"rows of one answer must share a width; got {width} "
+                f"and {len(row.values)}"
+            )
+        words.append(row.rid)
+        words += row.values
+    if _INT32_MIN <= min(words) and max(words) <= _INT32_MAX:
+        return np.array(words, dtype="<i4").tobytes()
+    words[0] |= _WIDE
+    return np.array(words, dtype="<i8").tobytes()
+
+
+def unpack_answer(
+    blob: bytes, interned: dict[int, dict[bytes, Row]] | None = None
+) -> tuple[tuple[Row, ...], bool, int]:
+    """Decode a :func:`pack_answer` array -> ``(rows, overflow, sequence)``.
+
+    ``interned`` maps an item size to the rows already built from packed
+    rows of that size, keyed by their exact bytes: a row is built once and
+    shared by every later answer that packs it identically.
+    """
+    size = 8 if blob[0] & _WIDE else 4
+    words = np.frombuffer(blob, dtype="<i8" if size == 8 else "<i4").tolist()
+    flags, sequence, width = words[:3]
+    stride = width + 1
+    if width < 0 or (len(words) - 3) % stride:
+        raise StoreError(
+            f"corrupt ledger answer: {len(words)} words of row width {width}"
+        )
+    table = {} if interned is None else interned.setdefault(size, {})
+    step = stride * size
+    rows = []
+    index = 3
+    for start in range(3 * size, len(blob), step):
+        key = blob[start:start + step]
+        row = table.get(key)
+        if row is None:
+            row = table[key] = Row(
+                words[index], tuple(words[index + 1:index + stride])
+            )
+        rows.append(row)
+        index += stride
+    return tuple(rows), bool(flags & _OVERFLOW), sequence
+
+
+def _add_freshness_columns(conn: sqlite3.Connection) -> None:
+    """v1 -> v2: per-entry epochs and TTLs, endpoint data versions.
+
+    Pre-epoch rows get epoch 0 and no TTL, which is exactly the
+    pre-freshness behaviour (a version-0 endpoint serves them unchanged,
+    a bumped endpoint treats them stale).
+    """
+    conn.execute(
+        "ALTER TABLE endpoints ADD COLUMN data_version "
+        "INTEGER NOT NULL DEFAULT 0"
+    )
+    conn.execute(
+        "ALTER TABLE ledger ADD COLUMN epoch INTEGER NOT NULL DEFAULT 0"
+    )
+    conn.execute("ALTER TABLE ledger ADD COLUMN expires_at REAL")
+
+
+def _pack_json_answers(conn: sqlite3.Connection) -> None:
+    """v2 -> v3: rebuild the ledger with every JSON answer packed.
+
+    Old answers are decoded with the wire codec that wrote them; rowids
+    are kept, so ``ledger_entries`` lists entries in the same order.
+    """
+    conn.execute("ALTER TABLE ledger RENAME TO ledger_v2")
+    conn.execute(_LEDGER_DDL)
+    conn.executemany(
+        "INSERT INTO ledger (rowid, fingerprint, qkey, query_json, answer, "
+        " billed_at, epoch, expires_at) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+        (
+            (rowid, fp, qkey, query_json,
+             pack_answer(*decode_answer(json.loads(answer_json))),
+             billed_at, epoch, expires_at)
+            for rowid, fp, qkey, query_json, answer_json, billed_at, epoch,
+                expires_at in conn.execute(
+                    "SELECT rowid, fingerprint, qkey, query_json, "
+                    "answer_json, billed_at, epoch, expires_at "
+                    "FROM ledger_v2"
+                )
+        ),
+    )
+    conn.execute("DROP TABLE ledger_v2")
+
+
 #: In-place migrations, keyed by the on-disk version they upgrade *from*.
-#: Applied in sequence inside one transaction; pre-epoch rows get epoch 0
-#: and no TTL, which is exactly the pre-freshness behaviour (a version-0
-#: endpoint serves them unchanged, a bumped endpoint treats them stale).
-_MIGRATIONS: dict[int, str] = {
-    1: """
-ALTER TABLE endpoints ADD COLUMN data_version INTEGER NOT NULL DEFAULT 0;
-ALTER TABLE ledger ADD COLUMN epoch INTEGER NOT NULL DEFAULT 0;
-ALTER TABLE ledger ADD COLUMN expires_at REAL;
-""",
-}
+#: Applied in sequence inside the one transaction that opens the store.
+_MIGRATIONS = {1: _add_freshness_columns, 2: _pack_json_answers}
+
 
 #: Lifecycle states of a coordinator discovery job.  ``queued`` and
 #: ``running`` jobs are replayed by ``repro coordinate --resume``;
@@ -268,6 +387,9 @@ class QueryLedger:
     mount time.  ``get`` serves only entries written at that epoch (and
     not TTL-expired), so answers billed against an older state of a live
     endpoint are never replayed; ``put`` stamps the epoch on every write.
+
+    Rows decoded through one view are interned (:func:`unpack_answer`):
+    a tuple returned by many answers is one ``Row`` object.
     """
 
     def __init__(
@@ -284,6 +406,7 @@ class QueryLedger:
         self._session_id = session_id
         self._epoch = int(epoch)
         self._ttl_s = ttl_s
+        self._rows: dict[int, dict[bytes, Row]] = {}
 
     @property
     def fingerprint(self) -> str:
@@ -298,7 +421,7 @@ class QueryLedger:
     def get(self, query: Query) -> QueryResult | None:
         """The ledgered answer for ``query``, or ``None``."""
         return self._store.ledger_get(
-            self._fingerprint, query, epoch=self._epoch
+            self._fingerprint, query, epoch=self._epoch, interned=self._rows
         )
 
     def put(self, query: Query, result: QueryResult) -> None:
@@ -360,48 +483,48 @@ class CrawlStore:
                 # without paying a full fsync per query.
                 self._conn.execute("PRAGMA journal_mode=WAL")
                 self._conn.execute("PRAGMA synchronous=NORMAL")
-            version = int(
-                self._conn.execute("PRAGMA user_version").fetchone()[0]
-            )
-            if version > STORE_VERSION or (
-                version and version not in _MIGRATIONS
-                and version != STORE_VERSION
-            ):
-                self._conn.close()
-                raise StoreError(
-                    f"store {self._path!r} has on-disk layout version "
-                    f"{version}; this build reads version {STORE_VERSION}. "
-                    f"Use a fresh --store (or the matching build)."
+            # One transaction opens the store: the version is read under
+            # the write lock, so a concurrent opener never migrates twice,
+            # and every migration step, the DDL and the version stamp land
+            # together or not at all -- a crash mid-migration leaves the
+            # old layout intact.
+            self._conn.execute("BEGIN IMMEDIATE")
+            try:
+                version = int(
+                    self._conn.execute("PRAGMA user_version").fetchone()[0]
                 )
-            if version and version < STORE_VERSION:
-                # Upgrade an existing file in place, atomically: either
-                # every ALTER of every step lands or none do, so a crash
-                # mid-migration can never leave a half-versioned store
-                # that silently mixes epoch semantics.
-                self._conn.execute("BEGIN IMMEDIATE")
-                try:
-                    for step in range(version, STORE_VERSION):
-                        for statement in _MIGRATIONS[step].split(";"):
-                            if statement.strip():
-                                self._conn.execute(statement)
-                    self._conn.execute("COMMIT")
-                except BaseException:
-                    self._conn.execute("ROLLBACK")
-                    self._conn.close()
-                    raise
-            self._conn.executescript(_DDL)
-            self._conn.execute(f"PRAGMA user_version={STORE_VERSION}")
-            self._conn.execute(
-                "INSERT OR REPLACE INTO store_meta (key, value) VALUES "
-                "('schema_version', ?)",
-                (str(STORE_VERSION),),
-            )
-            if version and version < STORE_VERSION:
+                if version > STORE_VERSION or (
+                    version and version not in _MIGRATIONS
+                    and version != STORE_VERSION
+                ):
+                    raise StoreError(
+                        f"store {self._path!r} has on-disk layout version "
+                        f"{version}; this build reads version "
+                        f"{STORE_VERSION}. Use a fresh --store (or the "
+                        f"matching build)."
+                    )
+                for step in range(version or STORE_VERSION, STORE_VERSION):
+                    _MIGRATIONS[step](self._conn)
+                for statement in _DDL.split(";"):
+                    if statement.strip():
+                        self._conn.execute(statement)
+                self._conn.execute(f"PRAGMA user_version={STORE_VERSION}")
                 self._conn.execute(
-                    "INSERT OR IGNORE INTO store_meta (key, value) VALUES "
-                    "('migrated_from', ?)",
-                    (str(version),),
+                    "INSERT OR REPLACE INTO store_meta (key, value) VALUES "
+                    "('schema_version', ?)",
+                    (str(STORE_VERSION),),
                 )
+                if version and version < STORE_VERSION:
+                    self._conn.execute(
+                        "INSERT OR IGNORE INTO store_meta (key, value) "
+                        "VALUES ('migrated_from', ?)",
+                        (str(version),),
+                    )
+                self._conn.execute("COMMIT")
+            except BaseException:
+                self._conn.execute("ROLLBACK")
+                self._conn.close()
+                raise
 
     @classmethod
     def memory(cls) -> "CrawlStore":
@@ -570,29 +693,34 @@ class CrawlStore:
         query: Query,
         *,
         epoch: int | None = None,
+        interned: dict[int, dict[bytes, Row]] | None = None,
     ) -> QueryResult | None:
         """The persisted answer for ``query`` under ``fingerprint``.
 
         With ``epoch`` given, only an entry written at exactly that data
         version (and not TTL-expired) is served -- stale answers from an
         earlier state of the endpoint read as misses, never as hits.
+        ``interned`` is the row table of :func:`unpack_answer`; a
+        :class:`QueryLedger` view passes its own.
         """
         with self._lock:
             row = self._conn.execute(
-                "SELECT answer_json, epoch, expires_at FROM ledger "
+                "SELECT answer, epoch, expires_at FROM ledger "
                 "WHERE fingerprint=? AND qkey=?",
                 (fingerprint, query.canonical_key()),
             ).fetchone()
-        if row is None:
-            return None
-        answer_json, entry_epoch, expires_at = row
-        if epoch is not None and int(entry_epoch) != int(epoch):
-            return None
-        if expires_at is not None and expires_at <= time.time():
-            return None
+            if row is None:
+                return None
+            answer, entry_epoch, expires_at = row
+            if epoch is not None and int(entry_epoch) != int(epoch):
+                return None
+            if expires_at is not None and expires_at <= time.time():
+                return None
+            # Decoded under the lock: pool threads reading one view
+            # intern each packed row exactly once.
+            rows, overflow, sequence = unpack_answer(answer, interned)
         if self.observer is not None:
             self.observer.store_event("ledger_hit", key=query.canonical_key())
-        rows, overflow, sequence = decode_answer(json.loads(answer_json))
         return QueryResult(
             query=query, rows=rows, overflow=overflow, sequence=sequence
         )
@@ -610,10 +738,7 @@ class CrawlStore:
         """Persist one billed answer; atomically bump the session's billed
         counter when ``session_id`` is given (exact even at ``kill -9``)."""
         qkey = query.canonical_key()
-        answer = json.dumps(
-            encode_answer(result.rows, result.overflow, result.sequence),
-            separators=(",", ":"),
-        )
+        answer = pack_answer(result.rows, result.overflow, result.sequence)
         query_json = json.dumps(encode_query(query), separators=(",", ":"))
         now = time.time()
         expires_at = None if ttl_s is None else now + float(ttl_s)
@@ -622,7 +747,7 @@ class CrawlStore:
             try:
                 self._conn.execute(
                     "INSERT OR REPLACE INTO ledger "
-                    "(fingerprint, qkey, query_json, answer_json, billed_at, "
+                    "(fingerprint, qkey, query_json, answer, billed_at, "
                     " epoch, expires_at) "
                     "VALUES (?, ?, ?, ?, ?, ?, ?)",
                     (fingerprint, qkey, query_json, answer, now,
@@ -658,15 +783,6 @@ class CrawlStore:
                 ).fetchone()
         return int(row[0])
 
-    def ledger_keys(self, fingerprint: str) -> Iterator[str]:
-        """Canonical keys of every ledgered query (diagnostics)."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT qkey FROM ledger WHERE fingerprint=? ORDER BY billed_at",
-                (fingerprint,),
-            ).fetchall()
-        return iter(key for (key,) in rows)
-
     def ledger_entries(
         self, fingerprint: str, *, epoch: int | None = None
     ) -> tuple[LedgerEntry, ...]:
@@ -676,8 +792,6 @@ class CrawlStore:
         returned.  This is the delta-crawl's raw material: every query
         the previous crawl paid for, with the answer it paid for.
         """
-        from ..service.wire import decode_query
-
         where = "fingerprint=?"
         params: tuple[Any, ...] = (fingerprint,)
         if epoch is not None:
@@ -685,17 +799,16 @@ class CrawlStore:
             params = (fingerprint, int(epoch))
         with self._lock:
             rows = self._conn.execute(
-                "SELECT qkey, query_json, answer_json, epoch, billed_at, "
+                "SELECT qkey, query_json, answer, epoch, billed_at, "
                 f"       expires_at FROM ledger WHERE {where} "
                 "ORDER BY billed_at, rowid",
                 params,
             ).fetchall()
         entries = []
-        for qkey, query_json, answer_json, entry_epoch, billed, expires in rows:
+        interned: dict[int, dict[bytes, Row]] = {}
+        for qkey, query_json, answer, entry_epoch, billed, expires in rows:
             query = decode_query(json.loads(query_json))
-            answer_rows, overflow, sequence = decode_answer(
-                json.loads(answer_json)
-            )
+            answer_rows, overflow, sequence = unpack_answer(answer, interned)
             entries.append(
                 LedgerEntry(
                     qkey=qkey,
@@ -1243,4 +1356,6 @@ __all__ = [
     "StoreMismatchError",
     "endpoint_descriptor",
     "endpoint_fingerprint",
+    "pack_answer",
+    "unpack_answer",
 ]

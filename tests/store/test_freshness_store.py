@@ -24,6 +24,8 @@ from repro.hiddendb import (
 )
 from repro.store import CrawlStore, StoreError
 
+from .old_layouts import write_old_store
+
 
 def _schema(m: int = 2, domain: int = 10) -> Schema:
     return Schema(
@@ -178,34 +180,19 @@ class TestGcFreshnessSweeps:
 
 
 class TestMigration:
-    V1_DOWNGRADE = (
-        "ALTER TABLE endpoints DROP COLUMN data_version",
-        "ALTER TABLE ledger DROP COLUMN epoch",
-        "ALTER TABLE ledger DROP COLUMN expires_at",
-        "PRAGMA user_version=1",
-    )
-
-    def downgraded(self, tmp_path):
+    def v1_file(self, tmp_path):
         """A populated version-1 store file, as an old build wrote it."""
         path = tmp_path / "old.db"
-        with CrawlStore(path) as store:
-            fp = store.register_endpoint(_schema(), 5, "d")
-            store.ledger(fp).put(_q(3), _answer(_q(3), (1, (1, 1))))
-        conn = sqlite3.connect(path)
-        for statement in self.V1_DOWNGRADE:
-            conn.execute(statement)
-        conn.execute(
-            "DELETE FROM store_meta WHERE key IN "
-            "('schema_version', 'migrated_from')"
+        fp = write_old_store(
+            path, 1, _schema(), 5, [(_q(3), _answer(_q(3), (1, (1, 1))))],
+            name="d",
         )
-        conn.commit()
-        conn.close()
         return path, fp
 
     def test_v1_store_migrates_in_place(self, tmp_path):
-        path, fp = self.downgraded(tmp_path)
+        path, fp = self.v1_file(tmp_path)
         with CrawlStore(path) as store:
-            assert store.schema_version() == 2
+            assert store.schema_version() == 3
             row = store._conn.execute(
                 "SELECT value FROM store_meta WHERE key='migrated_from'"
             ).fetchone()
@@ -218,10 +205,10 @@ class TestMigration:
             assert store.endpoint_data_version(fp) == 0
 
     def test_migrated_store_reopens_quietly(self, tmp_path):
-        path, fp = self.downgraded(tmp_path)
+        path, fp = self.v1_file(tmp_path)
         CrawlStore(path).close()
         with CrawlStore(path) as store:
-            assert store.schema_version() == 2
+            assert store.schema_version() == 3
             assert store.ledger_size(fp) == 1
 
     def test_future_version_still_refused(self, tmp_path):
