@@ -37,10 +37,9 @@ Progress hooks stream the anytime curve while a run is still going::
     )
     Discoverer(config).run(interface)
 
-One-shot runs can use the module-level convenience ``discover(interface)``.
-The pre-facade ``discover_sq`` / ``discover_rq`` / ``discover_pq`` /
-``discover_pq2d`` / ``discover_mq`` helpers still work but emit
-``DeprecationWarning``; new algorithms plug in through
+``Discoverer.run`` is the one way to run an algorithm: one-shot runs can
+use the module-level ``discover(interface)``, a one-line wrapper of it, and
+new algorithms plug in through
 :func:`repro.core.registry.register_algorithm`.
 
 Algorithms access data only through the :class:`SearchEndpoint` protocol, so
@@ -103,14 +102,8 @@ from .core import (
     algorithm_names,
     all_algorithms,
     applicable_algorithms,
-    baseline_skyline,
     default_discoverer,
     discover,
-    discover_mq,
-    discover_pq,
-    discover_pq2d,
-    discover_rq,
-    discover_sq,
     get_algorithm,
     pq_db_skyband,
     register_algorithm,
@@ -157,14 +150,8 @@ __all__ = [
     "algorithm_names",
     "all_algorithms",
     "applicable_algorithms",
-    "baseline_skyline",
     "default_discoverer",
     "discover",
-    "discover_mq",
-    "discover_pq",
-    "discover_pq2d",
-    "discover_rq",
-    "discover_sq",
     "get_algorithm",
     "pq_db_skyband",
     "register_algorithm",

@@ -68,7 +68,11 @@ from ..core.registry import (
 from ..freshness import DeltaCrawl
 from ..hiddendb import QueryBudgetExceeded
 from ..hiddendb.errors import HiddenDBError
-from ..service.server import ServiceStartupError, _QuietThreadingHTTPServer
+from ..service.server import (
+    ServiceStartupError,
+    _QuietThreadingHTTPServer,
+    read_json_body,
+)
 from ..service.wire import JOB_SPEC_DEFAULTS, decode_job_spec, encode_job_spec, encode_schema
 from ..store import CrawlStore
 from .endpoints import BackendSpec, EndpointSet
@@ -840,15 +844,6 @@ def _make_coordinator_handler(
             self.end_headers()
             self.wfile.write(encoded)
 
-        def _read_json(self) -> dict[str, Any] | None:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b"{}"
-            try:
-                payload = json.loads(raw.decode("utf-8") or "{}")
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                return None
-            return payload if isinstance(payload, dict) else None
-
         def _job_id(self) -> str | None:
             prefix = "/api/jobs/"
             if not self.path.startswith(prefix):
@@ -919,12 +914,9 @@ def _make_coordinator_handler(
             if self.path != "/api/jobs":
                 self._reply(404, {"error": "not_found"})
                 return
-            payload = self._read_json()
-            if payload is None:
-                self._reply(
-                    400,
-                    {"error": "bad_request", "message": "invalid JSON body"},
-                )
+            payload = read_json_body(self)
+            if isinstance(payload, str):
+                self._reply(400, {"error": "bad_request", "message": payload})
                 return
             try:
                 body = coordinator.submit(payload)

@@ -22,14 +22,8 @@ or, for one-shot runs, the module-level convenience::
 """
 
 from . import analysis
-from .base import (
-    DiscoveryResult,
-    DiscoverySession,
-    TraceEntry,
-    rows_values,
-    run_with_budget_guard,
-)
-from .baseline import baseline_skyline, crawl_all
+from .base import DiscoveryResult, DiscoverySession, TraceEntry, rows_values
+from .baseline import crawl_all
 from .dominance import (
     dominates,
     dominates_row,
@@ -64,18 +58,18 @@ from .registry import (
     register_algorithm,
     resolve_algorithm,
 )
-from .mq import discover_mq, mq_db_sky
-from .pq import choose_plane_attributes, discover_pq, pq_db_sky
-from .pq2d import discover_pq2d, pq_2d_sky
+from .mq import mq_db_sky
+from .pq import choose_plane_attributes, pq_db_sky
+from .pq2d import pq_2d_sky
 from .pqsub import PlaneState, explore_plane
-from .rq import discover_rq, rq_db_sky
+from .rq import rq_db_sky
 from .skyband import (
     SkybandResult,
     pq_db_skyband,
     rq_db_skyband,
     sq_db_skyband,
 )
-from .sq import discover_sq, sq_db_sky
+from .sq import sq_db_sky
 from .facade import Discoverer, default_discoverer, discover
 from .stats import QueryLogSummary, summarize_log, summarize_session
 
@@ -105,16 +99,10 @@ __all__ = [
     "analysis",
     "applicable_algorithms",
     "attach_skyband",
-    "baseline_skyline",
     "choose_plane_attributes",
     "crawl_all",
     "default_discoverer",
     "discover",
-    "discover_mq",
-    "discover_pq",
-    "discover_pq2d",
-    "discover_rq",
-    "discover_sq",
     "dominates",
     "dominates_row",
     "dominator_counts",
@@ -130,7 +118,6 @@ __all__ = [
     "rows_values",
     "rq_db_sky",
     "rq_db_skyband",
-    "run_with_budget_guard",
     "skyband_indices",
     "skyband_of_rows",
     "skyline_indices",

@@ -70,7 +70,8 @@ class DiscoveryResult:
     total_cost: int
     retrieved: tuple[Row, ...]
     complete: bool
-    #: Run configuration (facade runs only; ``None`` for legacy entry points).
+    #: Run configuration (``None`` for a result packaged straight from a
+    #: session with :meth:`DiscoverySession.result`).
     config: "DiscoveryConfig | None" = None
     #: Registry metadata of the algorithm that produced this result.
     info: "AlgorithmInfo | None" = None
@@ -616,23 +617,6 @@ class DiscoverySession:
             complete=complete and not self._incomplete,
             stats=self._engine.snapshot(),
         )
-
-
-def run_with_budget_guard(
-    interface: SearchEndpoint,
-    algorithm_name: str,
-    body: Callable[[DiscoverySession], None],
-    base_query: Query | None = None,
-) -> DiscoveryResult:
-    """Run ``body`` in a fresh session, converting budget exhaustion into a
-    partial (``complete=False``) result -- the anytime behaviour of §7.1."""
-    session = DiscoverySession(interface, base_query)
-    complete = True
-    try:
-        body(session)
-    except QueryBudgetExceeded:
-        complete = False
-    return session.result(algorithm_name, complete)
 
 
 def rows_values(rows: Iterable[Row]) -> frozenset[tuple[int, ...]]:

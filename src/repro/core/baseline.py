@@ -21,9 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..hiddendb.attributes import InterfaceKind
-from ..hiddendb.endpoint import SearchEndpoint
 from ..hiddendb.query import Query
-from .base import DiscoveryResult, DiscoverySession, run_with_budget_guard
+from .base import DiscoverySession
 from .registry import DiscoveryConfig, register_algorithm
 
 ALGORITHM_NAME = "BASELINE"
@@ -124,26 +123,10 @@ def _split_region(
     # Never auto-dispatched: it exists as the comparison yardstick.
 )
 def _run_baseline(session: DiscoverySession, config: DiscoveryConfig) -> None:
-    """BASELINE under the facade; flags unsplittable regions as incomplete."""
-    _run_baseline_body(session)
+    """BASELINE under the facade.
 
-
-def baseline_skyline(
-    interface: SearchEndpoint, base_query: Query | None = None
-) -> DiscoveryResult:
-    """Crawl the whole database and extract the skyline locally.
-
-    ``complete`` is false when the budget ran out *or* some region could not
-    be subdivided further (> k tuples sharing one value combination).
+    The result is incomplete when the budget ran out *or* some region could
+    not be subdivided further (> k tuples sharing one value combination).
     """
-    return run_with_budget_guard(
-        interface,
-        ALGORITHM_NAME,
-        _run_baseline_body,
-        base_query,
-    )
-
-
-def _run_baseline_body(session: DiscoverySession) -> None:
     if not crawl_all(session):
         session.mark_incomplete()

@@ -99,8 +99,10 @@ class Discoverer:
 
         ``algorithm`` is a registry name (``"sq"``, ``"rq"``, ``"pq"``,
         ``"pq2d"``, ``"mq"``, ``"baseline"``, ...); ``None`` auto-dispatches
-        on the schema's interface taxonomy exactly like the classic
-        :func:`repro.discover`.
+        on the schema's interface taxonomy
+        (:func:`~repro.core.registry.resolve_algorithm`).  This is the one
+        way to run a discovery algorithm; :func:`repro.discover` is a
+        one-line wrapper of it.
         """
         cfg = self._effective(config, overrides)
         spec = self._spec_for(interface, algorithm)

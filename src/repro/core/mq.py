@@ -18,20 +18,19 @@ The algorithm composes the range and point machinery:
    finally resolved by a range-tree rooted at the fully point-specified
    query.
 
-When the schema has no point attributes this degenerates to SQ/RQ-DB-SKY,
-and with no range attributes to PQ-DB-SKY -- MQ-DB-SKY is the universal
-entry point (:func:`repro.core.discover`).
+When the schema has no point attributes this degenerates to RQ-DB-SKY's
+range tree, and with no range attributes to PQ-DB-SKY -- MQ-DB-SKY runs on
+every schema, and auto-dispatch (:meth:`repro.Discoverer.run`) falls back
+to it when no more specific algorithm applies.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 from ..hiddendb.attributes import InterfaceKind
-from ..hiddendb.endpoint import SearchEndpoint
 from ..hiddendb.query import Query
-from .base import DiscoveryResult, DiscoverySession, run_with_budget_guard
+from .base import DiscoverySession
 from .pq import pq_db_sky
 from .registry import DiscoveryConfig, register_algorithm
 from .rq import rq_db_sky
@@ -178,57 +177,3 @@ def _resolve_overflow(
 def _run_mq(session: DiscoverySession, config: DiscoveryConfig) -> None:
     """MQ-DB-SKY under the facade."""
     mq_db_sky(session)
-
-
-def discover_mq(interface: SearchEndpoint) -> DiscoveryResult:
-    """Discover the skyline of a mixed-interface database with MQ-DB-SKY.
-
-    .. deprecated:: 2.0
-        Use ``Discoverer().run(interface, "mq")`` instead.
-    """
-    warnings.warn(
-        "discover_mq() is deprecated; use repro.Discoverer().run(interface, "
-        '"mq") instead',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_with_budget_guard(interface, ALGORITHM_NAME, mq_db_sky)
-
-
-def legacy_discover(interface: SearchEndpoint) -> DiscoveryResult:
-    """The pre-registry universal entry point: hand-rolled dispatch on the
-    schema's interface taxonomy.
-
-    Kept verbatim as the parity reference for the registry's auto-dispatch
-    (``tests/core/test_registry.py``); new code should call
-    :func:`repro.discover` or :meth:`repro.Discoverer.run`, which resolve
-    the same targets through the registry.
-    """
-    schema = interface.schema
-    sq_attrs, rq_attrs, pq_attrs = _interface_partition(schema)
-    if not pq_attrs and not rq_attrs:
-        return run_with_budget_guard(
-            interface, "SQ-DB-SKY", lambda session: _sq_body(session)
-        )
-    if not pq_attrs:
-        branch = _range_branch_order(sq_attrs, rq_attrs)
-        return run_with_budget_guard(
-            interface,
-            "RQ-DB-SKY",
-            lambda session: rq_db_sky(
-                session, branch_attributes=branch, two_ended=rq_attrs
-            ),
-        )
-    if not sq_attrs and not rq_attrs:
-        return run_with_budget_guard(
-            interface,
-            "PQ-DB-SKY" if schema.m != 2 else "PQ-2D-SKY",
-            pq_db_sky,
-        )
-    return run_with_budget_guard(interface, ALGORITHM_NAME, mq_db_sky)
-
-
-def _sq_body(session: DiscoverySession) -> None:
-    from .sq import sq_db_sky
-
-    sq_db_sky(session)

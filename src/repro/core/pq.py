@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from typing import Sequence
 
 from ..hiddendb.attributes import InterfaceKind
-from ..hiddendb.endpoint import SearchEndpoint
 from ..hiddendb.interface import QueryResult
 from ..hiddendb.query import Query
-from .base import DiscoveryResult, DiscoverySession, run_with_budget_guard
+from .base import DiscoverySession
 from .pqsub import PlaneState, explore_plane
 from .registry import DiscoveryConfig, register_algorithm
 
@@ -210,8 +208,8 @@ def _scan_single_attribute(session: DiscoverySession, band: int) -> None:
     summary="Greedy plane decomposition over point predicates (§5.3)",
     dispatch=lambda schema: True,  # applicable == pure point schema
     priority=20,
-    # Parity with the legacy entry points: the 2-attribute case delegates to
-    # the instance-optimal 2-D algorithm and reports its name.
+    # A 2-attribute schema runs the instance-optimal 2-D algorithm (see
+    # pq_db_sky) and reports its name.
     display_for=lambda schema: "PQ-2D-SKY" if schema.m == 2 else ALGORITHM_NAME,
 )
 def _run_pq(session: DiscoverySession, config: DiscoveryConfig) -> None:
@@ -221,27 +219,4 @@ def _run_pq(session: DiscoverySession, config: DiscoveryConfig) -> None:
         session,
         plane_attributes=config.option("plane_attributes"),
         plane_limit=config.option("plane_limit", DEFAULT_PLANE_LIMIT),
-    )
-
-
-def discover_pq(
-    interface: SearchEndpoint,
-    plane_attributes: tuple[int, int] | None = None,
-    plane_limit: int = DEFAULT_PLANE_LIMIT,
-) -> DiscoveryResult:
-    """Discover the skyline of a point-predicate database with PQ-DB-SKY.
-
-    .. deprecated:: 2.0
-        Use ``Discoverer().run(interface, "pq")`` instead.
-    """
-    warnings.warn(
-        "discover_pq() is deprecated; use repro.Discoverer().run(interface, "
-        '"pq") instead',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_with_budget_guard(
-        interface,
-        ALGORITHM_NAME if interface.schema.m != 2 else "PQ-2D-SKY",
-        lambda session: pq_db_sky(session, plane_attributes, plane_limit),
     )

@@ -21,13 +21,11 @@ initial ``SELECT *``).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from ..hiddendb.attributes import InterfaceKind
-from ..hiddendb.endpoint import SearchEndpoint
 from ..hiddendb.query import Query
-from .base import DiscoveryResult, DiscoverySession, run_with_budget_guard
+from .base import DiscoverySession
 from .registry import DiscoveryConfig, register_algorithm
 
 ALGORITHM_NAME = "PQ-2D-SKY"
@@ -151,34 +149,15 @@ def _fold_row(rect: _Rect, result) -> None:
     "pq2d",
     display_name=ALGORITHM_NAME,
     # Point predicates are expressible through every interface kind, so any
-    # 2-attribute ranking schema qualifies (matching legacy discover_pq2d).
+    # 2-attribute ranking schema qualifies.
     kinds=(InterfaceKind.PQ, InterfaceKind.SQ, InterfaceKind.RQ),
     capabilities=("anytime", "complete", "instance-optimal"),
     summary="Instance-optimal 1-D line queries for 2-attribute schemas (§5.1)",
     requires=lambda schema: schema.m == 2,
-    # Never auto-dispatched: the "pq" spec already delegates 2-D schemas to
-    # this algorithm internally (legacy discover() parity); select it by
-    # name to force the rectangle-worklist implementation.
+    # Never auto-dispatched: the "pq" spec already runs this algorithm on
+    # 2-D point schemas; select it by name to force the rectangle-worklist
+    # implementation on any 2-attribute schema.
 )
 def _run_pq2d(session: DiscoverySession, config: DiscoveryConfig) -> None:
     """PQ-2D-SKY under the facade."""
     pq_2d_sky(session)
-
-
-def discover_pq2d(interface: SearchEndpoint) -> DiscoveryResult:
-    """Discover the skyline of a 2-D point-predicate database.
-
-    .. deprecated:: 2.0
-        Use ``Discoverer().run(interface, "pq2d")`` instead.
-    """
-    warnings.warn(
-        "discover_pq2d() is deprecated; use repro.Discoverer().run("
-        'interface, "pq2d") instead',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    for attribute in interface.schema.ranking_attributes:
-        if attribute.kind not in (InterfaceKind.PQ, InterfaceKind.SQ,
-                                  InterfaceKind.RQ):
-            raise ValueError(f"unsupported attribute kind {attribute.kind}")
-    return run_with_budget_guard(interface, ALGORITHM_NAME, pq_2d_sky)

@@ -468,10 +468,11 @@ def resolve_algorithm(schema: Schema) -> AlgorithmSpec:
     """Auto-dispatch on the schema's interface taxonomy.
 
     Among the specs whose ``dispatch`` predicate accepts the schema, the
-    highest-priority one wins.  The built-in registrations reproduce the
-    dispatch of the legacy :func:`repro.core.mq.legacy_discover`: pure one-ended
-    schemas run SQ-DB-SKY, range schemas run RQ-DB-SKY, pure point schemas
-    run PQ-DB-SKY and everything else runs MQ-DB-SKY.
+    highest-priority one wins.  With the built-in registrations, pure
+    one-ended schemas run SQ-DB-SKY, range schemas with a two-ended
+    attribute run RQ-DB-SKY, pure point schemas run PQ-DB-SKY and
+    everything else runs MQ-DB-SKY (the golden cost table in
+    ``tests/core/golden_costs.json`` pins each choice).
     """
     candidates = sorted(
         (spec for spec in _REGISTRY.values() if spec.prefers(schema)),

@@ -28,14 +28,12 @@ expressible).
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 from ..hiddendb.attributes import InterfaceKind
-from ..hiddendb.endpoint import SearchEndpoint
 from ..hiddendb.query import Query
 from ..hiddendb.table import Row
-from .base import DiscoveryResult, DiscoverySession, run_with_budget_guard
+from .base import DiscoverySession
 from .dominance import dominates
 from .registry import DiscoveryConfig, register_algorithm
 
@@ -180,8 +178,8 @@ def rq_db_sky(
     kinds=(InterfaceKind.SQ, InterfaceKind.RQ),
     capabilities=("anytime", "complete"),
     summary="Mutually exclusive range tree with early termination (§4)",
-    # Preferred for any schema of range predicates with at least one
-    # two-ended attribute (legacy discover() parity).
+    # Auto-dispatched for any schema of range predicates with at least one
+    # two-ended attribute.
     dispatch=lambda schema: not schema.indices_of_kind(InterfaceKind.PQ)
     and bool(schema.indices_of_kind(InterfaceKind.RQ)),
     priority=40,
@@ -190,9 +188,9 @@ def _run_rq(session: DiscoverySession, config: DiscoveryConfig) -> None:
     """RQ-DB-SKY under the facade.
 
     Two-ended exclusion predicates go to the RQ attributes only, and the
-    tree branches two-ended attributes first (§6.3) -- on a pure-RQ schema
-    both default to the schema order, matching the legacy entry points.
-    Options: ``branch_attributes``, ``two_ended``, ``early_termination``.
+    tree branches two-ended attributes first (§6.3); on a pure-RQ schema
+    both are all attributes in schema order.  Options:
+    ``branch_attributes``, ``two_ended``, ``early_termination``.
     """
     schema = session.schema
     sq_attrs = schema.indices_of_kind(InterfaceKind.SQ)
@@ -208,32 +206,4 @@ def _run_rq(session: DiscoverySession, config: DiscoveryConfig) -> None:
         branch_attributes=branch,
         two_ended=two_ended,
         early_termination=config.option("early_termination", True),
-    )
-
-
-def discover_rq(
-    interface: SearchEndpoint,
-    branch_attributes: Sequence[int] | None = None,
-    two_ended: Sequence[int] | None = None,
-    early_termination: bool = True,
-    base_query: Query | None = None,
-) -> DiscoveryResult:
-    """Discover the skyline of ``interface`` with RQ-DB-SKY.
-
-    .. deprecated:: 2.0
-        Use ``Discoverer().run(interface, "rq")`` instead.
-    """
-    warnings.warn(
-        "discover_rq() is deprecated; use repro.Discoverer().run(interface, "
-        '"rq") instead',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_with_budget_guard(
-        interface,
-        ALGORITHM_NAME,
-        lambda session: rq_db_sky(
-            session, branch_attributes, two_ended, early_termination
-        ),
-        base_query,
     )

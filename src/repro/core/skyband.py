@@ -57,7 +57,8 @@ class SkybandResult:
     total_cost: int
     retrieved: tuple[Row, ...]
     complete: bool
-    #: Run configuration (facade runs only; ``None`` for legacy entry points).
+    #: Run configuration (``None`` when an extension is called directly
+    #: without one; :meth:`Discoverer.skyband` always sets it).
     config: "DiscoveryConfig | None" = None
     #: Registry metadata of the algorithm that produced this result.
     info: "AlgorithmInfo | None" = None

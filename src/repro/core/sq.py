@@ -16,13 +16,11 @@ expected under the random-ranking model (§3.2); see
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 from ..hiddendb.attributes import InterfaceKind
-from ..hiddendb.endpoint import SearchEndpoint
 from ..hiddendb.query import Query
-from .base import DiscoveryResult, DiscoverySession, run_with_budget_guard
+from .base import DiscoverySession
 from .registry import DiscoveryConfig, register_algorithm
 
 ALGORITHM_NAME = "SQ-DB-SKY"
@@ -89,8 +87,8 @@ def sq_db_sky(
     kinds=(InterfaceKind.SQ, InterfaceKind.RQ),
     capabilities=("anytime", "complete"),
     summary="Overlapping query tree over one-ended range predicates (§3)",
-    # Preferred only for pure one-ended schemas; RQ-DB-SKY takes over as
-    # soon as a two-ended attribute is available (legacy discover() parity).
+    # Auto-dispatched only for pure one-ended schemas: RQ-DB-SKY takes
+    # over as soon as one attribute is two-ended.
     dispatch=lambda schema: not schema.indices_of_kind(InterfaceKind.RQ)
     and not schema.indices_of_kind(InterfaceKind.PQ),
     priority=30,
@@ -98,27 +96,3 @@ def sq_db_sky(
 def _run_sq(session: DiscoverySession, config: DiscoveryConfig) -> None:
     """SQ-DB-SKY under the facade; honours the ``branch_attributes`` option."""
     sq_db_sky(session, config.option("branch_attributes"))
-
-
-def discover_sq(
-    interface: SearchEndpoint,
-    branch_attributes: Sequence[int] | None = None,
-    base_query: Query | None = None,
-) -> DiscoveryResult:
-    """Discover the skyline of ``interface`` with SQ-DB-SKY.
-
-    .. deprecated:: 2.0
-        Use ``Discoverer().run(interface, "sq")`` instead.
-    """
-    warnings.warn(
-        "discover_sq() is deprecated; use repro.Discoverer().run(interface, "
-        '"sq") instead',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_with_budget_guard(
-        interface,
-        ALGORITHM_NAME,
-        lambda session: sq_db_sky(session, branch_attributes),
-        base_query,
-    )

@@ -152,6 +152,29 @@ class _QuietThreadingHTTPServer(ThreadingHTTPServer):
         super().handle_error(request, client_address)
 
 
+def read_json_body(handler: BaseHTTPRequestHandler) -> dict[str, Any] | str:
+    """The request's JSON object body, or why it is not one.
+
+    Shared by the hidden-DB server and the coordinator daemon.  A
+    ``Content-Length`` that is not a non-negative decimal is refused before
+    any of the body is read: ``int()`` would raise on ``abc``, and
+    ``rfile.read(-1)`` would hold the handler thread until the client hangs
+    up.  The unread body leaves the connection without framing, so the
+    handler closes it after its reply.
+    """
+    declared = (handler.headers.get("Content-Length") or "0").strip()
+    if not (declared.isascii() and declared.isdigit()):
+        handler.close_connection = True
+        return f"invalid Content-Length {declared!r}"
+    length = int(declared)
+    raw = handler.rfile.read(length) if length else b"{}"
+    try:
+        payload = json.loads(raw.decode("utf-8") or "{}")
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return "invalid JSON body"
+    return payload if isinstance(payload, dict) else "invalid JSON body"
+
+
 @dataclass(frozen=True)
 class KeyUsage:
     """Billing state of one API key."""
@@ -1058,15 +1081,6 @@ def _make_handler(server: HiddenDBServer) -> type[BaseHTTPRequestHandler]:
             self.end_headers()
             self.wfile.write(encoded)
 
-        def _read_json(self) -> dict[str, Any] | None:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b"{}"
-            try:
-                payload = json.loads(raw.decode("utf-8") or "{}")
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                return None
-            return payload if isinstance(payload, dict) else None
-
         def _api_key(self) -> str:
             return self.headers.get("X-Api-Key") or ANONYMOUS_KEY
 
@@ -1118,11 +1132,11 @@ def _make_handler(server: HiddenDBServer) -> type[BaseHTTPRequestHandler]:
                 )
 
         def _post(self) -> None:
-            payload = self._read_json()
-            if payload is None:
+            payload = read_json_body(self)
+            if isinstance(payload, str):
                 self._reply(
                     400,
-                    {"error": "bad_request", "message": "invalid JSON body",
+                    {"error": "bad_request", "message": payload,
                      "retriable": False},
                     {},
                 )

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import http.client
+import json
 import re
+import socket
+import urllib.parse
 
 import numpy as np
 import pytest
@@ -351,6 +355,36 @@ def _check_histogram(name: str, samples: dict) -> None:
             f"{name}{rest}: +Inf bucket != _count"
         )
         assert (name + "_sum", rest) in samples, f"{name}{rest}: missing _sum"
+
+
+# ----------------------------------------------------------------------
+# raw HTTP: a request whose Content-Length header is written by hand
+# (shared by the hidden-DB server and coordinator daemon suites)
+# ----------------------------------------------------------------------
+
+def post_raw_content_length(
+    url: str, content_length: str, body: bytes, timeout: float = 5.0
+) -> tuple[int, dict]:
+    """POST ``body`` to ``url`` declaring ``Content-Length: content_length``
+    verbatim; returns ``(status, decoded JSON body)``.
+
+    The client never half-closes its side, so a server that waits for the
+    body to end makes this raise ``TimeoutError`` after ``timeout`` seconds.
+    """
+    parts = urllib.parse.urlsplit(url)
+    with socket.create_connection(
+        (parts.hostname, parts.port), timeout=timeout
+    ) as sock:
+        sock.sendall(
+            f"POST {parts.path} HTTP/1.1\r\n"
+            f"Host: {parts.netloc}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode()
+            + body
+        )
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        return response.status, json.loads(response.read())
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from repro.coordinator import CrawlCoordinator
 from repro.datagen import diamonds_table
 from repro.service import FaultConfig
 
+from ..conftest import post_raw_content_length
 from .conftest import delete, get_json, post_json, wait_for_job
 
 K = 5
@@ -279,6 +280,23 @@ class TestRejections:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+
+    def test_malformed_content_length_400_before_the_body(
+        self, table, mirrors, tmp_path
+    ):
+        a, b = mirrors(table, 2, k=K)
+        with CrawlCoordinator(
+            [a.url, b.url], str(tmp_path / "jobs.db")
+        ) as coordinator:
+            for declared in ("abc", "-1"):
+                status, body = post_raw_content_length(
+                    f"{coordinator.url}/api/jobs", declared, b'{"budget": 5}'
+                )
+                assert status == 400, declared
+                assert body["error"] == "bad_request"
+                assert "Content-Length" in body["message"]
+            assert get_json(f"{coordinator.url}/api/jobs")[1]["jobs"] == []
+        assert a.stats().queries_total == b.stats().queries_total == 0
 
     def test_job_status_unknown_404(self, coordinated):
         assert get_json(f"{coordinated.url}/api/jobs/missing")[0] == 404

@@ -4,9 +4,10 @@ import pytest
 
 from repro import CrawlStore, Discoverer, DiscoveryConfig
 from repro.core import base
-from repro.core.base import DiscoverySession, run_with_budget_guard
+from repro.core.base import DiscoverySession
 from repro.core.dominance import skyline_of_rows
-from repro.hiddendb import Query, TopKInterface
+from repro.core.registry import register_algorithm, unregister_algorithm
+from repro.hiddendb import InterfaceKind, Query, TopKInterface
 
 from ..conftest import make_table, parity_run_params
 
@@ -154,21 +155,39 @@ class TestDiscoveryResult:
         assert "TEST" in repr(self._result())
 
 
+@pytest.fixture
+def body_algorithm():
+    """A registered runner that runs ``options["body"]`` on its session."""
+
+    @register_algorithm(
+        "tmp-body-test", display_name="X", kinds=(InterfaceKind.RQ,)
+    )
+    def runner(session, config):
+        config.option("body")(session)
+
+    yield "tmp-body-test"
+    unregister_algorithm("tmp-body-test")
+
+
 class TestBudgetGuard:
-    def test_budget_exhaustion_yields_partial_result(self):
+    def test_budget_exhaustion_yields_partial_result(self, body_algorithm):
         interface = _interface(k=1, budget=2)
 
         def body(session):
             for _ in range(10):
                 session.issue(Query.select_all())
 
-        result = run_with_budget_guard(interface, "X", body)
+        result = Discoverer().run(
+            interface, body_algorithm, options={"body": body}
+        )
         assert not result.complete
         assert result.total_cost == 2
         assert len(result.retrieved) == 1
 
-    def test_normal_completion(self):
-        result = run_with_budget_guard(
-            _interface(), "X", lambda session: session.issue(Query.select_all())
+    def test_normal_completion(self, body_algorithm):
+        result = Discoverer().run(
+            _interface(),
+            body_algorithm,
+            options={"body": lambda session: session.issue(Query.select_all())},
         )
         assert result.complete

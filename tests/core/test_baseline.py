@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import baseline_skyline, crawl_all, discover_rq
+from repro import Discoverer
+from repro.core import crawl_all
 from repro.core.base import DiscoverySession
 from repro.hiddendb import InterfaceKind, Query, TopKInterface
 
@@ -70,7 +71,7 @@ class TestBaselineSkyline:
     def test_skyline_matches_truth(self):
         rng = np.random.default_rng(11)
         table = random_table(rng, [K.RQ] * 3, n=150, domain=8)
-        result = baseline_skyline(TopKInterface(table, k=5))
+        result = Discoverer().run(TopKInterface(table, k=5), "baseline")
         assert result.skyline_values == truth_values(table)
         assert result.algorithm == "BASELINE"
 
@@ -78,8 +79,9 @@ class TestBaselineSkyline:
         rng = np.random.default_rng(12)
         small = random_table(rng, [K.RQ] * 2, n=100, domain=50)
         large = random_table(rng, [K.RQ] * 2, n=800, domain=50)
-        cost_small = baseline_skyline(TopKInterface(small, k=5)).total_cost
-        cost_large = baseline_skyline(TopKInterface(large, k=5)).total_cost
+        disc = Discoverer()
+        cost_small = disc.run(TopKInterface(small, k=5), "baseline").total_cost
+        cost_large = disc.run(TopKInterface(large, k=5), "baseline").total_cost
         assert cost_large > 3 * cost_small
 
     def test_baseline_loses_to_rq_discovery(self):
@@ -87,13 +89,18 @@ class TestBaselineSkyline:
         rng = np.random.default_rng(13)
         table = random_table(rng, [K.RQ] * 3, n=600, domain=12)
         k = 10
-        rq_cost = discover_rq(TopKInterface(table, k=k)).total_cost
-        baseline_cost = baseline_skyline(TopKInterface(table, k=k)).total_cost
+        disc = Discoverer()
+        rq_cost = disc.run(TopKInterface(table, k=k), "rq").total_cost
+        baseline_cost = disc.run(
+            TopKInterface(table, k=k), "baseline"
+        ).total_cost
         assert baseline_cost > 2 * rq_cost
 
     def test_budget_cutoff_yields_partial(self):
         rng = np.random.default_rng(14)
         table = random_table(rng, [K.RQ] * 3, n=400, domain=10)
-        result = baseline_skyline(TopKInterface(table, k=2, budget=10))
+        result = Discoverer().run(
+            TopKInterface(table, k=2, budget=10), "baseline"
+        )
         assert not result.complete
         assert len(result.retrieved) <= 20

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import discover, discover_mq
+from repro import Discoverer
+from repro.core import DiscoverySession, discover, rq_db_sky
 from repro.hiddendb import InterfaceKind, LinearRanker, TopKInterface
 
 from ..conftest import make_table, random_table, truth_values
@@ -45,23 +46,22 @@ class TestRangeDominationGap:
         # by it but beats it on the point attribute.
         table = make_table([(1, 3), (2, 0), (3, 3)], kinds=[K.RQ, K.PQ],
                            domain=5)
-        result = discover_mq(TopKInterface(table, k=1))
+        result = Discoverer().run(TopKInterface(table, k=1), "mq")
         assert result.skyline_values == {(1, 3), (2, 0)}
 
     def test_range_only_phase_would_miss_it(self):
-        from repro.core import discover_rq
-
         # Under a ranker favouring the range attribute, (2, 0) is never the
         # top answer of any range-only query, so the range phase misses it.
         table = make_table([(1, 3), (2, 0), (3, 3)], kinds=[K.RQ, K.PQ],
                            domain=5)
         ranker = LinearRanker([1.0, 0.1])
-        range_only = discover_rq(
-            TopKInterface(table, ranker=ranker, k=1),
-            branch_attributes=(0,), two_ended=(0,)
-        )
+        # RQ-DB-SKY's taxonomy excludes point attributes, so the range
+        # phase runs on a bare session.
+        session = DiscoverySession(TopKInterface(table, ranker=ranker, k=1))
+        rq_db_sky(session, branch_attributes=(0,), two_ended=(0,))
+        range_only = session.result("RQ-DB-SKY")
         assert (2, 0) not in range_only.skyline_values
-        full = discover_mq(TopKInterface(table, ranker=ranker, k=1))
+        full = Discoverer().run(TopKInterface(table, ranker=ranker, k=1), "mq")
         assert (2, 0) in full.skyline_values
 
 
@@ -78,25 +78,25 @@ class TestCompleteness:
     def test_random_instances(self, kinds, k):
         rng = np.random.default_rng(len(kinds) * 100 + k)
         table = random_table(rng, kinds, n=180, domain=7)
-        result = discover_mq(TopKInterface(table, k=k))
+        result = Discoverer().run(TopKInterface(table, k=k), "mq")
         assert result.skyline_values == truth_values(table)
 
     def test_degenerate_no_point_attributes(self):
         rng = np.random.default_rng(5)
         table = random_table(rng, [K.RQ, K.SQ], n=100, domain=8)
-        result = discover_mq(TopKInterface(table, k=2))
+        result = Discoverer().run(TopKInterface(table, k=2), "mq")
         assert result.skyline_values == truth_values(table)
 
     def test_degenerate_no_range_attributes(self):
         rng = np.random.default_rng(6)
         table = random_table(rng, [K.PQ, K.PQ, K.PQ], n=100, domain=5)
-        result = discover_mq(TopKInterface(table, k=2))
+        result = Discoverer().run(TopKInterface(table, k=2), "mq")
         assert result.skyline_values == truth_values(table)
 
     def test_empty_database(self):
         table = make_table(np.empty((0, 2), dtype=np.int64),
                            kinds=[K.RQ, K.PQ], domain=4)
-        result = discover_mq(TopKInterface(table, k=1))
+        result = Discoverer().run(TopKInterface(table, k=1), "mq")
         assert result.skyline_values == frozenset()
 
     def test_price_ascending_default_ranking(self):
@@ -106,24 +106,24 @@ class TestCompleteness:
         interface = TopKInterface(
             table, ranker=LinearRanker.single_attribute(0, 3), k=5
         )
-        result = discover_mq(interface)
+        result = Discoverer().run(interface, "mq")
         assert result.skyline_values == truth_values(table)
 
     def test_deep_point_recursion(self):
         """Several PQ attributes force the recursive overflow resolution."""
         rng = np.random.default_rng(8)
         table = random_table(rng, [K.RQ, K.PQ, K.PQ, K.PQ], n=300, domain=4)
-        result = discover_mq(TopKInterface(table, k=1))
+        result = Discoverer().run(TopKInterface(table, k=1), "mq")
         assert result.skyline_values == truth_values(table)
 
     def test_budget_partial_is_sound(self):
         rng = np.random.default_rng(9)
         table = random_table(rng, [K.RQ, K.PQ, K.PQ], n=250, domain=6)
-        full = discover_mq(TopKInterface(table, k=1))
+        full = Discoverer().run(TopKInterface(table, k=1), "mq")
         if full.total_cost <= 2:
             pytest.skip("instance too easy")
-        partial = discover_mq(
-            TopKInterface(table, k=1, budget=full.total_cost // 2)
+        partial = Discoverer().run(
+            TopKInterface(table, k=1, budget=full.total_cost // 2), "mq"
         )
         assert not partial.complete
         assert partial.skyline_values <= full.skyline_values

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import discover_pq
+from repro import Discoverer
 from repro.core.pq import choose_plane_attributes, plane_combinations
 from repro.hiddendb import (
     InterfaceKind,
@@ -42,13 +42,13 @@ class TestCorrectness:
     def test_random_instances(self, m, k):
         rng = np.random.default_rng(m * 10 + k)
         table = random_table(rng, [InterfaceKind.PQ] * m, n=120, domain=6)
-        result = discover_pq(TopKInterface(table, k=k))
+        result = Discoverer().run(TopKInterface(table, k=k), "pq")
         assert result.skyline_values == truth_values(table)
 
     def test_single_attribute_database(self):
         table = make_table([(3,), (1,), (4,), (1,)], kinds=InterfaceKind.PQ,
                            domain=6)
-        result = discover_pq(TopKInterface(table, k=1))
+        result = Discoverer().run(TopKInterface(table, k=1), "pq")
         assert result.skyline_values == {(1,)}
         # Probes 0 (empty) then 1 (hit): exactly two queries.
         assert result.total_cost == 2
@@ -56,13 +56,13 @@ class TestCorrectness:
     def test_empty_database(self):
         table = make_table(np.empty((0, 3), dtype=np.int64),
                            kinds=InterfaceKind.PQ, domain=4)
-        result = discover_pq(TopKInterface(table, k=1))
+        result = Discoverer().run(TopKInterface(table, k=1), "pq")
         assert result.skyline_values == frozenset()
 
     def test_underflowing_select_star_finishes_in_one_query(self):
         table = make_table([(1, 2, 3), (3, 2, 1)], kinds=InterfaceKind.PQ,
                            domain=4)
-        result = discover_pq(TopKInterface(table, k=5))
+        result = Discoverer().run(TopKInterface(table, k=5), "pq")
         assert result.total_cost == 1
         assert result.skyline_values == {(1, 2, 3), (3, 2, 1)}
 
@@ -70,19 +70,25 @@ class TestCorrectness:
         rng = np.random.default_rng(60)
         table = random_table(rng, [InterfaceKind.PQ] * 3, n=100, domain=5)
         interface = TopKInterface(table, ranker=LexicographicRanker([2, 1, 0]), k=1)
-        result = discover_pq(interface)
+        result = Discoverer().run(interface, "pq")
         assert result.skyline_values == truth_values(table)
 
     def test_plane_attribute_override(self):
         rng = np.random.default_rng(61)
         table = random_table(rng, [InterfaceKind.PQ] * 3, n=100, domain=5)
-        result = discover_pq(TopKInterface(table, k=2), plane_attributes=(0, 1))
+        result = Discoverer().run(
+            TopKInterface(table, k=2), "pq",
+            options={"plane_attributes": (0, 1)},
+        )
         assert result.skyline_values == truth_values(table)
 
     def test_identical_plane_attributes_rejected(self):
         table = make_table([(1, 1, 1)], kinds=InterfaceKind.PQ, domain=4)
         with pytest.raises(ValueError):
-            discover_pq(TopKInterface(table, k=1), plane_attributes=(1, 1))
+            Discoverer().run(
+                TopKInterface(table, k=1), "pq",
+                options={"plane_attributes": (1, 1)},
+            )
 
     def test_plane_limit_guard(self):
         table = make_table([(1, 1, 1, 1)], kinds=InterfaceKind.PQ, domain=4)
@@ -90,7 +96,9 @@ class TestCorrectness:
         big = make_table([(i % 4, i % 3, (i * 2) % 4, i % 2) for i in range(50)],
                          kinds=InterfaceKind.PQ, domain=4)
         with pytest.raises(ValueError):
-            discover_pq(TopKInterface(big, k=1), plane_limit=2)
+            Discoverer().run(
+                TopKInterface(big, k=1), "pq", options={"plane_limit": 2}
+            )
         del table
 
 
@@ -98,7 +106,7 @@ class TestCostBehaviour:
     def test_corner_tuple_prunes_every_plane(self):
         values = [(0, 0, 0)] + [(3, 3, 3), (2, 3, 1)]
         table = make_table(values, kinds=InterfaceKind.PQ, domain=4)
-        result = discover_pq(TopKInterface(table, k=1))
+        result = Discoverer().run(TopKInterface(table, k=1), "pq")
         assert result.skyline_values == {(0, 0, 0)}
         assert result.total_cost == 1
 
@@ -107,7 +115,8 @@ class TestCostBehaviour:
         costs = {}
         for m in (3, 4):
             table = random_table(rng, [InterfaceKind.PQ] * m, n=400, domain=5)
-            costs[m] = discover_pq(TopKInterface(table, k=3)).total_cost
+            result = Discoverer().run(TopKInterface(table, k=3), "pq")
+            costs[m] = result.total_cost
         assert costs[4] > costs[3]
 
     def test_cost_independent_of_duplicating_tuples(self):
@@ -115,14 +124,14 @@ class TestCostBehaviour:
         base = rng.integers(0, 5, (60, 3))
         small = make_table(base, kinds=InterfaceKind.PQ, domain=5)
         big = make_table(np.vstack([base] * 5), kinds=InterfaceKind.PQ, domain=5)
-        cost_small = discover_pq(TopKInterface(small, k=3)).total_cost
-        cost_big = discover_pq(TopKInterface(big, k=3)).total_cost
+        cost_small = Discoverer().run(TopKInterface(small, k=3), "pq").total_cost
+        cost_big = Discoverer().run(TopKInterface(big, k=3), "pq").total_cost
         assert cost_big == cost_small
 
     def test_anytime_trace_is_true_skyline(self):
         rng = np.random.default_rng(64)
         table = random_table(rng, [InterfaceKind.PQ] * 3, n=150, domain=6)
-        result = discover_pq(TopKInterface(table, k=2))
+        result = Discoverer().run(TopKInterface(table, k=2), "pq")
         truth = truth_values(table)
         for entry in result.trace:
             assert entry.row.values in truth
@@ -130,11 +139,11 @@ class TestCostBehaviour:
     def test_budget_partial_is_sound(self):
         rng = np.random.default_rng(65)
         table = random_table(rng, [InterfaceKind.PQ] * 3, n=200, domain=6)
-        full = discover_pq(TopKInterface(table, k=1))
+        full = Discoverer().run(TopKInterface(table, k=1), "pq")
         if full.total_cost <= 2:
             pytest.skip("instance too easy to test budgets")
-        partial = discover_pq(
-            TopKInterface(table, k=1, budget=full.total_cost // 2)
+        partial = Discoverer().run(
+            TopKInterface(table, k=1, budget=full.total_cost // 2), "pq"
         )
         assert not partial.complete
         assert partial.skyline_values <= full.skyline_values

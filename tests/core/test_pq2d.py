@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import discover_pq2d
+from repro import Discoverer
 from repro.core.analysis import pq_2d_cost
 from repro.hiddendb import (
     InterfaceKind,
@@ -22,23 +22,23 @@ def _pq_table(values, domain):
 class TestCorrectness:
     def test_staircase(self):
         table = _pq_table([(0, 4), (1, 3), (2, 2), (3, 1), (4, 0), (3, 3)], 5)
-        result = discover_pq2d(TopKInterface(table, k=1))
+        result = Discoverer().run(TopKInterface(table, k=1), "pq2d")
         assert result.skyline_values == {(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)}
 
     def test_requires_two_attributes(self):
         table = make_table([(1, 1, 1)], kinds=InterfaceKind.PQ, domain=5)
         with pytest.raises(ValueError):
-            discover_pq2d(TopKInterface(table, k=1))
+            Discoverer().run(TopKInterface(table, k=1), "pq2d")
 
     def test_empty_database(self):
         table = _pq_table(np.empty((0, 2), dtype=np.int64), 5)
-        result = discover_pq2d(TopKInterface(table, k=1))
+        result = Discoverer().run(TopKInterface(table, k=1), "pq2d")
         assert result.skyline_values == frozenset()
         assert result.total_cost == 1
 
     def test_corner_tuple_dominates_everything(self):
         table = _pq_table([(0, 0), (3, 4), (2, 2)], 5)
-        result = discover_pq2d(TopKInterface(table, k=1))
+        result = Discoverer().run(TopKInterface(table, k=1), "pq2d")
         assert result.skyline_values == {(0, 0)}
         assert result.total_cost == 1  # both residual rectangles are empty
 
@@ -47,14 +47,14 @@ class TestCorrectness:
     def test_random_instances(self, seed, k):
         rng = np.random.default_rng(seed)
         table = random_table(rng, [InterfaceKind.PQ] * 2, n=80, domain=9)
-        result = discover_pq2d(TopKInterface(table, k=k))
+        result = Discoverer().run(TopKInterface(table, k=k), "pq2d")
         assert result.skyline_values == truth_values(table)
 
     def test_ill_behaved_ranker(self):
         rng = np.random.default_rng(40)
         table = random_table(rng, [InterfaceKind.PQ] * 2, n=60, domain=8)
         interface = TopKInterface(table, ranker=LexicographicRanker([1, 0]), k=1)
-        result = discover_pq2d(interface)
+        result = Discoverer().run(interface, "pq2d")
         assert result.skyline_values == truth_values(table)
 
 
@@ -63,7 +63,7 @@ class TestInstanceOptimalCost:
 
     def _check_cost(self, values, domain, expect_cheap=False):
         table = _pq_table(values, domain)
-        result = discover_pq2d(TopKInterface(table, k=1))
+        result = Discoverer().run(TopKInterface(table, k=1), "pq2d")
         skyline = sorted(
             {tuple(int(v) for v in row) for row in
              table.matrix[table.skyline_indices()]}
@@ -93,7 +93,7 @@ class TestInstanceOptimalCost:
             table = random_table(rng, [InterfaceKind.PQ] * 2, n=50, domain=12)
             if table.skyline_indices().size == 0:
                 continue
-            result = discover_pq2d(TopKInterface(table, k=1))
+            result = Discoverer().run(TopKInterface(table, k=1), "pq2d")
             skyline = sorted(result.skyline_values)
             bound = min(x + y for x, y in skyline)
             assert result.total_cost - 1 <= bound
@@ -106,6 +106,6 @@ class TestDenseDomains:
         domain = 8
         values = [(x, y) for x in range(domain) for y in range(domain)]
         table = _pq_table(values, domain)
-        result = discover_pq2d(TopKInterface(table, k=1))
+        result = Discoverer().run(TopKInterface(table, k=1), "pq2d")
         assert result.skyline_values == {(0, 0)}
         assert result.total_cost == 1

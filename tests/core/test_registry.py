@@ -5,16 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import (
-    Discoverer,
-    DiscoveryConfig,
-    discover,
-    discover_mq,
-    discover_pq,
-    discover_pq2d,
-    discover_rq,
-    discover_sq,
-)
+from repro import Discoverer, DiscoveryConfig, discover
 from repro.core import (
     AlgorithmNotFoundError,
     DuplicateAlgorithmError,
@@ -24,7 +15,6 @@ from repro.core import (
     register_algorithm,
     resolve_algorithm,
 )
-from repro.core.mq import legacy_discover
 from repro.core.registry import unregister_algorithm
 from repro.hiddendb import InterfaceKind, TopKInterface
 
@@ -108,31 +98,9 @@ class TestRegistry:
 
 
 class TestAutoDispatchParity:
-    """Registry auto-dispatch reproduces the legacy discover() dispatch."""
-
-    CASES = [
-        ("pure sq", [SQ, SQ, SQ]),
-        ("pure rq", [RQ, RQ, RQ]),
-        ("mixed ranges", [SQ, RQ, SQ]),
-        ("pure pq", [PQ, PQ, PQ]),
-        ("pure pq 2d", [PQ, PQ]),
-        ("mixed all", [SQ, RQ, PQ]),
-        ("rq + pq", [RQ, RQ, PQ]),
-    ]
-
-    @pytest.mark.parametrize("label,kinds", CASES)
-    def test_same_algorithm_same_cost_same_skyline(self, label, kinds):
-        rng = np.random.default_rng(7)
-        facade_iface = interface_for(rng, kinds)
-        rng = np.random.default_rng(7)
-        legacy_iface = interface_for(rng, kinds)
-
-        facade = Discoverer().run(facade_iface)
-        legacy = legacy_discover(legacy_iface)
-
-        assert facade.algorithm == legacy.algorithm, label
-        assert facade.total_cost == legacy.total_cost, label
-        assert facade.skyline_values == legacy.skyline_values, label
+    """Auto-dispatch targets.  The algorithm, billed cost, skyline size and
+    query sequence of every auto-dispatched run on each kind mix are pinned
+    by the golden cost table (``tests/core/test_golden_costs.py``)."""
 
     def test_resolver_targets(self):
         def resolved(kinds):
@@ -263,23 +231,7 @@ class TestDiscovererSkyband:
 
 
 class TestDeprecationShims:
-    def shim_cases(self):
-        rng = np.random.default_rng(1)
-        range_iface = lambda: interface_for(rng, [RQ, RQ], n=60, domain=8)
-        pq_iface = lambda: interface_for(rng, [PQ, PQ], n=60, domain=8)
-        return [
-            (discover_sq, range_iface),
-            (discover_rq, range_iface),
-            (discover_pq, pq_iface),
-            (discover_pq2d, pq_iface),
-            (discover_mq, range_iface),
-        ]
-
-    def test_shims_warn_and_still_work(self):
-        for shim, build in self.shim_cases():
-            with pytest.warns(DeprecationWarning, match=shim.__name__):
-                result = shim(build())
-            assert result.total_cost > 0, shim.__name__
+    """``repro.discover`` runs without a ``DeprecationWarning``."""
 
     def test_discover_convenience_does_not_warn(self):
         rng = np.random.default_rng(6)

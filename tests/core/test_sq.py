@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import discover_sq
+from repro import Discoverer
 from repro.core.analysis import expected_cost_recurrence
 from repro.hiddendb import (
     InterfaceKind,
@@ -24,7 +24,7 @@ class TestPaperExample:
             {a.name: InterfaceKind.SQ for a in simple_table.schema.ranking_attributes}
         )
         interface = TopKInterface(sq, k=1)
-        result = discover_sq(interface)
+        result = Discoverer().run(interface, "sq")
         assert result.skyline_values == {(5, 1, 9), (1, 3, 7), (3, 2, 3)}
         assert result.complete
 
@@ -36,7 +36,7 @@ class TestCompleteness:
         rng = np.random.default_rng(seed)
         table = random_table(rng, [InterfaceKind.SQ] * 3, n=150, domain=8)
         interface = TopKInterface(table, k=k)
-        result = discover_sq(interface)
+        result = Discoverer().run(interface, "sq")
         assert result.skyline_values == truth_values(table)
 
     @pytest.mark.parametrize(
@@ -47,25 +47,25 @@ class TestCompleteness:
         rng = np.random.default_rng(10)
         table = random_table(rng, [InterfaceKind.SQ] * 3, n=120, domain=7)
         interface = TopKInterface(table, ranker=ranker, k=1)
-        result = discover_sq(interface)
+        result = Discoverer().run(interface, "sq")
         assert result.skyline_values == truth_values(table)
 
     def test_empty_database(self):
         table = make_table(np.empty((0, 2), dtype=np.int64), domain=5,
                            kinds=InterfaceKind.SQ)
-        result = discover_sq(TopKInterface(table, k=1))
+        result = Discoverer().run(TopKInterface(table, k=1), "sq")
         assert result.skyline_values == frozenset()
         assert result.total_cost == 1  # SELECT * only
 
     def test_single_tuple(self):
         table = make_table([(2, 3)], domain=5, kinds=InterfaceKind.SQ)
-        result = discover_sq(TopKInterface(table, k=1))
+        result = Discoverer().run(TopKInterface(table, k=1), "sq")
         assert result.skyline_values == {(2, 3)}
 
     def test_duplicated_skyline_vectors(self):
         table = make_table([(1, 1), (1, 1), (2, 2)], domain=5,
                            kinds=InterfaceKind.SQ)
-        result = discover_sq(TopKInterface(table, k=1))
+        result = Discoverer().run(TopKInterface(table, k=1), "sq")
         assert result.skyline_values == {(1, 1)}
 
     def test_with_base_query_filter(self):
@@ -77,7 +77,9 @@ class TestCompleteness:
             filter_domains={"city": 2},
         )
         base = Query.select_all().and_filter("city", 1)
-        result = discover_sq(TopKInterface(table, k=1), base_query=base)
+        result = Discoverer().run(
+            TopKInterface(table, k=1), "sq", base_query=base
+        )
         assert result.skyline_values == {(5, 0), (3, 3)}
 
 
@@ -87,7 +89,7 @@ class TestQueryCostProperties:
         # branches, the paper's C_1 = m + 1.
         table = make_table([(1, 1, 1), (2, 2, 2)], domain=5,
                            kinds=InterfaceKind.SQ)
-        result = discover_sq(TopKInterface(table, k=1))
+        result = Discoverer().run(TopKInterface(table, k=1), "sq")
         assert result.total_cost == 4
 
     def test_larger_k_never_hurts(self):
@@ -95,7 +97,7 @@ class TestQueryCostProperties:
         table = random_table(rng, [InterfaceKind.SQ] * 3, n=300, domain=10)
         costs = []
         for k in (1, 5, 20):
-            result = discover_sq(TopKInterface(table, k=k))
+            result = Discoverer().run(TopKInterface(table, k=k), "sq")
             assert result.skyline_values == truth_values(table)
             costs.append(result.total_cost)
         assert costs[0] >= costs[1] >= costs[2]
@@ -116,14 +118,14 @@ class TestQueryCostProperties:
             interface = TopKInterface(
                 table, ranker=RandomSkylineRanker(seed=seed), k=1
             )
-            costs.append(discover_sq(interface).total_cost)
+            costs.append(Discoverer().run(interface, "sq").total_cost)
         average = sum(costs) / len(costs)
         assert abs(average - expected) / expected < 0.08
 
     def test_anytime_trace_prefixes_are_true_skyline(self):
         rng = np.random.default_rng(8)
         table = random_table(rng, [InterfaceKind.SQ] * 3, n=200, domain=10)
-        result = discover_sq(TopKInterface(table, k=2))
+        result = Discoverer().run(TopKInterface(table, k=2), "sq")
         truth = truth_values(table)
         for entry in result.trace:
             assert entry.row.values in truth
@@ -131,8 +133,10 @@ class TestQueryCostProperties:
     def test_budget_exhaustion_is_partial_but_sound(self):
         rng = np.random.default_rng(9)
         table = random_table(rng, [InterfaceKind.SQ] * 4, n=400, domain=12)
-        full = discover_sq(TopKInterface(table, k=1))
+        full = Discoverer().run(TopKInterface(table, k=1), "sq")
         budget = max(full.total_cost // 3, 1)
-        partial = discover_sq(TopKInterface(table, k=1, budget=budget))
+        partial = Discoverer().run(
+            TopKInterface(table, k=1, budget=budget), "sq"
+        )
         assert not partial.complete
         assert partial.skyline_values <= full.skyline_values

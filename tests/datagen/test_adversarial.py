@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import discover_pq, discover_sq
+from repro import Discoverer
 from repro.datagen.adversarial import (
     priority_case_study_table,
     theorem1_skyline_size,
@@ -59,7 +59,7 @@ class TestTheorem1Construction:
             interface = TopKInterface(
                 table, ranker=LexicographicRanker(), k=1
             )
-            result = discover_sq(interface)
+            result = Discoverer().run(interface, "sq")
             assert result.skyline_values == truth_values(table)
             assert result.total_cost >= sq_lower_bound_order(3, s)
             assert result.total_cost > previous
@@ -97,5 +97,5 @@ class TestPriorityCaseStudy:
     def test_pq_discovery_complete_under_priority_ranking(self):
         table, ranker = priority_case_study_table(seed=4)
         interface = TopKInterface(table, ranker=ranker, k=2)
-        result = discover_pq(interface)
+        result = Discoverer().run(interface, "pq")
         assert result.skyline_values == truth_values(table)

@@ -58,6 +58,8 @@ class TestFig13:
         rows = fig13_impact_k.run(n=2000, m=3, ks=(1, 10))
         for row in rows:
             assert row["baseline_cost"] > row["rq_cost"]
+            # The headline bound of the full-size run.
+            assert row["baseline_cost"] > 3 * row["rq_cost"]
 
     def test_cost_decreases_with_k(self):
         rows = fig13_impact_k.run(n=2000, m=3, ks=(1, 25),
@@ -71,6 +73,11 @@ class TestFig14:
         assert rows[-1]["rq_cost"] < 40 * rows[0]["rq_cost"]
         for row in rows:
             assert row["rq_cost"] <= row["sq_cost"]
+        # The headline bound of the full-size run: cost per skyline tuple
+        # stays flat while n grows.
+        per_tuple_first = rows[0]["rq_cost"] / max(rows[0]["S"], 1)
+        per_tuple_last = rows[-1]["rq_cost"] / max(rows[-1]["S"], 1)
+        assert per_tuple_last < 4 * per_tuple_first
 
 
 class TestFig15:

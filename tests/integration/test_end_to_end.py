@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from repro import (
+    Discoverer,
     LinearRanker,
     Query,
     TopKInterface,
-    baseline_skyline,
     discover,
     rq_db_skyband,
 )
@@ -59,9 +59,9 @@ class TestFlightsPipeline:
         carrier = 5
         base = Query.select_all().and_filter("carrier", carrier)
         result = discover(TopKInterface(table, k=10))
-        from repro.core import discover_rq
-
-        scoped = discover_rq(TopKInterface(table, k=10), base_query=base)
+        scoped = Discoverer().run(
+            TopKInterface(table, k=10), "rq", base_query=base
+        )
         keep = [
             rid for rid in range(table.n)
             if table.filter_value("carrier", rid) == carrier
@@ -117,7 +117,7 @@ class TestMarketplacePipelines:
         table = flights_range_table(8000, 4, seed=7)
         k = 20
         discovery = discover(TopKInterface(table, k=k))
-        baseline = baseline_skyline(TopKInterface(table, k=k))
+        baseline = Discoverer().run(TopKInterface(table, k=k), "baseline")
         assert discovery.skyline_values == baseline.skyline_values
         assert discovery.total_cost < baseline.total_cost
 

@@ -6,12 +6,7 @@ that our implementation behaves as the prose says it must.
 
 import pytest
 
-from repro.core import (
-    discover,
-    discover_pq,
-    discover_rq,
-    discover_sq,
-)
+from repro.core import Discoverer, discover
 from repro.hiddendb import (
     InterfaceKind,
     LinearRanker,
@@ -36,11 +31,11 @@ class TestFigure2RunningExample:
         assert dominates((3, 2, 3), (4, 4, 8))
 
     @pytest.mark.parametrize("kind,algo", [
-        (K.SQ, discover_sq), (K.RQ, discover_rq),
+        (K.SQ, "sq"), (K.RQ, "rq"),
     ])
     def test_range_discovery(self, kind, algo):
         table = make_table(self.DATA, kinds=kind, domain=10)
-        result = algo(TopKInterface(table, k=1))
+        result = Discoverer().run(TopKInterface(table, k=1), algo)
         assert result.skyline_values == self.SKYLINE
 
     def test_rq_retrieves_each_skyline_tuple_exactly_once(self):
@@ -48,7 +43,7 @@ class TestFigure2RunningExample:
         returned by exactly one node in the tree'."""
         table = make_table(self.DATA, kinds=K.RQ, domain=10)
         interface = TopKInterface(table, k=1, record_log=True)
-        result = discover_rq(interface)
+        result = Discoverer().run(interface, "rq")
         returns = [row.rid for answer in interface.log for row in answer.rows]
         for row in result.skyline:
             assert returns.count(row.rid) == 1
@@ -63,7 +58,7 @@ class TestSection3TreeExpansion:
         # Force t1 = (5, 1, 9) to be the root answer via a matching ranker.
         ranker = LinearRanker([0.1, 10.0, 0.1])
         interface = TopKInterface(table, ranker=ranker, k=1, record_log=True)
-        discover_sq(interface)
+        Discoverer().run(interface, "sq")
         log = interface.log
         assert log[0].query == Query.select_all()
         assert log[0].top.values == (5, 1, 9)
@@ -95,7 +90,7 @@ class TestSection52NegativeExample:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_pq_discovery_complete_despite_hidden_tuples(self, k):
         table = make_table(self.DATA, kinds=K.PQ, domain=3)
-        result = discover_pq(TopKInterface(table, k=k))
+        result = Discoverer().run(TopKInterface(table, k=k), "pq")
         assert result.skyline_values == self.SKYLINE
 
     def test_three_query_oracle_plan_exists(self):

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
-    baseline_skyline,
+    Discoverer,
     discover,
     pq_db_skyband,
     rq_db_skyband,
@@ -109,7 +109,7 @@ def test_baseline_crawl_retrieves_skyline(values, k):
     if not values:
         return
     table = make_table(values, kinds=K.RQ, domain=6)
-    result = baseline_skyline(TopKInterface(table, k=k))
+    result = Discoverer().run(TopKInterface(table, k=k), "baseline")
     assert result.skyline_values == truth_values(table)
 
 

@@ -13,7 +13,7 @@ from repro.service import FaultConfig, FaultInjector
 from repro.service.wire import encode_query
 from repro.hiddendb.query import Query
 
-from ..conftest import make_table
+from ..conftest import make_table, post_raw_content_length
 
 
 def get(url: str):
@@ -121,6 +121,20 @@ class TestQueryRoute:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=10)
         assert err.value.code == 400
+
+    def test_malformed_content_length_is_400_before_the_body(
+        self, serve, table
+    ):
+        server = serve(table)
+        body = json.dumps(query_payload(Query.select_all())).encode()
+        for declared in ("abc", "-1"):
+            status, answer = post_raw_content_length(
+                server.url + "/api/query", declared, body
+            )
+            assert status == 400, declared
+            assert answer["error"] == "bad_request"
+            assert "Content-Length" in answer["message"]
+        assert server.stats().queries_total == 0
 
     def test_repeated_request_id_is_replayed_not_rebilled(self, serve, table):
         # A client that lost the response retries the same X-Request-Id;
