@@ -123,7 +123,7 @@ from .experiments import ALL_FIGURES
 from .experiments.reporting import format_engine_stats, format_table
 from .hiddendb import LinearRanker, Table, TopKInterface
 from .service.client import RemoteServiceError
-from .service.server import ServiceStartupError
+from .service import ServiceStartupError
 from .store import CrawlStore, StoreError
 
 #: ``--strategy`` choices: the registered names plus the ``pipelined``
@@ -397,6 +397,11 @@ def _cmd_algorithms(args) -> int:
     return 0
 
 
+def _route_listing(daemon) -> str:
+    """``METHOD /path`` of every route a daemon answers, in table order."""
+    return "  ".join(f"{method} {path}" for method, path in daemon.routes)
+
+
 def _cmd_serve(args) -> int:
     from .service import FaultConfig, HiddenDBServer
 
@@ -475,8 +480,7 @@ def _cmd_serve(args) -> int:
         if args.max_inflight is not None:
             shaping.append(f"max-inflight={args.max_inflight}")
         print("shaping    : " + " ".join(shaping))
-    print("endpoints  : GET /api/schema  POST /api/query  GET /api/stats  "
-          "POST /api/reset  GET /healthz")
+    print("endpoints  : " + _route_listing(server))
     print("crawl with : repro discover --url " + server.url, flush=True)
     try:
         server.wait(args.duration)
@@ -539,8 +543,7 @@ def _cmd_coordinate(args) -> int:
               flush=True)
         print(f"port       : {coordinator.port}", flush=True)
         print(f"store      : {args.store}")
-        print("endpoints  : GET /healthz  GET/POST /api/jobs  "
-              "GET/DELETE /api/jobs/<id>  GET /api/schema", flush=True)
+        print("endpoints  : " + _route_listing(coordinator), flush=True)
         coordinator.wait(args.duration)
     except KeyboardInterrupt:
         pass

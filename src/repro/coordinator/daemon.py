@@ -9,6 +9,9 @@ query key with work stealing), and bills every tenant through one shared
 
 Routes
 ------
+The daemon is a :class:`~repro.service.front.JsonHttpFront`; its route
+table lists, in this order:
+
 ``GET  /healthz``          liveness, endpoint fingerprint, per-backend
                            health and budget headroom, job counts
 ``GET  /api/schema``       the pooled endpoint's bootstrap metadata
@@ -20,10 +23,10 @@ Routes
                            ``watch: {interval_s}`` -> keep monitoring
                            after the crawl and repair the skyline with a
                            delta-crawl whenever the endpoint mutates)
-``GET  /api/jobs/<id>``    anytime status: live billed cost, engine
+``GET  /api/jobs/:id``     anytime status: live billed cost, engine
                            stats, per-shard counters and the durable
                            checkpoint's skyline-so-far
-``DELETE /api/jobs/<id>``  cancel (the job's crawl session stays
+``DELETE /api/jobs/:id``   cancel (the job's crawl session stays
                            ``running``, i.e. resumable)
 ``GET  /api/stats``        operational counters: uptime, in-flight
                            requests, per-route request totals, job
@@ -46,19 +49,15 @@ session -- replaying the paid prefix instead of re-billing it.
 from __future__ import annotations
 
 import dataclasses
-import errno
 import itertools
-import json
 import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from ..core.base import DiscoverySession
-from ..obs import MetricsRegistry, RunObserver, render_prometheus
-from ..obs.exposition import CONTENT_TYPE as METRICS_CONTENT_TYPE
+from ..obs import RunObserver
 from ..core.registry import (
     AlgorithmNotFoundError,
     DiscoveryConfig,
@@ -68,10 +67,12 @@ from ..core.registry import (
 from ..freshness import DeltaCrawl
 from ..hiddendb import QueryBudgetExceeded
 from ..hiddendb.errors import HiddenDBError
-from ..service.server import (
-    ServiceStartupError,
-    _QuietThreadingHTTPServer,
-    read_json_body,
+from ..service.front import (
+    Handler,
+    JsonHttpFront,
+    Reply,
+    Request,
+    error_reply,
 )
 from ..service.wire import JOB_SPEC_DEFAULTS, decode_job_spec, encode_job_spec, encode_schema
 from ..store import CrawlStore
@@ -117,7 +118,7 @@ class _ActiveJob:
         self.endpoints: EndpointSet | None = None
 
 
-class CrawlCoordinator:
+class CrawlCoordinator(JsonHttpFront):
     """Sharded multi-tenant crawl coordinator over a shared ledger.
 
     Parameters
@@ -160,15 +161,13 @@ class CrawlCoordinator:
         )
         if not self._specs:
             raise ValueError("coordinator needs at least one backend")
+        super().__init__(host, port, metrics_prefix="coordinator", log=logger)
         if isinstance(store, CrawlStore):
             self._store = store
             self._owns_store = False
         else:
             self._store = CrawlStore(store)
             self._owns_store = True
-        self._host = host
-        self._requested_port = port
-        self._bound_port: int | None = None
         self._workers_per_backend = max(int(workers_per_backend), 1)
         self._max_parallel_jobs = max(int(max_parallel_jobs), 1)
         self._client_timeout = client_timeout
@@ -177,26 +176,17 @@ class CrawlCoordinator:
         self._probe: EndpointSet | None = None
         self._fingerprint = ""
         self._pool: ThreadPoolExecutor | None = None
-        self._httpd: _QuietThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
         self._active: dict[str, _ActiveJob] = {}
         self._active_lock = threading.Lock()
-        self._started: float | None = None
-        # Per-instance observability scope (scraped at /metrics).  One
-        # observer serves every job: per-job EndpointSets feed it shard
-        # routing / work-steal counters, the shared store feeds it ledger
-        # and checkpoint events (checkpoint timestamps drive the lag
-        # gauge below).
-        self._metrics = MetricsRegistry()
+        # One observer in the front's metrics scope serves every job:
+        # per-job EndpointSets feed it shard routing / work-steal
+        # counters, the shared store feeds it ledger and checkpoint events
+        # (checkpoint timestamps drive the lag gauge below).
         self._observer = RunObserver(registry=self._metrics)
         self._m_requests = self._metrics.counter(
             "coordinator_requests_total",
             "HTTP requests received, by route.",
             ("route",),
-        )
-        self._m_inflight = self._metrics.gauge(
-            "coordinator_requests_in_flight",
-            "HTTP requests currently being processed.",
         )
         self._m_job_queries = self._metrics.counter(
             "coordinator_job_queries_total",
@@ -250,9 +240,24 @@ class CrawlCoordinator:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "CrawlCoordinator":
-        """Verify the backend pool, bind the socket, replay the catalog."""
-        if self._httpd is not None:
-            raise RuntimeError("coordinator already started")
+        """Bind the socket, verify the backend pool, replay the catalog.
+
+        A failed start (port taken, backends that disagree) releases
+        everything it acquired, and closes the store if the coordinator
+        opened it from a path.
+        """
+        super().start()
+        if self._resume:
+            replayed = self._replay_catalog()
+            if replayed:
+                logger.info("resumed %d catalog job(s)", replayed)
+        logger.info(
+            "coordinating %d backend(s), fingerprint %s, at %s",
+            len(self._specs), self._fingerprint[:8], self.url,
+        )
+        return self
+
+    def _open(self) -> None:
         # One long-lived probe set for health/schema/identity; jobs get
         # their own EndpointSet so per-job billing telemetry stays exact.
         self._probe = EndpointSet(
@@ -261,7 +266,6 @@ class CrawlCoordinator:
             max_retries=self._client_retries,
         )
         self._fingerprint = self._probe.fingerprint
-        self._started = time.monotonic()
         self._store.attach_observer(self._observer)
         self._store.register_endpoint(
             self._probe.schema,
@@ -272,40 +276,6 @@ class CrawlCoordinator:
         self._pool = ThreadPoolExecutor(
             max_workers=self._max_parallel_jobs, thread_name_prefix="repro-job"
         )
-        handler = _make_coordinator_handler(self)
-        try:
-            self._httpd = _QuietThreadingHTTPServer(
-                (self._host, self._requested_port), handler
-            )
-        except OSError as exc:
-            if exc.errno in (errno.EADDRINUSE, errno.EACCES):
-                reason = (
-                    "already in use"
-                    if exc.errno == errno.EADDRINUSE
-                    else "not permitted"
-                )
-                raise ServiceStartupError(
-                    f"port {self._requested_port} on {self._host or '*'} is "
-                    f"{reason}; pick another --port (0 chooses a free one) "
-                    f"or stop the process bound to it"
-                ) from None
-            raise
-        self._bound_port = self._httpd.server_address[1]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name=f"repro-coordinator:{self.port}",
-            daemon=True,
-        )
-        self._thread.start()
-        if self._resume:
-            replayed = self._replay_catalog()
-            if replayed:
-                logger.info("resumed %d catalog job(s)", replayed)
-        logger.info(
-            "coordinating %d backend(s), fingerprint %s, at %s",
-            len(self._specs), self._fingerprint[:8], self.url,
-        )
-        return self
 
     def _replay_catalog(self) -> int:
         """Re-enqueue unfinished jobs, oldest first (their original order)."""
@@ -326,13 +296,7 @@ class CrawlCoordinator:
         while jobs keep their catalog rows ``running`` -- exactly the
         state ``--resume`` recovers from.
         """
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            if self._thread is not None:
-                self._thread.join(timeout=5.0)
-            self._httpd = None
-            self._thread = None
+        super().stop()
         if cancel_jobs:
             with self._active_lock:
                 active = list(self._active.values())
@@ -348,43 +312,9 @@ class CrawlCoordinator:
         if self._owns_store:
             self._store.close()
 
-    def __enter__(self) -> "CrawlCoordinator":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    def wait(self, timeout: float | None = None) -> None:
-        """Block while the coordinator serves (CLI foreground mode)."""
-        if self._thread is None:
-            raise RuntimeError("coordinator not started")
-        self._thread.join(timeout)
-
     # ------------------------------------------------------------------
     # metadata
     # ------------------------------------------------------------------
-    @property
-    def host(self) -> str:
-        """Bind host."""
-        return self._host
-
-    @property
-    def port(self) -> int:
-        """Actual bound port (resolves ``port=0`` once started)."""
-        if self._bound_port is not None:
-            return self._bound_port
-        return self._requested_port
-
-    @property
-    def url(self) -> str:
-        """Base URL tenants should connect to."""
-        host = self._host
-        if host in ("", "0.0.0.0", "::"):
-            host = "127.0.0.1"
-        elif ":" in host:
-            host = f"[{host}]"
-        return f"http://{host}:{self.port}"
-
     @property
     def fingerprint(self) -> str:
         """Endpoint fingerprint of the coordinated backend pool."""
@@ -472,16 +402,13 @@ class CrawlCoordinator:
     # ------------------------------------------------------------------
     def health(self) -> dict[str, Any]:
         assert self._probe is not None, "coordinator not started"
-        counts: dict[str, int] = {}
-        for job in self._store.jobs():
-            counts[job.status] = counts.get(job.status, 0) + 1
         with self._active_lock:
             active = len(self._active)
         return {
             "status": "ok",
             "fingerprint": self._fingerprint,
             "backends": self._probe.backend_status(),
-            "jobs": counts,
+            "jobs": self._job_counts(),
             "active_jobs": active,
         }
 
@@ -497,26 +424,15 @@ class CrawlCoordinator:
             "backends": len(self._specs),
         }
 
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """Per-instance metrics scope (rendered at ``GET /metrics``)."""
-        return self._metrics
-
-    @property
-    def uptime_s(self) -> float | None:
-        """Seconds since :meth:`start` verified the pool (``None`` before)."""
-        if self._started is None:
-            return None
-        return time.monotonic() - self._started
-
     def _job_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for job in self._store.jobs():
             counts[job.status] = counts.get(job.status, 0) + 1
         return counts
 
-    def _refresh_derived_gauges(self) -> None:
-        """Set the scrape-time gauges (job counts, checkpoint lag)."""
+    def metrics_payload(self) -> Reply:
+        """Prometheus text exposition, after setting the scrape-time gauges
+        (job counts, checkpoint lag, stale ledger entries, skyline age)."""
         for status, count in self._job_counts().items():
             self._m_jobs.set(count, status=status)
         now = time.monotonic()
@@ -528,11 +444,7 @@ class CrawlCoordinator:
             )
         for job_id, at in list(self._skyline_verified_at.items()):
             self._m_skyline_age.set(max(now - at, 0.0), job=job_id)
-
-    def metrics_payload(self) -> tuple[int, str, str]:
-        """Prometheus text exposition of the per-instance registry."""
-        self._refresh_derived_gauges()
-        return 200, render_prometheus(self._metrics), METRICS_CONTENT_TYPE
+        return super().metrics_payload()
 
     def stats_payload(self) -> dict[str, Any]:
         """Operational counters served at ``GET /api/stats``."""
@@ -614,6 +526,30 @@ class CrawlCoordinator:
         if stored is not None:
             body["checkpoint"] = dict(stored.checkpoint)
         return body
+
+    # ------------------------------------------------------------------
+    # routes (called from handler threads)
+    # ------------------------------------------------------------------
+    def _route_table(self) -> dict[tuple[str, str], Handler]:
+        return {
+            ("GET", "/healthz"): lambda r: (200, self.health(), {}),
+            ("GET", "/api/schema"): lambda r: (200, self.schema_payload(), {}),
+            ("GET", "/api/jobs"): lambda r: (200, self.jobs_index(), {}),
+            ("POST", "/api/jobs"): self._submit_reply,
+            ("GET", "/api/jobs/:id"): _job_reply(self.job_status),
+            ("DELETE", "/api/jobs/:id"): _job_reply(self.cancel),
+            ("GET", "/api/stats"): lambda r: (200, self.stats_payload(), {}),
+            ("GET", "/metrics"): lambda r: self.metrics_payload(),
+        }
+
+    def _account(self, route: str, headers: Any, elapsed: float) -> None:
+        self._m_requests.inc(route=route)
+
+    def _submit_reply(self, request: Request) -> Reply:
+        try:
+            return 201, self.submit(request.payload), {}
+        except JobRejected as exc:
+            return error_reply(exc.status, exc.error, str(exc))
 
     # ------------------------------------------------------------------
     # job execution
@@ -826,124 +762,16 @@ class CrawlCoordinator:
         )
 
 
-def _make_coordinator_handler(
-    coordinator: CrawlCoordinator,
-) -> type[BaseHTTPRequestHandler]:
-    """Build the request-handler class bound to one coordinator."""
+def _job_reply(view: Callable[[str], dict[str, Any] | None]) -> Handler:
+    """An ``/api/jobs/:id`` handler serving ``view(id)``; 404 on ``None``."""
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        disable_nagle_algorithm = True
+    def handle(request: Request) -> Reply:
+        body = view(request.param)
+        if body is None:
+            return error_reply(404, "not_found", f"no job {request.param!r}")
+        return 200, body, {}
 
-        # -- plumbing ---------------------------------------------------
-        def _reply(self, status: int, body: dict[str, Any]) -> None:
-            encoded = json.dumps(body).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(encoded)))
-            self.end_headers()
-            self.wfile.write(encoded)
-
-        def _job_id(self) -> str | None:
-            prefix = "/api/jobs/"
-            if not self.path.startswith(prefix):
-                return None
-            return self.path[len(prefix):] or None
-
-        def _route(self) -> str:
-            # Collapse per-job paths so the request counter stays
-            # bounded-cardinality.
-            if self.path.startswith("/api/jobs/"):
-                return "/api/jobs/:id"
-            return self.path
-
-        def _tracked(self, inner: Any) -> None:
-            coordinator._m_inflight.inc()
-            try:
-                inner()
-            finally:
-                coordinator._m_inflight.dec()
-                coordinator._m_requests.inc(route=self._route())
-
-        def _reply_text(
-            self, status: int, text: str, content_type: str = "text/plain"
-        ) -> None:
-            encoded = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(encoded)))
-            self.end_headers()
-            self.wfile.write(encoded)
-
-        # -- routes -----------------------------------------------------
-        def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-            self._tracked(self._get)
-
-        def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-            self._tracked(self._post)
-
-        def do_DELETE(self) -> None:  # noqa: N802 (stdlib naming)
-            self._tracked(self._delete)
-
-        def _get(self) -> None:
-            if self.path == "/healthz":
-                self._reply(200, coordinator.health())
-            elif self.path == "/api/schema":
-                self._reply(200, coordinator.schema_payload())
-            elif self.path == "/api/stats":
-                self._reply(200, coordinator.stats_payload())
-            elif self.path == "/metrics":
-                status, text, content_type = coordinator.metrics_payload()
-                self._reply_text(status, text, content_type)
-            elif self.path == "/api/jobs":
-                self._reply(200, coordinator.jobs_index())
-            elif (job_id := self._job_id()) is not None:
-                body = coordinator.job_status(job_id)
-                if body is None:
-                    self._reply(
-                        404,
-                        {"error": "not_found",
-                         "message": f"no job {job_id!r}"},
-                    )
-                else:
-                    self._reply(200, body)
-            else:
-                self._reply(404, {"error": "not_found"})
-
-        def _post(self) -> None:
-            if self.path != "/api/jobs":
-                self._reply(404, {"error": "not_found"})
-                return
-            payload = read_json_body(self)
-            if isinstance(payload, str):
-                self._reply(400, {"error": "bad_request", "message": payload})
-                return
-            try:
-                body = coordinator.submit(payload)
-            except JobRejected as exc:
-                self._reply(exc.status, {"error": exc.error,
-                                         "message": str(exc)})
-            else:
-                self._reply(201, body)
-
-        def _delete(self) -> None:
-            job_id = self._job_id()
-            if job_id is None:
-                self._reply(404, {"error": "not_found"})
-                return
-            body = coordinator.cancel(job_id)
-            if body is None:
-                self._reply(
-                    404,
-                    {"error": "not_found", "message": f"no job {job_id!r}"},
-                )
-            else:
-                self._reply(200, body)
-
-        def log_message(self, format: str, *args: Any) -> None:
-            logger.debug("%s %s", self.address_string(), format % args)
-
-    return Handler
+    return handle
 
 
 __all__ = [

@@ -4,10 +4,11 @@ The paper's algorithms target *real* web databases reached through
 rate-limited top-k search forms; this subpackage recreates those conditions
 for the in-process simulator so discovery can run over the wire:
 
-* :mod:`repro.service.server` -- :class:`HiddenDBServer`, a threaded stdlib
-  HTTP server exposing any :class:`~repro.hiddendb.table.Table` + ranker as
-  a JSON top-k search API with per-API-key query budgets and configurable
-  fault/latency injection;
+* :mod:`repro.service.server` -- :class:`HiddenDBServer`, a threaded HTTP
+  server exposing any :class:`~repro.hiddendb.table.Table` + ranker as a
+  JSON top-k search API with per-API-key query budgets and configurable
+  fault/latency injection, on the JSON-over-HTTP front it shares with the
+  crawl coordinator (:mod:`repro.service.front`);
 * :mod:`repro.service.client` -- the one remote-client protocol,
   :class:`QueryClientCore` (billing-safe request ids, retry/backoff
   against faults and throttles, batching with ``partial_results``,

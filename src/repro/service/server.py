@@ -1,11 +1,11 @@
 """HTTP server exposing a hidden database as a JSON top-k search API.
 
 :class:`HiddenDBServer` wraps any :class:`~repro.hiddendb.table.Table` plus a
-domination-consistent ranker in a stdlib :class:`ThreadingHTTPServer`, so the
-simulator can be crawled the way the paper's target sites are: over the
-network, through a rate-limited search form, by concurrent clients.
+domination-consistent ranker in a :class:`~repro.service.front.JsonHttpFront`,
+so the simulator can be crawled the way the paper's target sites are: over
+the network, through a rate-limited search form, by concurrent clients.
 
-Routes (all bodies JSON):
+Routes (all bodies JSON except ``/metrics``), as the route table lists them:
 
 =========================  =====================================================
 ``GET  /api/schema``       public search-form metadata: schema, ``k``, name
@@ -18,12 +18,14 @@ Routes (all bodies JSON):
                            budgets and remaining headroom, faults injected),
                            uptime, in-flight requests, per-key HTTP totals
 ``GET  /metrics``          the same counters plus a request-latency
-                           histogram, in Prometheus text format
+                           histogram by matched route, in Prometheus text
+                           format
 ``POST /api/mutate``       operator action: apply an insert/delete/update
                            batch (``{"ops": [...]}``) or deterministic
                            churn (``{"churn": {"frac", "seed"}}``) to the
                            served table; unbilled, bumps ``data_version``
-``POST /api/reset``        ops/test helper: clear billing counters
+``POST /api/reset``        ops/test helper: clear billing counters (all
+                           keys, or the string ``api_key`` named)
 ``GET  /healthz``          liveness probe carrying the endpoint fingerprint
                            (CI boot check, coordinator shard verification)
 =========================  =====================================================
@@ -52,26 +54,26 @@ the server charged the query) can retry without being billed twice.
 
 from __future__ import annotations
 
-import errno
-import json
 import logging
-import socket
-import sys
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 
 from ..datagen.mutations import churn_ops, validate_ops
-from ..hiddendb.errors import HiddenDBError, UnsupportedQueryError
+from ..hiddendb.errors import UnsupportedQueryError
 from ..hiddendb.dataplane import default_ranker, make_engine
 from ..hiddendb.ranking import Ranker
 from ..hiddendb.table import Table
-from ..obs import MetricsRegistry, render_prometheus
-from ..obs.exposition import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from .faults import FaultConfig, FaultInjector
+from .front import (
+    Handler,
+    JsonHttpFront,
+    Reply,
+    ServiceStartupError,
+    error_reply,
+)
 from .wire import (
     decode_query,
     encode_answer,
@@ -100,79 +102,6 @@ MAX_BATCH_ITEMS = 256
 #: cap has no token-refill deadline to be honest about, so the server
 #: names a short fixed pause instead).
 LOAD_SHED_RETRY_AFTER = 0.05
-
-
-class ServiceStartupError(HiddenDBError):
-    """The service could not start (e.g. its port is already taken).
-
-    Maps low-level socket errors at bind time onto one actionable
-    message, instead of a raw ``OSError`` traceback.
-    """
-
-
-class _QuietThreadingHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer tuned for crawler traffic.
-
-    * no tracebacks on client disconnects: a crawler that is killed (or
-      times out) mid-request resets its sockets; the stdlib default
-      prints a full traceback per connection, which buries real errors.
-      Disconnects are routine for this service -- the durable-crawl tests
-      SIGKILL clients on purpose -- so they are logged at debug level;
-    * a deep listen backlog (``request_queue_size``): wide-window async
-      clients open dozens to hundreds of connections in one burst, and
-      the stdlib default backlog of 5 would refuse the overflow
-      (handler threads are already daemonic via the stdlib base class);
-    * an immediate :meth:`shutdown` (see there).
-    """
-
-    #: Listen backlog -- sized for a wide-window async client's connect burst.
-    request_queue_size = 128
-
-    def shutdown(self) -> None:
-        """Stop ``serve_forever`` now rather than at its next poll.
-
-        The serving loop only checks for a shutdown request between
-        0.5 s polls of the listening socket.  Shutting that socket down
-        makes it readable at once, so the loop wakes, fails to accept,
-        and sees the request.  A shorter poll would also stop quickly,
-        but its wake-ups cost the serving threads the interpreter lock
-        twenty times a second for the server's whole life.
-        """
-        try:
-            self.socket.shutdown(socket.SHUT_RDWR)
-        except OSError:  # not supported here: wait out the poll instead
-            pass
-        super().shutdown()
-
-    def handle_error(self, request, client_address) -> None:  # noqa: D102
-        exc = sys.exc_info()[1]
-        if isinstance(exc, (BrokenPipeError, ConnectionResetError)):
-            logger.debug("client %s disconnected: %s", client_address, exc)
-            return
-        super().handle_error(request, client_address)
-
-
-def read_json_body(handler: BaseHTTPRequestHandler) -> dict[str, Any] | str:
-    """The request's JSON object body, or why it is not one.
-
-    Shared by the hidden-DB server and the coordinator daemon.  A
-    ``Content-Length`` that is not a non-negative decimal is refused before
-    any of the body is read: ``int()`` would raise on ``abc``, and
-    ``rfile.read(-1)`` would hold the handler thread until the client hangs
-    up.  The unread body leaves the connection without framing, so the
-    handler closes it after its reply.
-    """
-    declared = (handler.headers.get("Content-Length") or "0").strip()
-    if not (declared.isascii() and declared.isdigit()):
-        handler.close_connection = True
-        return f"invalid Content-Length {declared!r}"
-    length = int(declared)
-    raw = handler.rfile.read(length) if length else b"{}"
-    try:
-        payload = json.loads(raw.decode("utf-8") or "{}")
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return "invalid JSON body"
-    return payload if isinstance(payload, dict) else "invalid JSON body"
 
 
 @dataclass(frozen=True)
@@ -301,7 +230,7 @@ class _TokenBucket:
                 self._buckets.pop(key, None)
 
 
-class HiddenDBServer:
+class HiddenDBServer(JsonHttpFront):
     """Serve a table + ranker as a networked top-k search interface.
 
     Parameters
@@ -380,12 +309,11 @@ class HiddenDBServer:
             raise ValueError(
                 f"max_inflight must be >= 1, got {max_inflight}"
             )
+        super().__init__(host, port, metrics_prefix="hiddendb", log=logger)
         self._table = table
         self._ranker = ranker if ranker is not None else default_ranker(table)
         self._engine = make_engine(table, self._ranker, engine)
         self._k = k
-        self._host = host
-        self._requested_port = port
         self._billing = _Billing(key_budget, budgets or {})
         self._injector = (
             FaultInjector(faults) if faults is not None and faults.active else None
@@ -404,33 +332,22 @@ class HiddenDBServer:
         self._validate = validate
         self._name = name
         self._schema_payload = encode_schema(table.schema)
-        self._bound_port: int | None = None
         # Answers already billed, keyed by (api key, client request id): a
         # client that lost the response retries the same id and gets the
         # answer replayed instead of being billed twice.
-        self._replay: OrderedDict[
-            tuple[str, str], tuple[int, dict[str, Any], dict[str, str]]
-        ] = OrderedDict()
+        self._replay: OrderedDict[tuple[str, str], Reply] = OrderedDict()
         # Request ids currently being processed: a duplicate (client retry
         # racing its own timed-out original) waits for the original instead
         # of double-billing the query.
         self._inflight: dict[tuple[str, str], threading.Event] = {}
         self._replay_lock = threading.Lock()
-        self._httpd: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
-        self._started: float | None = None
-        # Per-instance observability scope, scraped at /metrics.  Billing
-        # counters here *shadow* (never replace) the authoritative _Billing
-        # ledger: metrics are monotone across /api/reset, billing is not.
-        self._metrics = MetricsRegistry()
+        # Billing counters in the front's metrics scope *shadow* (never
+        # replace) the authoritative _Billing ledger: metrics are monotone
+        # across /api/reset, billing is not.
         self._m_requests = self._metrics.counter(
             "hiddendb_requests_total",
             "HTTP requests received, by API key.",
             ("key",),
-        )
-        self._m_inflight = self._metrics.gauge(
-            "hiddendb_requests_in_flight",
-            "HTTP requests currently being processed.",
         )
         self._m_latency = self._metrics.histogram(
             "hiddendb_request_latency_seconds",
@@ -475,97 +392,16 @@ class HiddenDBServer:
         # would otherwise interleave their table rebuilds.
         self._mutate_lock = threading.Lock()
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     def start(self) -> "HiddenDBServer":
         """Bind the socket and serve from a daemon thread; returns ``self``."""
-        if self._httpd is not None:
-            raise RuntimeError("server already started")
-        handler = _make_handler(self)
-        try:
-            self._httpd = _QuietThreadingHTTPServer(
-                (self._host, self._requested_port), handler
-            )
-        except OSError as exc:
-            if exc.errno in (errno.EADDRINUSE, errno.EACCES):
-                reason = (
-                    "already in use"
-                    if exc.errno == errno.EADDRINUSE
-                    else "not permitted"
-                )
-                raise ServiceStartupError(
-                    f"port {self._requested_port} on {self._host or '*'} is "
-                    f"{reason}; pick another --port (0 chooses a free one) "
-                    f"or stop the process bound to it"
-                ) from None
-            raise
-        self._bound_port = self._httpd.server_address[1]
-        self._started = time.monotonic()
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name=f"repro-service:{self.port}",
-            daemon=True,
-        )
-        self._thread.start()
+        super().start()
         logger.info("serving %s (n=%d, k=%d) at %s",
                     self._name, self._table.n, self._k, self.url)
         return self
 
-    def stop(self) -> None:
-        """Shut the server down and release the socket (idempotent)."""
-        if self._httpd is None:
-            return
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._httpd = None
-        self._thread = None
-
-    def __enter__(self) -> "HiddenDBServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    def wait(self, timeout: float | None = None) -> None:
-        """Block the calling thread while the server runs (CLI foreground
-        mode); a ``timeout`` in seconds returns control after that long."""
-        if self._thread is None:
-            raise RuntimeError("server not started")
-        self._thread.join(timeout)
-
     # ------------------------------------------------------------------
     # metadata
     # ------------------------------------------------------------------
-    @property
-    def host(self) -> str:
-        """Bind host."""
-        return self._host
-
-    @property
-    def port(self) -> int:
-        """Actual bound port (resolves ``port=0`` once started; the last
-        bound port keeps being reported after :meth:`stop`)."""
-        if self._bound_port is not None:
-            return self._bound_port
-        return self._requested_port
-
-    @property
-    def url(self) -> str:
-        """Base URL clients should connect to.
-
-        Wildcard binds (``0.0.0.0`` / ``::`` / ``""``) are advertised as
-        the loopback address -- a wildcard is not a routable destination.
-        """
-        host = self._host
-        if host in ("", "0.0.0.0", "::"):
-            host = "127.0.0.1"
-        elif ":" in host:  # bare IPv6 literal needs brackets in a URL
-            host = f"[{host}]"
-        return f"http://{host}:{self.port}"
-
     @property
     def k(self) -> int:
         """Top-k output limit of the served search form."""
@@ -603,17 +439,14 @@ class HiddenDBServer:
             self._table.schema, self._k, self._name, self._ranker.describe()
         )
 
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """Per-instance metrics scope (rendered at ``GET /metrics``)."""
-        return self._metrics
-
-    @property
-    def uptime_s(self) -> float | None:
-        """Seconds since :meth:`start` bound the socket (``None`` before)."""
-        if self._started is None:
-            return None
-        return time.monotonic() - self._started
+    def health(self) -> dict[str, Any]:
+        """Liveness view served at ``GET /healthz``."""
+        return {
+            "status": "ok",
+            "name": self._name,
+            "fingerprint": self.fingerprint,
+            "data_version": self.data_version,
+        }
 
     def stats(self) -> ServerStats:
         """Current billing counters."""
@@ -646,7 +479,27 @@ class HiddenDBServer:
     # ------------------------------------------------------------------
     # request handling (called from handler threads)
     # ------------------------------------------------------------------
-    def _handle_schema(self) -> tuple[int, dict[str, Any], dict[str, str]]:
+    def _route_table(self) -> dict[tuple[str, str], Handler]:
+        return {
+            ("GET", "/api/schema"): lambda r: self._handle_schema(),
+            ("POST", "/api/query"): lambda r: self._handle_query(
+                r.payload, _api_key(r.headers), r.headers.get("X-Request-Id")
+            ),
+            ("POST", "/api/batch"): lambda r: self._handle_batch(
+                r.payload, _api_key(r.headers)
+            ),
+            ("GET", "/api/stats"): lambda r: self._handle_stats(),
+            ("GET", "/metrics"): lambda r: self.metrics_payload(),
+            ("POST", "/api/mutate"): lambda r: self._handle_mutate(r.payload),
+            ("POST", "/api/reset"): lambda r: self._handle_reset(r.payload),
+            ("GET", "/healthz"): lambda r: (200, self.health(), {}),
+        }
+
+    def _account(self, route: str, headers: Any, elapsed: float) -> None:
+        self._m_requests.inc(key=_api_key(headers))
+        self._m_latency.observe(elapsed, route=route)
+
+    def _handle_schema(self) -> Reply:
         return (
             200,
             {
@@ -670,7 +523,7 @@ class HiddenDBServer:
             {},
         )
 
-    def _handle_stats(self) -> tuple[int, dict[str, Any], dict[str, str]]:
+    def _handle_stats(self) -> Reply:
         stats = self.stats()
         uptime = self.uptime_s
         # HTTP request totals (all routes, incl. unbilled stats/schema
@@ -703,24 +556,16 @@ class HiddenDBServer:
             {},
         )
 
-    def _handle_metrics(self) -> tuple[int, str, str]:
-        """Prometheus text exposition of the per-instance registry."""
-        return 200, render_prometheus(self._metrics), METRICS_CONTENT_TYPE
-
-    def _track_request(self, api_key: str, route: str, elapsed: float) -> None:
-        """Record one finished HTTP request (called from handler threads)."""
-        self._m_requests.inc(key=api_key)
-        self._m_latency.observe(elapsed, route=route)
-
-    def _handle_reset(
-        self, payload: Mapping[str, Any]
-    ) -> tuple[int, dict[str, Any], dict[str, str]]:
-        self.reset_billing(payload.get("api_key"))
+    def _handle_reset(self, payload: Mapping[str, Any]) -> Reply:
+        api_key = payload.get("api_key")
+        if api_key is not None and not isinstance(api_key, str):
+            return error_reply(
+                400, "bad_request", "api_key must be a string or null"
+            )
+        self.reset_billing(api_key)
         return self._handle_stats()
 
-    def _handle_mutate(
-        self, payload: Mapping[str, Any]
-    ) -> tuple[int, dict[str, Any], dict[str, str]]:
+    def _handle_mutate(self, payload: Mapping[str, Any]) -> Reply:
         """Apply an operator mutation batch to the served table.
 
         Accepts either an explicit ``{"ops": [...]}`` batch or
@@ -732,24 +577,17 @@ class HiddenDBServer:
         """
         apply = getattr(self._table, "apply_mutations", None)
         if apply is None:
-            return (
+            return error_reply(
                 400,
-                {
-                    "error": "mutations_unsupported",
-                    "message": f"table {type(self._table).__name__} does "
-                    "not support mutations",
-                    "retriable": False,
-                },
-                {},
+                "mutations_unsupported",
+                f"table {type(self._table).__name__} does not support "
+                "mutations",
             )
         ops = payload.get("ops")
         churn = payload.get("churn")
         if (ops is None) == (churn is None):
-            return (
-                400,
-                {"error": "bad_request", "message": "exactly one of ops "
-                 "or churn is required", "retriable": False},
-                {},
+            return error_reply(
+                400, "bad_request", "exactly one of ops or churn is required"
             )
         try:
             with self._mutate_lock:
@@ -765,12 +603,7 @@ class HiddenDBServer:
                     batch = validate_ops(ops)
                 applied = int(apply(batch))
         except (KeyError, TypeError, ValueError) as exc:
-            return (
-                400,
-                {"error": "bad_mutation", "message": str(exc),
-                 "retriable": False},
-                {},
-            )
+            return error_reply(400, "bad_mutation", str(exc))
         version = self.data_version
         self._m_mutations.inc(applied)
         self._m_version.set(float(version))
@@ -790,7 +623,7 @@ class HiddenDBServer:
         api_key: str,
         request_id: str | None = None,
         inject: bool = True,
-    ) -> tuple[int, dict[str, Any], dict[str, str]]:
+    ) -> Reply:
         if request_id is None:
             return self._answer_query(payload, api_key, None, inject=inject)
         replay_key = (api_key, request_id)
@@ -822,18 +655,14 @@ class HiddenDBServer:
             if event is not None:
                 event.set()
 
-    def _peek_replay(
-        self, api_key: str, request_id: str | None
-    ) -> tuple[int, dict[str, Any], dict[str, str]] | None:
+    def _peek_replay(self, api_key: str, request_id: str | None) -> Reply | None:
         """Already-billed answer for ``request_id``, if one is cached."""
         if request_id is None:
             return None
         with self._replay_lock:
             return self._replay.get((api_key, request_id))
 
-    def _handle_batch(
-        self, payload: Mapping[str, Any], api_key: str
-    ) -> tuple[int, dict[str, Any], dict[str, str]]:
+    def _handle_batch(self, payload: Mapping[str, Any], api_key: str) -> Reply:
         """Answer a batch of queries in one round trip.
 
         Every item goes through the same pipeline as ``/api/query`` --
@@ -845,11 +674,8 @@ class HiddenDBServer:
         """
         items = payload.get("items")
         if not isinstance(items, list) or not items:
-            return (
-                400,
-                {"error": "bad_request", "message": "items must be a "
-                 "non-empty list", "retriable": False},
-                {},
+            return error_reply(
+                400, "bad_request", "items must be a non-empty list"
             )
         if len(items) > MAX_BATCH_ITEMS:
             return (
@@ -858,18 +684,13 @@ class HiddenDBServer:
                  "retriable": False},
                 {},
             )
-        outcomes: list[tuple[int, dict[str, Any], dict[str, str]] | None] = (
-            [None] * len(items)
-        )
+        outcomes: list[Reply | None] = [None] * len(items)
         fresh: list[int] = []
         max_delay = 0.0
         for index, item in enumerate(items):
             if not isinstance(item, Mapping):
-                outcomes[index] = (
-                    400,
-                    {"error": "bad_request", "message": "item must be an "
-                     "object", "retriable": False},
-                    {},
+                outcomes[index] = error_reply(
+                    400, "bad_request", "item must be an object"
                 )
                 continue
             request_id = item.get("id")
@@ -912,9 +733,7 @@ class HiddenDBServer:
         }
         return 200, body, {}
 
-    def _admit(
-        self, api_key: str
-    ) -> tuple[int, dict[str, Any], dict[str, str]] | None:
+    def _admit(self, api_key: str) -> Reply | None:
         """Traffic-shaping admission: ``None`` to proceed (an in-flight
         slot is then held and must be released), else the throttle
         response.  Throttled queries are never billed, never replayed,
@@ -958,7 +777,7 @@ class HiddenDBServer:
         api_key: str,
         replay_key: tuple[str, str] | None,
         inject: bool = True,
-    ) -> tuple[int, dict[str, Any], dict[str, str]]:
+    ) -> Reply:
         if self._limiter is None and self._max_inflight is None:
             return self._serve_query(payload, api_key, replay_key, inject=inject)
         throttled = self._admit(api_key)
@@ -976,7 +795,7 @@ class HiddenDBServer:
         api_key: str,
         replay_key: tuple[str, str] | None,
         inject: bool = True,
-    ) -> tuple[int, dict[str, Any], dict[str, str]]:
+    ) -> Reply:
         if inject and self._injector is not None:
             delay, code = self._injector.draw()
             if delay > 0.0:
@@ -991,24 +810,12 @@ class HiddenDBServer:
         try:
             query = decode_query(payload.get("query") or {})
         except (KeyError, TypeError, ValueError) as exc:
-            return (
-                400,
-                {"error": "bad_request", "message": str(exc), "retriable": False},
-                {},
-            )
+            return error_reply(400, "bad_request", str(exc))
         if self._validate:
             try:
                 query.validate(self._table.schema)
             except UnsupportedQueryError as exc:
-                return (
-                    400,
-                    {
-                        "error": "unsupported_query",
-                        "message": str(exc),
-                        "retriable": False,
-                    },
-                    {},
-                )
+                return error_reply(400, "unsupported_query", str(exc))
         sequence = self._billing.charge(api_key)
         if sequence is None:
             limit = self._billing.budget_of(api_key)
@@ -1049,130 +856,9 @@ class HiddenDBServer:
         )
 
 
-def _make_handler(server: HiddenDBServer) -> type[BaseHTTPRequestHandler]:
-    """Build the request-handler class bound to one :class:`HiddenDBServer`."""
-
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        # Small request/response pairs over keep-alive connections stall on
-        # Nagle + delayed ACK; send responses immediately.
-        disable_nagle_algorithm = True
-
-        # -- plumbing ---------------------------------------------------
-        def _reply(
-            self, status: int, body: dict[str, Any], headers: Mapping[str, str]
-        ) -> None:
-            encoded = json.dumps(body).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(encoded)))
-            for name, value in headers.items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(encoded)
-
-        def _reply_text(
-            self, status: int, text: str, content_type: str = "text/plain"
-        ) -> None:
-            encoded = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(encoded)))
-            self.end_headers()
-            self.wfile.write(encoded)
-
-        def _api_key(self) -> str:
-            return self.headers.get("X-Api-Key") or ANONYMOUS_KEY
-
-        # -- routes -----------------------------------------------------
-        def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-            server._m_inflight.inc()
-            started = time.monotonic()
-            try:
-                self._get()
-            finally:
-                server._m_inflight.dec()
-                server._track_request(
-                    self._api_key(), self.path, time.monotonic() - started
-                )
-
-        def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-            server._m_inflight.inc()
-            started = time.monotonic()
-            try:
-                self._post()
-            finally:
-                server._m_inflight.dec()
-                server._track_request(
-                    self._api_key(), self.path, time.monotonic() - started
-                )
-
-        def _get(self) -> None:
-            if self.path == "/api/schema":
-                self._reply(*server._handle_schema())
-            elif self.path == "/api/stats":
-                self._reply(*server._handle_stats())
-            elif self.path == "/metrics":
-                status, text, content_type = server._handle_metrics()
-                self._reply_text(status, text, content_type)
-            elif self.path == "/healthz":
-                self._reply(
-                    200,
-                    {
-                        "status": "ok",
-                        "name": server.name,
-                        "fingerprint": server.fingerprint,
-                        "data_version": server.data_version,
-                    },
-                    {},
-                )
-            else:
-                self._reply(
-                    404, {"error": "not_found", "retriable": False}, {}
-                )
-
-        def _post(self) -> None:
-            payload = read_json_body(self)
-            if isinstance(payload, str):
-                self._reply(
-                    400,
-                    {"error": "bad_request", "message": payload,
-                     "retriable": False},
-                    {},
-                )
-                return
-            if self.path == "/api/query":
-                self._reply(
-                    *server._handle_query(
-                        payload,
-                        self._api_key(),
-                        self.headers.get("X-Request-Id"),
-                    )
-                )
-            elif self.path == "/api/batch":
-                self._reply(*server._handle_batch(payload, self._api_key()))
-            elif self.path == "/api/mutate":
-                self._reply(*server._handle_mutate(payload))
-            elif self.path == "/api/reset":
-                self._reply(*server._handle_reset(payload))
-            else:
-                self._reply(
-                    404, {"error": "not_found", "retriable": False}, {}
-                )
-
-        def log_message(self, format: str, *args: Any) -> None:
-            # Client-propagated trace ids make access-log lines joinable
-            # with the crawl-side JSONL spans for the same logical query.
-            trace_id = self.headers.get("X-Trace-Id")
-            if trace_id:
-                logger.debug(
-                    "%s %s trace=%s", self.address_string(),
-                    format % args, trace_id,
-                )
-            else:
-                logger.debug("%s %s", self.address_string(), format % args)
-
-    return Handler
+def _api_key(headers: Any) -> str:
+    """The billing identity a request names (``X-Api-Key``)."""
+    return headers.get("X-Api-Key") or ANONYMOUS_KEY
 
 
 __all__ = [

@@ -151,17 +151,24 @@ def encode_query(query: Query) -> dict[str, Any]:
     }
 
 
-def decode_query(payload: Mapping[str, Any]) -> Query:
-    """JSON dict -> Query."""
-    ranges = {
-        int(index): Interval(int(bounds[0]), int(bounds[1]))
-        for index, bounds in (payload.get("ranges") or {}).items()
-    }
-    filters = {
-        str(name): int(value)
-        for name, value in (payload.get("filters") or {}).items()
-    }
-    return Query(ranges, filters)
+def decode_query(payload: Any) -> Query:
+    """JSON dict -> Query; :class:`ValueError` (a 400 on the server) when
+    the query, its ``ranges`` or its ``filters`` is not a JSON object, or
+    a range is not a ``[lo, hi]`` pair."""
+    if not isinstance(payload, Mapping):
+        raise ValueError("query must be a JSON object")
+    ranges = payload.get("ranges") or {}
+    filters = payload.get("filters") or {}
+    if not (isinstance(ranges, Mapping) and isinstance(filters, Mapping)):
+        raise ValueError("query ranges and filters must be JSON objects")
+    intervals = {}
+    for index, bounds in ranges.items():
+        if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
+            raise ValueError(f"range {index!r} must be a [lo, hi] pair")
+        intervals[int(index)] = Interval(int(bounds[0]), int(bounds[1]))
+    return Query(
+        intervals, {str(name): int(value) for name, value in filters.items()}
+    )
 
 
 # ----------------------------------------------------------------------

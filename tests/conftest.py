@@ -387,6 +387,41 @@ def post_raw_content_length(
         return response.status, json.loads(response.read())
 
 
+def raw_exchange(url: str, data: bytes, timeout: float = 5.0) -> bytes:
+    """Send ``data`` on a fresh connection to ``url``'s host; returns every
+    byte received until the server closes the connection."""
+    parts = urllib.parse.urlsplit(url)
+    received = b""
+    with socket.create_connection(
+        (parts.hostname, parts.port), timeout=timeout
+    ) as sock:
+        sock.sendall(data)
+        try:
+            while chunk := sock.recv(65536):
+                received += chunk
+        except ConnectionResetError:  # closed with request bytes unread
+            pass
+    return received
+
+
+def exchanges_on_one_connection(
+    url: str, requests: list[bytes], timeout: float = 5.0
+) -> list[tuple[int, bytes]]:
+    """Send each raw request in turn on one keep-alive connection to
+    ``url``'s host; returns ``(status, body)`` of each response."""
+    parts = urllib.parse.urlsplit(url)
+    replies = []
+    with socket.create_connection(
+        (parts.hostname, parts.port), timeout=timeout
+    ) as sock:
+        for request in requests:
+            sock.sendall(request)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            replies.append((response.status, response.read()))
+    return replies
+
+
 @pytest.fixture
 def simple_table() -> Table:
     """The paper's running example (Figure 2): four 3-D tuples."""

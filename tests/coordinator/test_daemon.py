@@ -8,6 +8,8 @@ single-process run, and a second tenant of the same endpoint bills
 almost nothing because the shared ledger already paid for the answers.
 """
 
+import socket
+import sqlite3
 import time
 
 import pytest
@@ -70,6 +72,51 @@ class TestMetadataRoutes:
     def test_unknown_routes_404(self, coordinated):
         assert get_json(f"{coordinated.url}/nope")[0] == 404
         assert post_json(f"{coordinated.url}/api/nope", {})[0] == 404
+
+
+class TestStartupErrors:
+    @pytest.mark.parametrize("owned", [False, True],
+                             ids=["caller-store", "owned-store"])
+    def test_port_collision_releases_what_start_acquired(
+        self, table, mirrors, tmp_path, owned
+    ):
+        from repro.service import ServiceStartupError
+
+        (backend,) = mirrors(table, 1, k=K)
+        path = str(tmp_path / "jobs.db")
+        store = None if owned else CrawlStore(path)
+        coordinator = CrawlCoordinator(
+            [backend.url], path if owned else store, port=backend.port
+        )
+        with pytest.raises(ServiceStartupError, match="already in use"):
+            coordinator.start()
+        if owned:
+            with pytest.raises(sqlite3.ProgrammingError):
+                coordinator.store.jobs()
+        else:
+            assert store.observer is None
+            assert not store.jobs()  # the caller's store stays open
+            store.close()
+        assert backend.stats().queries_total == 0
+
+    def test_disagreeing_backends_release_the_port_and_the_store(
+        self, table, mirrors, tmp_path
+    ):
+        from repro.coordinator import EndpointSetError
+
+        (a,) = mirrors(table, 1, k=K)
+        (b,) = mirrors(table, 1, k=K, name="another-db")
+        coordinator = CrawlCoordinator(
+            [a.url, b.url], str(tmp_path / "jobs.db")
+        )
+        with pytest.raises(EndpointSetError, match="disagree"):
+            coordinator.start()
+        with pytest.raises(sqlite3.ProgrammingError):
+            coordinator.store.jobs()
+        # The port was bound before the pool was verified; it is free now.
+        assert coordinator.port != 0
+        with socket.socket() as probe:
+            probe.bind((coordinator.host, coordinator.port))
 
 
 class TestJobLifecycle:

@@ -227,6 +227,67 @@ class TestStatsAndReset:
         assert stats.usage("b").issued == 1
 
 
+#: Query bodies whose shape ``decode_query`` refuses.
+MALFORMED_QUERIES = {
+    "list": [1, 2],
+    "string": "x",
+    "list-ranges": {"ranges": [[0, 1]]},
+    "list-filters": {"filters": ["a"]},
+    "short-range": {"ranges": {"0": [1]}},
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "query", MALFORMED_QUERIES.values(), ids=MALFORMED_QUERIES
+    )
+    def test_malformed_query_is_400_and_unbilled(self, serve, table, query):
+        server = serve(table)
+        with pytest.raises(urllib.error.HTTPError) as err:
+            post(server.url + "/api/query", {"query": query}, api_key="a")
+        assert err.value.code == 400
+        body = json.loads(err.value.read())
+        assert body["error"] == "bad_request"
+        assert body["retriable"] is False
+        assert server.stats().queries_total == 0
+
+    @pytest.mark.parametrize(
+        "query", MALFORMED_QUERIES.values(), ids=MALFORMED_QUERIES
+    )
+    def test_malformed_batch_item_is_400_beside_its_answered_sibling(
+        self, serve, table, query
+    ):
+        server = serve(table, k=2)
+        status, body = post(
+            server.url + "/api/batch",
+            {"items": [
+                {"id": "good", "query": encode_query(Query.select_all())},
+                {"id": "bad", "query": query},
+            ]},
+            api_key="a",
+        )
+        assert status == 200
+        good, bad = body["items"]
+        assert good["status"] == 200
+        assert [row["values"] for row in good["body"]["rows"]] == [
+            [3, 3], [0, 9],
+        ]
+        assert bad["status"] == 400
+        assert bad["body"]["error"] == "bad_request"
+        assert server.stats().usage("a").issued == 1
+
+    @pytest.mark.parametrize("api_key", [{"a": 1}, ["a"], 7])
+    def test_reset_names_a_key_by_string_only(self, serve, table, api_key):
+        server = serve(table)
+        post(server.url + "/api/query", query_payload(Query.select_all()),
+             api_key="a")
+        with pytest.raises(urllib.error.HTTPError) as err:
+            post(server.url + "/api/reset", {"api_key": api_key})
+        assert err.value.code == 400
+        assert json.loads(err.value.read())["error"] == "bad_request"
+        assert server.stats().usage("a").issued == 1
+
+
 class TestStartupErrors:
     def test_port_collision_is_a_clear_startup_error(self, serve, table):
         from repro.service import HiddenDBServer, ServiceStartupError

@@ -249,6 +249,11 @@ class TestServeCommand:
         assert "serving" in out
         assert "http://127.0.0.1:" in out
         assert "served" in out
+        # The endpoint line lists the server's whole route table.
+        for route in ("GET /api/schema", "POST /api/query", "POST /api/batch",
+                      "GET /api/stats", "GET /metrics", "POST /api/mutate",
+                      "POST /api/reset", "GET /healthz"):
+            assert route in out
 
     def test_serve_requires_dataset_or_table_db(self, capsys):
         # --dataset became optional when --table-db arrived, so the
