@@ -185,12 +185,16 @@ class DiscoverySession:
         self._incomplete = False
         self._first_seen: dict[int, TraceEntry] = {}
         self._log: list[QueryResult] = []
-        #: Skyline of the rows folded so far: each distinct vector (in
-        #: coordinate-sum order) with every row carrying it, the vectors as
-        #: a matrix, and the first-seen rows not folded yet.
+        #: Skyline of the rows folded so far: each distinct vector with
+        #: every row carrying it, the vectors as a matrix in coordinate-sum
+        #: order, and the first-seen rows not folded yet.
         self._skyline: dict[tuple[int, ...], list[Row]] = {}
         self._sky_matrix: np.ndarray | None = None
         self._unfolded: list[Row] = []
+        #: Vectors that entered and left the skyline since this session's
+        #: last checkpoint; ``None`` until its first, which stores the
+        #: whole skyline.
+        self._sky_changes: tuple[set, set] | None = None
         self._engine = QueryEngine(interface, strategy=strategy, dedup=dedup)
         # Budget accounting is reservation-based so it stays exact under
         # concurrent dispatch: every transport claims a unit *before* it
@@ -504,17 +508,24 @@ class DiscoverySession:
             return
         self._records_since_checkpoint = 0
         self._fold()
-        skyline = sorted(self._skyline)
-        self._store.save_checkpoint(
-            self._store_session.session_id,
-            {
-                "billed": self.cost,
-                "retrieved": len(self._first_seen),
-                "answers": len(self._log),
-                "skyline_size": len(skyline),
-                "skyline": skyline,
-            },
-        )
+        counters = {
+            "billed": self.cost,
+            "retrieved": len(self._first_seen),
+            "answers": len(self._log),
+            "skyline_size": len(self._skyline),
+        }
+        session_id = self._store_session.session_id
+        if self._sky_changes is None:
+            # This session object's first checkpoint replaces whatever
+            # skyline an earlier incarnation stored.
+            counters["skyline"] = list(self._skyline)
+            self._store.save_checkpoint(session_id, counters)
+        else:
+            entered, left = self._sky_changes
+            self._store.save_checkpoint(
+                session_id, counters, entered=entered, left=left
+            )
+        self._sky_changes = (set(), set())
 
     def finish_store(
         self, result: "DiscoveryResult | SkybandResult"
@@ -576,7 +587,9 @@ class DiscoverySession:
         """Fold the buffered first-seen rows into the maintained skyline.
 
         A row tying a kept vector joins that vector's rows, so the kernel
-        sees each new distinct vector once, however tied the data.
+        sees each new distinct vector once, however tied the data.  Only
+        the vectors that leave or enter the skyline are touched in Python,
+        and a checkpointing session notes them for its next checkpoint.
         """
         fresh: dict[tuple[int, ...], list[Row]] = {}
         for row in self._unfolded:
@@ -589,14 +602,36 @@ class DiscoverySession:
             return
         block = np.array(list(fresh), dtype=np.int64)
         kept = block[:0] if self._sky_matrix is None else self._sky_matrix
-        positions = incremental_skyline_update(kept, block).tolist()
-        groups = [*self._skyline.items(), *fresh.items()]
-        self._skyline = dict(groups[position] for position in positions)
+        positions = incremental_skyline_update(kept, block)
+        size = kept.shape[0]
+        stays = np.zeros(size, dtype=bool)
+        stays[positions[positions < size]] = True
+        left = list(map(tuple, kept[~stays].tolist()))
+        vectors = list(fresh)
+        entered = [
+            vectors[index]
+            for index in (positions[positions >= size] - size).tolist()
+        ]
+        for vector in left:
+            del self._skyline[vector]
+        for vector in entered:
+            self._skyline[vector] = fresh[vector]
         self._sky_matrix = np.concatenate([kept, block])[positions]
+        if self._sky_changes is not None:
+            # A vector that entered since the last checkpoint and left
+            # again leaves ``joined``; deleting it from the store is a no-op.
+            joined, dropped = self._sky_changes
+            joined.difference_update(left)
+            dropped.update(left)
+            joined.update(entered)
 
     def confirmed_skyline(self) -> list[Row]:
-        """Skyline of the tuples retrieved so far."""
-        folded = [row for ties in self._skyline.values() for row in ties]
+        """Skyline of the tuples retrieved so far, folded rows first in
+        the maintained coordinate-sum order."""
+        folded: list[Row] = []
+        if self._sky_matrix is not None:
+            for vector in self._sky_matrix.tolist():
+                folded += self._skyline[tuple(vector)]
         return skyline_of_rows(folded + self._unfolded)
 
     def result(self, algorithm: str, complete: bool = True) -> DiscoveryResult:

@@ -18,8 +18,6 @@ costs so the figures can plot both curves on the same axes.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..hiddendb.attributes import InterfaceKind
 from ..hiddendb.query import Query
 from .base import DiscoverySession
@@ -89,8 +87,14 @@ def _split_region(
         # each side excludes at least part of the returned answer.
         chosen = max(two_ended, key=lambda index: intervals[index].width)
         interval = intervals[chosen]
-        observed = [row.values[chosen] for row in result.rows]
-        pivot = int(np.median(observed))
+        observed = sorted(row.values[chosen] for row in result.rows)
+        middle = len(observed) // 2
+        if len(observed) % 2:
+            pivot = observed[middle]
+        else:
+            # The median's integer part: domain values are non-negative,
+            # so floor division truncates the mean of the middle two.
+            pivot = (observed[middle - 1] + observed[middle]) // 2
         pivot = min(max(pivot, interval.lo), interval.hi - 1)
         left = query.and_upper(chosen, pivot)
         right = query.and_lower(chosen, pivot + 1, sizes[chosen])

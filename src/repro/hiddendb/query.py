@@ -191,19 +191,21 @@ class Query:
 
     def merge(self, other: "Query") -> "Query | None":
         """Conjunction of two queries; ``None`` when unsatisfiable."""
-        merged: "Query | None" = self
+        if not self._ranges and not self._filters:
+            return other
+        ranges = dict(self._ranges)
         for index, interval in other._ranges.items():
-            if merged is None:
-                return None
-            merged = merged._refine(index, interval)
-        if merged is None:
-            return None
-        filters = dict(merged._filters)
+            current = ranges.get(index)
+            if current is not None:
+                interval = current.intersect(interval)
+                if interval is None:
+                    return None
+            ranges[index] = interval
+        filters = dict(self._filters)
         for name, value in other._filters.items():
-            if name in filters and filters[name] != value:
+            if filters.setdefault(name, value) != value:
                 return None
-            filters[name] = value
-        return Query(merged._ranges, filters)
+        return Query(ranges, filters)
 
     # ------------------------------------------------------------------
     # semantics

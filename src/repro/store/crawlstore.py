@@ -13,9 +13,9 @@ makes crawls durable by persisting four things:
   ``EngineStats.ledger_hits``;
 * **session checkpoints** -- periodic snapshots of a
   :class:`~repro.core.base.DiscoverySession`'s progress (cumulative billed
-  queries, retrieved-tuple and skyline-so-far counts).  The billed counter
-  is additionally bumped transactionally with every ledger write, so it is
-  exact even at a ``kill -9``;
+  queries, retrieved-tuple and answer counts, and the skyline so far).
+  The billed counter is additionally bumped transactionally with every
+  ledger write, so it is exact even at a ``kill -9``;
 * the **crawl catalog** -- finished results (algorithm, skyline, cost,
   engine stats), queryable from the CLI via ``repro store ls / show``;
 * the **job catalog** -- the coordinator's durable submission queue
@@ -41,7 +41,7 @@ dataset/k/ranking must never be replayed), and :meth:`CrawlStore.gc`
 prunes registrations whose stored descriptor no longer hashes to their
 fingerprint, superseded same-name registrations, and orphaned rows.
 
-Ledger answers are stored packed (layout version 3, :func:`pack_answer`):
+Ledger answers are stored packed (layout version 3 on, :func:`pack_answer`):
 one little-endian integer array ``[flags, sequence, width]`` followed by
 ``rid`` and the ``width`` values of every row, in int32 when every number
 fits and int64 otherwise.  Bit 0 of ``flags`` is the overflow flag and
@@ -49,8 +49,17 @@ bit 1 marks the int64 form, so the first byte says how to read the rest.
 A read decodes the array with one conversion and builds one ``Row`` per
 distinct packed row per :class:`QueryLedger` view.  Rows are interned by
 their exact bytes, never by rid: an update keeps a tuple's rid while
-changing its values.  Version 1 and 2 files, whose answers are wire-codec
-JSON, migrate in place when opened, in one transaction.
+changing its values.
+
+A checkpoint's skyline lives in the ``checkpoint_skyline`` table (layout
+version 4): one row per session and distinct vector, packed like a ledger
+answer, while the session row keeps only the counters, so the per-answer
+``billed`` update rewrites a small row.  A session's first checkpoint
+replaces its stored vectors; every later one writes the counters and only
+the vectors that entered or left the skyline since, in one transaction.
+Version 1, 2 and 3 files migrate in place when opened, in one
+transaction: v1 and v2 answers are wire-codec JSON, and v3 checkpoints
+hold their skyline as JSON on the session row.
 
 The store is a single SQLite file in WAL mode (durable across ``kill -9``),
 or fully in-memory via :meth:`CrawlStore.memory` for tests.  All operations
@@ -91,8 +100,10 @@ from ..service.wire import (
 #: the freshness plane: per-entry ledger epochs + TTLs, the endpoint
 #: ``data_version`` column and the ``store_meta`` schema-version table.
 #: Version 3 stores each ledger answer as one packed integer array
-#: (:func:`pack_answer`) instead of JSON.
-STORE_VERSION = 3
+#: (:func:`pack_answer`) instead of JSON.  Version 4 moves checkpoint
+#: skylines off the session row into ``checkpoint_skyline``, one packed
+#: vector per row, so a checkpoint writes only the vectors that changed.
+STORE_VERSION = 4
 
 _LEDGER_DDL = """
 CREATE TABLE IF NOT EXISTS ledger (
@@ -105,6 +116,13 @@ CREATE TABLE IF NOT EXISTS ledger (
     expires_at   REAL,
     PRIMARY KEY (fingerprint, qkey)
 )"""
+
+_CHECKPOINT_DDL = """
+CREATE TABLE IF NOT EXISTS checkpoint_skyline (
+    session_id  TEXT NOT NULL,
+    vector      BLOB NOT NULL,
+    PRIMARY KEY (session_id, vector)
+) WITHOUT ROWID"""
 
 _DDL = """
 CREATE TABLE IF NOT EXISTS store_meta (
@@ -134,6 +152,7 @@ CREATE TABLE IF NOT EXISTS sessions (
 );
 CREATE INDEX IF NOT EXISTS sessions_by_endpoint
     ON sessions (fingerprint, algorithm, status, updated_at);
+""" + _CHECKPOINT_DDL + """;
 CREATE TABLE IF NOT EXISTS jobs (
     job_id         TEXT PRIMARY KEY,
     fingerprint    TEXT NOT NULL,
@@ -177,10 +196,31 @@ def pack_answer(
             )
         words.append(row.rid)
         words += row.values
+    return _pack_words(words)
+
+
+def _pack_words(words: list[int]) -> bytes:
+    """``words`` as little-endian int32, or as int64 with :data:`_WIDE`
+    set in the first word when a number does not fit int32."""
     if _INT32_MIN <= min(words) and max(words) <= _INT32_MAX:
         return np.array(words, dtype="<i4").tobytes()
     words[0] |= _WIDE
     return np.array(words, dtype="<i8").tobytes()
+
+
+def _pack_vector(values: Iterable[int]) -> bytes:
+    """One checkpoint skyline vector: a flags word, then the values.
+
+    Packed like a ledger answer (:func:`pack_answer`), so equal vectors
+    always pack to equal bytes, the table's key.
+    """
+    return _pack_words([0, *values])
+
+
+def _unpack_vector(blob: bytes) -> list[int]:
+    """The values of a :func:`_pack_vector` blob."""
+    dtype = "<i8" if blob[0] & _WIDE else "<i4"
+    return np.frombuffer(blob, dtype=dtype).tolist()[1:]
 
 
 def unpack_answer(
@@ -259,9 +299,44 @@ def _pack_json_answers(conn: sqlite3.Connection) -> None:
     conn.execute("DROP TABLE ledger_v2")
 
 
+_INSERT_VECTOR = (
+    "INSERT OR IGNORE INTO checkpoint_skyline (session_id, vector) "
+    "VALUES (?, ?)"
+)
+
+
+def _move_checkpoint_skylines(conn: sqlite3.Connection) -> None:
+    """v3 -> v4: each checkpoint's JSON skyline becomes vector rows.
+
+    The session row keeps the ``skyline`` key, with ``null`` standing in
+    for the rows, so a read returns the keys in their old order.
+    """
+    conn.execute(_CHECKPOINT_DDL)
+    for session_id, checkpoint_json in conn.execute(
+        "SELECT session_id, checkpoint_json FROM sessions"
+    ).fetchall():
+        checkpoint = json.loads(checkpoint_json or "{}")
+        if "skyline" not in checkpoint:
+            continue
+        conn.executemany(
+            _INSERT_VECTOR,
+            ((session_id, _pack_vector(vector))
+             for vector in checkpoint["skyline"]),
+        )
+        checkpoint["skyline"] = None
+        conn.execute(
+            "UPDATE sessions SET checkpoint_json=? WHERE session_id=?",
+            (json.dumps(checkpoint), session_id),
+        )
+
+
 #: In-place migrations, keyed by the on-disk version they upgrade *from*.
 #: Applied in sequence inside the one transaction that opens the store.
-_MIGRATIONS = {1: _add_freshness_columns, 2: _pack_json_answers}
+_MIGRATIONS = {
+    1: _add_freshness_columns,
+    2: _pack_json_answers,
+    3: _move_checkpoint_skylines,
+}
 
 
 #: Lifecycle states of a coordinator discovery job.  ``queued`` and
@@ -959,7 +1034,9 @@ class CrawlStore:
                         status="running",
                         nonce=nonce,
                         billed=int(billed),
-                        checkpoint=json.loads(checkpoint_json),
+                        checkpoint=self._read_checkpoint(
+                            session_id, checkpoint_json
+                        ),
                         created_at=created,
                         updated_at=now,
                         resumed=True,
@@ -986,7 +1063,9 @@ class CrawlStore:
                         status="running",
                         nonce=nonce,
                         billed=int(billed),
-                        checkpoint=json.loads(checkpoint_json),
+                        checkpoint=self._read_checkpoint(
+                            session_id, checkpoint_json
+                        ),
                         created_at=created,
                         updated_at=now,
                         resumed=True,
@@ -1022,15 +1101,62 @@ class CrawlStore:
         )
 
     def save_checkpoint(
-        self, session_id: str, checkpoint: Mapping[str, Any]
+        self,
+        session_id: str,
+        checkpoint: Mapping[str, Any],
+        *,
+        entered: Iterable[Iterable[int]] | None = None,
+        left: Iterable[Iterable[int]] = (),
     ) -> None:
-        """Overwrite a session's progress snapshot."""
+        """Overwrite a session's progress snapshot.
+
+        ``checkpoint`` reads back as saved, except that its ``skyline``
+        entry, a collection of value vectors, is stored as a set and
+        reads back as the sorted list of its distinct vectors.
+
+        A crawl checkpointing again passes only what changed: with
+        ``entered`` given, ``checkpoint`` holds the counters alone, the
+        stored skyline loses ``left`` and gains ``entered`` (the vectors
+        that left and entered it since the session's previous
+        checkpoint), and a read lists it under ``skyline`` after the
+        counters.  Counters and vectors commit in one transaction, so a
+        crash leaves the previous checkpoint whole.
+        """
+        snapshot = dict(checkpoint)
+        whole = entered is None
+        if whole:
+            entered = snapshot.get("skyline") or ()
+        if "skyline" in snapshot or not whole:
+            # The vectors live in checkpoint_skyline; the key keeps its
+            # place among the counters.
+            snapshot["skyline"] = None
         with self._lock:
-            self._conn.execute(
-                "UPDATE sessions SET checkpoint_json=?, updated_at=? "
-                "WHERE session_id=?",
-                (json.dumps(dict(checkpoint)), time.time(), session_id),
-            )
+            self._conn.execute("BEGIN IMMEDIATE")
+            try:
+                self._conn.execute(
+                    "UPDATE sessions SET checkpoint_json=?, updated_at=? "
+                    "WHERE session_id=?",
+                    (json.dumps(snapshot), time.time(), session_id),
+                )
+                if whole:
+                    self._conn.execute(
+                        "DELETE FROM checkpoint_skyline WHERE session_id=?",
+                        (session_id,),
+                    )
+                else:
+                    self._conn.executemany(
+                        "DELETE FROM checkpoint_skyline "
+                        "WHERE session_id=? AND vector=?",
+                        ((session_id, _pack_vector(v)) for v in left),
+                    )
+                self._conn.executemany(
+                    _INSERT_VECTOR,
+                    ((session_id, _pack_vector(v)) for v in entered),
+                )
+                self._conn.execute("COMMIT")
+            except BaseException:
+                self._conn.execute("ROLLBACK")
+                raise
         if self.observer is not None:
             self.observer.store_event("checkpoint", session_id=session_id)
 
@@ -1062,29 +1188,55 @@ class CrawlStore:
 
     def _sessions(self, where: str, params: tuple) -> tuple[SessionRecord, ...]:
         with self._lock:
-            rows = self._conn.execute(
-                "SELECT session_id, fingerprint, algorithm, status, nonce, "
-                "       billed, checkpoint_json, result_json, created_at, "
-                "       updated_at "
-                f"FROM sessions {where} ORDER BY updated_at DESC, rowid DESC",
-                params,
-            ).fetchall()
-        return tuple(
-            SessionRecord(
-                session_id=sid,
-                fingerprint=fp,
-                algorithm=algorithm,
-                status=status,
-                nonce=nonce,
-                billed=int(billed),
-                checkpoint=json.loads(checkpoint_json or "{}"),
-                result=json.loads(result_json) if result_json else None,
-                created_at=created,
-                updated_at=updated,
+            # One read transaction: a checkpoint's counters and vectors
+            # come from the same commit even while another process writes.
+            self._conn.execute("BEGIN")
+            try:
+                rows = self._conn.execute(
+                    "SELECT session_id, fingerprint, algorithm, status, "
+                    "       nonce, billed, checkpoint_json, result_json, "
+                    "       created_at, updated_at "
+                    f"FROM sessions {where} "
+                    "ORDER BY updated_at DESC, rowid DESC",
+                    params,
+                ).fetchall()
+                return tuple(
+                    SessionRecord(
+                        session_id=sid,
+                        fingerprint=fp,
+                        algorithm=algorithm,
+                        status=status,
+                        nonce=nonce,
+                        billed=int(billed),
+                        checkpoint=self._read_checkpoint(
+                            sid, checkpoint_json
+                        ),
+                        result=json.loads(result_json) if result_json else None,
+                        created_at=created,
+                        updated_at=updated,
+                    )
+                    for sid, fp, algorithm, status, nonce, billed,
+                        checkpoint_json, result_json, created, updated in rows
+                )
+            finally:
+                self._conn.execute("COMMIT")
+
+    def _read_checkpoint(
+        self, session_id: str, checkpoint_json: str | None
+    ) -> dict[str, Any]:
+        """A stored checkpoint as saved, its ``skyline`` (if it has one)
+        read from the session's vector rows.  Called under the lock."""
+        checkpoint = json.loads(checkpoint_json or "{}")
+        if "skyline" in checkpoint:
+            checkpoint["skyline"] = sorted(
+                _unpack_vector(vector)
+                for (vector,) in self._conn.execute(
+                    "SELECT vector FROM checkpoint_skyline "
+                    "WHERE session_id=?",
+                    (session_id,),
+                )
             )
-            for sid, fp, algorithm, status, nonce, billed, checkpoint_json,
-                result_json, created, updated in rows
-        )
+        return checkpoint
 
     # ------------------------------------------------------------------
     # job catalog (the coordinator's durable submission queue)
@@ -1311,6 +1463,10 @@ class CrawlStore:
                 "DELETE FROM sessions WHERE fingerprint NOT IN "
                 "(SELECT fingerprint FROM endpoints)"
             ).rowcount
+            self._conn.execute(
+                "DELETE FROM checkpoint_skyline WHERE session_id NOT IN "
+                "(SELECT session_id FROM sessions)"
+            )
             jobs_pruned = self._conn.execute(
                 "DELETE FROM jobs WHERE fingerprint NOT IN "
                 "(SELECT fingerprint FROM endpoints)"

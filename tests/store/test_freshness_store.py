@@ -192,7 +192,7 @@ class TestMigration:
     def test_v1_store_migrates_in_place(self, tmp_path):
         path, fp = self.v1_file(tmp_path)
         with CrawlStore(path) as store:
-            assert store.schema_version() == 3
+            assert store.schema_version() == 4
             row = store._conn.execute(
                 "SELECT value FROM store_meta WHERE key='migrated_from'"
             ).fetchone()
@@ -208,7 +208,7 @@ class TestMigration:
         path, fp = self.v1_file(tmp_path)
         CrawlStore(path).close()
         with CrawlStore(path) as store:
-            assert store.schema_version() == 3
+            assert store.schema_version() == 4
             assert store.ledger_size(fp) == 1
 
     def test_future_version_still_refused(self, tmp_path):

@@ -241,7 +241,7 @@ class TestMigrationFromOldFiles:
         path = tmp_path / f"v{version}.db"
         fp = _write_old(path, version, iface, entries)
         with CrawlStore(path) as store:
-            assert store.schema_version() == STORE_VERSION == 3
+            assert store.schema_version() == STORE_VERSION == 4
             assert store._conn.execute(
                 "SELECT value FROM store_meta WHERE key='migrated_from'"
             ).fetchone() == (str(version),)
@@ -258,7 +258,7 @@ class TestMigrationFromOldFiles:
         assert warm.stats.ledger_hits == len(entries)
         assert warm.skyline == result.skyline
         with CrawlStore(path) as reopened:
-            assert reopened.schema_version() == 3
+            assert reopened.schema_version() == 4
             assert reopened.ledger_size(fp) == len(entries)
 
     @pytest.mark.parametrize("version", [1, 2])
@@ -309,5 +309,5 @@ class TestMigrationFromOldFiles:
         }
         monkeypatch.undo()
         with CrawlStore(path) as store:
-            assert store.schema_version() == 3
+            assert store.schema_version() == 4
             assert _decoded(store.ledger_entries(fp)) == _decoded(entries)
