@@ -266,6 +266,12 @@ def _workers_arg(value: str) -> "int | str":
 
 
 def _discoverer(args, **config_kwargs) -> Discoverer:
+    trace = getattr(args, "trace", None)
+    if trace is not None:
+        # --trace PATH holds this invocation's spans only.  The writers
+        # append (a skyband's subspace sessions and a delta crawl's rounds
+        # share the file), so the file starts empty here, once.
+        open(trace, "w", encoding="utf-8").close()
     return Discoverer(
         DiscoveryConfig(
             budget=args.budget,

@@ -9,26 +9,37 @@ rows (same rows, same order, same overflow flag):
   engine that supports rankers without a query-independent order (the
   per-query-randomised :class:`~repro.hiddendb.ranking.RandomSkylineRanker`).
 * ``rank`` -- the in-memory fast path: the ranker's total order is computed
-  once per bind (one lexsort), the value matrix is copied into rank order,
-  and each query scans that matrix top-down in growing chunks,
-  short-circuiting as soon as ``k`` rows match -- O(rank of the k-th
-  answer) per query instead of O(n) + sort.
+  once per bind (one lexsort) and the value matrix is copied into rank
+  order.  A query either scans that matrix top-down in growing chunks,
+  short-circuiting as soon as ``k`` rows match, or reads the candidates
+  of its most selective predicate from a per-column value index (the
+  column's rank positions grouped by value, built on the first query that
+  constrains the column) and keeps the ``k`` smallest positions that pass
+  the other predicates.  It picks per query, from the candidate counts and
+  the scan's hit rate so far, so a query costs about the smaller of the
+  rank of its ``k``-th answer and its smallest candidate set, instead of
+  O(n) + sort -- and a query matching fewer than ``k`` rows no longer
+  reads the whole table to prove it.
 * ``sqlite`` -- the SQL-native path for :class:`~repro.hiddendb.sqltable.
   SQLTable`: the same total order persisted as an indexed ``rank`` column,
   so top-k compiles to ``SELECT ... WHERE <ranges> ORDER BY rank LIMIT k``
   over a covering index, without ever loading the table into memory.
 
-Identity argument: ``rank`` scans the *exact* permutation
+Identity argument: ``rank`` works in the *exact* permutation
 :meth:`BoundRanker.total_order` produces -- keyed by (primary criterion,
 value vector, row id), the same keys ``top()`` sorts by -- so the first
 ``k`` surviving positions of any filter are precisely ``top(matched, k)``.
-``sqlite`` orders by a persisted copy of that permutation, making it
-identical by construction.
+The index path returns the same positions: every match passes the most
+selective predicate, so it is among that predicate's candidates, and the
+``k`` smallest rank positions among all matches are the scan's first
+``k`` matches.  ``sqlite`` orders by a persisted copy of that
+permutation, making it identical by construction.
 """
 
 from __future__ import annotations
 
 import threading
+from array import array
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -47,6 +58,10 @@ ENGINE_CHOICES = ("auto", "scan", "rank", "sqlite")
 _CHUNK_START = 1024
 _CHUNK_GROWTH = 4
 _CHUNK_CAP = 65536
+#: What answering from one index candidate costs, in rows of the chunk
+#: scan (a gather and a test per other predicate, then a partial sort,
+#: against one contiguous test per predicate).
+_CANDIDATE_COST = 4
 
 
 @runtime_checkable
@@ -132,20 +147,72 @@ class _ScanEngine:
         return table.rows(top)
 
 
-class _RankState:
-    """One immutable build of the rank-sorted serving state."""
+class _ValueIndex:
+    """One column's rank positions, grouped by value.
 
-    __slots__ = ("combined", "columns", "filters", "maxes")
+    ``positions`` lists every rank position sorted by the column's value
+    and, within one value, ascending (a stable argsort), as int32 (an
+    in-memory table has fewer than 2**31 rows).
+    ``offsets[v - lowest]`` is where value ``v``'s positions start, so the
+    rows valued in ``[lo, hi]`` are ``positions[offsets[lo - lowest]:
+    offsets[hi + 1 - lowest]]`` and a predicate's candidate count is two
+    array lookups.  The offsets cover the attribute's domain (widened to
+    any out-of-domain value a filter column carries), not a sorted copy
+    of the values.
+    """
+
+    __slots__ = ("positions", "offsets", "lowest", "highest")
+
+    def __init__(self, column: np.ndarray, highest: int) -> None:
+        lowest = 0
+        if column.size:
+            lowest = min(lowest, int(column.min()))
+            highest = max(highest, int(column.max()))
+        keys = column - lowest
+        ends = np.cumsum(np.bincount(keys, minlength=highest - lowest + 1))
+        self.offsets = array("i", [0])
+        self.offsets.extend(ends.tolist())
+        if highest - lowest < 1 << 16:
+            keys = keys.astype(np.uint16)  # a stable uint16 sort is radix
+        self.positions = np.argsort(keys, kind="stable").astype(np.int32)
+        self.lowest = lowest
+        self.highest = highest
+
+    def span(self, lo: int, hi: int) -> tuple[int, int]:
+        """``(start, stop)``: ``positions[start:stop]`` are the rows valued
+        in ``[lo, hi]``, clamped to the values the index covers."""
+        if lo < self.lowest:
+            lo = self.lowest
+        if hi > self.highest:
+            hi = self.highest
+        if lo > hi:
+            return 0, 0
+        offsets = self.offsets
+        return offsets[lo - self.lowest], offsets[hi + 1 - self.lowest]
+
+
+class _RankState:
+    """One immutable build of the rank-sorted serving state.
+
+    ``indexes`` is the one part filled in later: a column's
+    :class:`_ValueIndex` (keyed by ranking-attribute index or filter
+    name) is built on the first query that constrains that column and
+    published whole, so a reader sees a finished index or none.  A
+    ``data_version`` bump builds a new state, and with it new indexes.
+    """
+
+    __slots__ = ("combined", "columns", "filters", "maxes", "indexes")
 
     def __init__(self, combined, columns, filters, maxes) -> None:
         self.combined = combined
         self.columns = columns
         self.filters = filters
         self.maxes = maxes
+        self.indexes: dict[int | str, _ValueIndex] = {}
 
 
 class _RankEngine:
-    """Rank-ordered scan: short-circuit after ``k`` matches.
+    """Rank-ordered scan or value index, whichever reads fewer rows.
 
     The rank-sorted state (order permutation, reordered value matrix and
     filter columns) is built lazily on the first query and shared by all
@@ -155,6 +222,27 @@ class _RankEngine:
     the next query rebinds and rebuilds the whole state under the build
     lock; the state is published as one immutable object, so a racing
     reader serves a coherent (possibly one-version-stale) order.
+
+    A query is answered one of two ways, both returning the first ``k``
+    matching rank positions:
+
+    * the **chunk scan** reads the rank order top-down in growing chunks
+      and stops at the ``k``-th match -- cheap when that match sits near
+      the top;
+    * the **index path** takes the candidates of the query's most
+      selective predicate from that column's :class:`_ValueIndex`, keeps
+      those that pass the other predicates and returns the ``k`` smallest
+      positions.  The ``k`` smallest rank positions among all matches are
+      the scan's first ``k`` matches, so both paths answer identically.
+
+    The engine picks per query, from what it observes: every predicate's
+    candidate count (two array lookups), and the hit rate of the chunks
+    scanned so far.  A query whose fewest candidates fit in the first
+    chunk goes straight to the index; otherwise it scans, and switches
+    to the index as soon as the candidates cost less than the rows its
+    hit rate says are still to read.  A query costs the smaller of the
+    rank of its ``k``-th answer and its smallest candidate set, instead
+    of the whole table for one that matches fewer than ``k`` rows.
     """
 
     label = "rank"
@@ -216,13 +304,29 @@ class _RankEngine:
                     self._state = state
         return state
 
+    def _value_index(self, state: _RankState, key: int | str) -> _ValueIndex:
+        with self._build_lock:
+            index = state.indexes.get(key)
+            if index is None:
+                if isinstance(key, str):
+                    declared = self._view.schema[key].max_value
+                    index = _ValueIndex(state.filters[key], declared)
+                else:
+                    index = _ValueIndex(state.columns[key], state.maxes[key])
+                state.indexes[key] = index
+        return index
+
     def top_rows(self, query: Query, k: int) -> tuple[Row, ...]:
         state = self._ensure_built()
         combined = state.combined
         n = combined.shape[0]
-        # Compile the query into (column, lo, hi) tests, dropping bounds
-        # that cannot exclude anything (the common select-all envelope).
-        tests: list[tuple[np.ndarray, int, int]] = []
+        indexes = state.indexes
+        # Compile the query into (column, lo, hi, index) tests, dropping
+        # bounds that cannot exclude anything (the common select-all
+        # envelope), and find the test with the fewest candidates.
+        tests: list[tuple[np.ndarray, int, int, _ValueIndex]] = []
+        fewest = n + 1
+        best = 0
         ranges = query.ranges
         if ranges:
             columns = state.columns
@@ -230,21 +334,47 @@ class _RankEngine:
             for index, interval in ranges.items():
                 lo = interval.lo
                 hi = interval.hi
-                if lo > 0 or hi < maxes[index]:
-                    tests.append((columns[index], lo, hi))
+                top = maxes[index]
+                if lo > 0 or hi < top:
+                    value_index = (
+                        indexes.get(index) or self._value_index(state, index)
+                    )
+                    if lo >= 0 and hi <= top:
+                        # Ranking values lie in [0, top], so the offsets
+                        # start at value 0: no clamping inside the domain.
+                        offsets = value_index.offsets
+                        count = offsets[hi + 1] - offsets[lo]
+                    else:
+                        start, stop = value_index.span(lo, hi)
+                        count = stop - start
+                    if count < fewest:
+                        fewest = count
+                        best = len(tests)
+                    tests.append((columns[index], lo, hi, value_index))
         filters = query.filters
         if filters:
             for name, value in filters.items():
                 column = state.filters.get(name)
                 if column is None:
                     raise UnknownAttributeError(f"no filter column {name!r}")
-                tests.append((column, value, value))
+                value_index = (
+                    indexes.get(name) or self._value_index(state, name)
+                )
+                start, stop = value_index.span(value, value)
+                if stop - start < fewest:
+                    fewest = stop - start
+                    best = len(tests)
+                tests.append((column, value, value, value_index))
 
         if not tests:  # unconstrained: the top-k is rows 0..k
             count = k if k < n else n
             return self._materialize(
                 combined, np.arange(count, dtype=np.intp)
             )
+        if fewest == 0:  # some predicate matches no row at all
+            return ()
+        if fewest <= _CHUNK_START:
+            return self._from_index(combined, tests, best, k)
 
         first = tests[0]
         rest = tests[1:]
@@ -252,18 +382,18 @@ class _RankEngine:
         found = 0
         start = 0
         chunk = _CHUNK_START
-        while start < n and found < k:
+        while True:
             stop = start + chunk
             if stop > n:
                 stop = n
-            column, lo, hi = first
+            column, lo, hi, _ = first
             segment = column[start:stop]
             if lo == hi:  # point constraint (SQ/PQ probes, filters)
                 mask = segment == lo
             else:
                 mask = segment >= lo
                 mask &= segment <= hi
-            for column, lo, hi in rest:
+            for column, lo, hi, _ in rest:
                 segment = column[start:stop]
                 if lo == hi:
                     mask &= segment == lo
@@ -281,11 +411,49 @@ class _RankEngine:
                 )
                 found += matched.size
             start = stop
+            if found >= k or start == n:
+                break
+            # Rows still to read at the hit rate seen so far (at least
+            # one hit's worth), against what the candidates cost.
+            left = (k - found) * start // (found or 1)
+            if left > n - start:
+                left = n - start
+            if fewest * _CANDIDATE_COST < left:
+                return self._from_index(combined, tests, best, k)
             if chunk < _CHUNK_CAP:
                 chunk = min(chunk * _CHUNK_GROWTH, _CHUNK_CAP)
         if positions is None:
             return ()
         return self._materialize(combined, positions[:k])
+
+    def _from_index(
+        self,
+        combined: np.ndarray,
+        tests: list[tuple[np.ndarray, int, int, _ValueIndex]],
+        best: int,
+        k: int,
+    ) -> tuple[Row, ...]:
+        """The first ``k`` matches, from the candidates of ``tests[best]``."""
+        _, best_lo, best_hi, value_index = tests[best]
+        start, stop = value_index.span(best_lo, best_hi)
+        # One conversion up front: a gather with int32 indices converts
+        # them again on every call.
+        rows = value_index.positions[start:stop].astype(np.intp)
+        for position, (column, lo, hi, _) in enumerate(tests):
+            if position == best:
+                continue
+            values = column[rows]  # a fresh int64 array, ours to modify
+            if lo == hi:
+                keep = values == lo
+            else:  # lo <= v <= hi as one unsigned test on v - lo
+                values -= lo
+                keep = values.view(np.uint64) <= hi - lo
+            rows = rows[keep]
+        if best_lo != best_hi:  # ascending only within each value
+            if rows.size > 64 * k:  # a partition pays off only well past k
+                rows = np.partition(rows, k - 1)[:k]
+            rows.sort()
+        return self._materialize(combined, rows[:k])
 
     def _materialize(
         self, combined: np.ndarray, positions: np.ndarray

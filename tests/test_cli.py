@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import DATASETS, build_parser, main
@@ -117,6 +119,19 @@ class TestDiscoverCommand:
             build_parser().parse_args(
                 ["discover", "--dataset", "uniform", "--strategy", "warp"]
             )
+
+    def test_trace_file_holds_one_run(self, tmp_path, capsys):
+        # --trace PATH starts a fresh file on every invocation: two runs
+        # into one path leave one run's billed spans, not both runs'.
+        trace = tmp_path / "t.jsonl"
+        args = ["discover", "--dataset", "uniform", "--n", "500", "--k",
+                "10", "--trace", str(trace)]
+        assert main(args) == 0
+        assert main(args) == 0
+        lines = trace.read_text(encoding="utf-8").splitlines()
+        billed = sum(json.loads(line)["phase"] == "billed" for line in lines)
+        assert billed > 0
+        assert f"queries    : {billed}\n" in capsys.readouterr().out
 
 
 class TestSkybandCommand:
