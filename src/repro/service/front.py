@@ -1,38 +1,64 @@
 """One JSON-over-HTTP front for the repro daemons.
 
-:class:`JsonHttpFront` is the stdlib HTTP plumbing that
+:class:`JsonHttpFront` is the HTTP plumbing that
 :class:`~repro.service.server.HiddenDBServer` and
-:class:`~repro.coordinator.CrawlCoordinator` share: binding, the serving
-thread, lifecycle, request-body framing and JSON parsing, error replies,
-per-request accounting, the access log and ``/metrics``.  A daemon is a
-subclass that supplies its route table, handlers and views.
+:class:`~repro.coordinator.CrawlCoordinator` share: binding, a thread per
+connection, lifecycle, reading requests and writing replies, JSON
+parsing, error replies, per-request accounting, the access log and
+``/metrics``.  A daemon is a subclass that supplies its route table,
+handlers and views.
 
 A route maps ``(method, path)`` to a handler that takes a
 :class:`Request` and returns ``(status, body, headers)``: a ``dict`` body
 is sent as JSON, a ``str`` body as text under the ``Content-Type`` its
 headers name.  A path ending in ``/:id`` matches one trailing segment.
-Every declared body is read before routing, so a keep-alive connection
-stays framed whatever the route does with it.  The front answers a
-``Content-Length`` that is not a decimal (closing the connection) or a
-POST body that is not a JSON object with 400 ``bad_request``, an unknown
-route with 404 ``not_found``, and anything a handler raises with 500
-``internal_error``, logged once with its traceback; all three carry
-``{"error", "message"?, "retriable": false}``.  Metrics label a request
-by its matched route, and every unmatched request by the one
-:data:`UNMATCHED_ROUTE`, so junk paths cannot grow the exposition.
+The front answers a POST body that is not a JSON object with 400
+``bad_request``, an unknown route with 404 ``not_found``, and anything a
+handler raises with 500 ``internal_error``, logged once with its
+traceback; all carry ``{"error", "message"?, "retriable": false}``.
+Metrics label a request by its matched route, and every unmatched
+request by the one :data:`UNMATCHED_ROUTE`, so junk paths cannot grow
+the exposition.
+
+The front reads requests (:func:`read_request`) and writes replies, each
+in one ``sendall``, itself.  It speaks the HTTP/1.1 its clients use:
+
+* ``GET``, ``POST`` and ``DELETE`` in ``HTTP/1.1`` or ``HTTP/1.0``;
+  header names match in any case, and a repeated header keeps its first
+  value;
+* keep-alive by default on 1.1.  ``Connection: close``, or 1.0 without
+  ``Connection: keep-alive``, closes the connection after the reply.
+  Requests sent back to back are answered in order;
+* an interim ``100 Continue`` for ``Expect: 100-continue`` on 1.1;
+* bodies framed by ``Content-Length`` alone, each read whole before
+  routing, so a keep-alive connection stays framed whatever the route
+  does with it.
+
+It refuses anything else with the one error shape, its ``error`` the
+status name (``bad_request``), and closes the connection: a malformed
+request or header line (400), another method (501) or version (505), a
+request line over :data:`MAX_LINE` bytes (414), a header line over it or
+more than :data:`MAX_HEADERS` headers (431), a ``Content-Length`` that
+is not a non-negative decimal or appears twice (400), any
+``Transfer-Encoding`` (501: its body cannot be framed), and a request
+that ends before its headers or its ``Content-Length`` bytes do (400,
+with no handler run).
 """
 
 from __future__ import annotations
 
+import email.utils
 import errno
+import functools
 import json
 import logging
 import socket
+import socketserver
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Mapping, NamedTuple
+from http import HTTPStatus
+from typing import IO, Any, Callable, Mapping, NamedTuple
 
 from ..hiddendb.errors import HiddenDBError
 from ..obs import MetricsRegistry, render_prometheus
@@ -41,8 +67,22 @@ from ..obs.exposition import CONTENT_TYPE as METRICS_CONTENT_TYPE
 #: Route label of every request that no route matched.
 UNMATCHED_ROUTE = "unmatched"
 
+#: Longest request line or header line, in bytes, and most header lines
+#: in one request: the limits ``http.server`` enforces.
+MAX_LINE = 65536
+MAX_HEADERS = 100
+
 #: What a handler returns: ``(status, body, headers)``.
 Reply = tuple[int, dict[str, Any] | str, Mapping[str, str]]
+
+_METHODS = frozenset({"GET", "POST", "DELETE"})
+_VERSIONS = frozenset({"HTTP/1.1", "HTTP/1.0"})
+#: Interim reply to ``Expect: 100-continue``.
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+_STATUS_LINES = {
+    status.value: f"HTTP/1.1 {status.value} {status.phrase}\r\n"
+    for status in HTTPStatus
+}
 
 
 class ServiceStartupError(HiddenDBError):
@@ -54,11 +94,11 @@ class ServiceStartupError(HiddenDBError):
 
 
 class Request(NamedTuple):
-    """What a handler sees of a request: its headers, the JSON object body
-    of a POST (``{}`` for other methods) and the segment a trailing
-    ``/:id`` matched (``None`` for other routes)."""
+    """What a handler sees of a request: its headers keyed by lower-cased
+    name, the JSON object body of a POST (``{}`` for other methods) and
+    the segment a trailing ``/:id`` matched (``None`` for other routes)."""
 
-    headers: Any
+    headers: dict[str, str]
     payload: dict[str, Any]
     param: str | None
 
@@ -76,8 +116,103 @@ def error_reply(status: int, error: str, message: str | None = None) -> Reply:
     return status, body, {}
 
 
-class _QuietThreadingHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer tuned for crawler traffic.
+class HttpRequest(NamedTuple):
+    """One request as :func:`read_request` read it off the wire."""
+
+    method: str
+    path: str
+    version: str
+    #: Header values keyed by lower-cased name.
+    headers: dict[str, str]
+    body: bytes
+    #: Whether the connection stays open after the reply.
+    keep_alive: bool
+
+
+class HttpRefusal(Exception):
+    """A request outside the subset the front speaks: it is answered with
+    ``status`` and the one error shape, then the connection closes."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def read_request(
+    rfile: IO[bytes], send_continue: Callable[[], object] | None = None
+) -> HttpRequest | None:
+    """Read one request off ``rfile``, a buffered binary stream.
+
+    Returns ``None`` when the stream ends before a request starts, and
+    raises :class:`HttpRefusal` for anything outside the subset the
+    module docstring lists.  ``send_continue`` is called before the body
+    of an ``HTTP/1.1`` request that carries ``Expect: 100-continue``.
+    """
+    line = rfile.readline(MAX_LINE + 1)
+    if not line:
+        return None
+    if len(line) > MAX_LINE:
+        raise HttpRefusal(414, f"request line over {MAX_LINE} bytes")
+    words = line.decode("latin-1").split()
+    if len(words) != 3 or not (
+        line.endswith(b"\n") and words[2].startswith("HTTP/")
+    ):
+        raise HttpRefusal(400, f"malformed request line {line[:80]!r}")
+    method, path, version = words
+    if version not in _VERSIONS:
+        raise HttpRefusal(505, f"unsupported version {version[:20]!r}")
+    if method not in _METHODS:
+        raise HttpRefusal(501, f"unsupported method {method[:20]!r}")
+    headers: dict[str, str] = {}
+    count = 0
+    while True:
+        line = rfile.readline(MAX_LINE + 1)
+        if line == b"\r\n" or line == b"\n":
+            break
+        if len(line) > MAX_LINE:
+            raise HttpRefusal(431, f"header line over {MAX_LINE} bytes")
+        if not line.endswith(b"\n"):
+            raise HttpRefusal(400, "request ended inside its headers")
+        count += 1
+        if count > MAX_HEADERS:
+            raise HttpRefusal(431, f"more than {MAX_HEADERS} headers")
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon or not name or name != name.strip():
+            raise HttpRefusal(400, f"malformed header line {line[:80]!r}")
+        name = name.lower()
+        if name not in headers:
+            headers[name] = value.strip()
+        elif name == "content-length":
+            raise HttpRefusal(400, "Content-Length appears twice")
+    if "transfer-encoding" in headers:
+        raise HttpRefusal(501, "Transfer-Encoding is not supported")
+    declared = headers.get("content-length", "0")
+    if not (declared.isascii() and declared.isdigit()):
+        # Refused before any of the body is read: ``int()`` would raise
+        # on ``abc``, and ``read(-1)`` would hold the thread until the
+        # client hangs up.
+        raise HttpRefusal(400, f"invalid Content-Length {declared!r}")
+    if (
+        send_continue is not None
+        and version == "HTTP/1.1"
+        and headers.get("expect", "").lower() == "100-continue"
+    ):
+        send_continue()
+    length = int(declared)
+    body = rfile.read(length) if length else b""
+    if len(body) < length:
+        raise HttpRefusal(400, f"body ended at {len(body)} of {length} bytes")
+    connection = headers.get("connection", "").lower()
+    if version == "HTTP/1.1":
+        keep_alive = connection != "close"
+    else:
+        keep_alive = connection == "keep-alive"
+    return HttpRequest(method, path, version, headers, body, keep_alive)
+
+
+class _FrontServer(socketserver.ThreadingTCPServer):
+    """The listening socket of a :class:`JsonHttpFront`, tuned for crawler
+    traffic; each connection is served by the front in its own thread.
 
     * no tracebacks on client disconnects: a crawler that is killed (or
       times out) mid-request resets its sockets; the stdlib default
@@ -86,15 +221,22 @@ class _QuietThreadingHTTPServer(ThreadingHTTPServer):
       SIGKILL clients on purpose -- so they are logged at debug level;
     * a deep listen backlog (``request_queue_size``): wide-window async
       clients open dozens to hundreds of connections in one burst, and
-      the stdlib default backlog of 5 would refuse the overflow
-      (handler threads are already daemonic via the stdlib base class);
+      the stdlib default backlog of 5 would refuse the overflow;
+    * daemonic connection threads, which never hold up interpreter exit;
     * an immediate :meth:`shutdown` (see there).
     """
 
+    allow_reuse_address = True
+    daemon_threads = True
     #: Listen backlog -- sized for a wide-window async client's connect burst.
     request_queue_size = 128
-    #: The front whose routes the handlers serve.
-    front: "JsonHttpFront"
+
+    def __init__(self, address: tuple[str, int], front: JsonHttpFront) -> None:
+        self.front = front
+        super().__init__(address, None)
+
+    def finish_request(self, request, client_address) -> None:  # noqa: D102
+        self.front._serve_connection(request, client_address)
 
     def shutdown(self) -> None:
         """Stop ``serve_forever`` now rather than at its next poll.
@@ -122,90 +264,6 @@ class _QuietThreadingHTTPServer(ThreadingHTTPServer):
         super().handle_error(request, client_address)
 
 
-class _FrontHandler(BaseHTTPRequestHandler):
-    """Serves each request through its server's :class:`JsonHttpFront`."""
-
-    protocol_version = "HTTP/1.1"
-    # Small request/response pairs over keep-alive connections stall on
-    # Nagle + delayed ACK; send responses immediately.
-    disable_nagle_algorithm = True
-    # The stdlib logs a malformed request line before it parses any
-    # headers; until then ``log_message`` reads this ``None``.
-    headers = None
-
-    def _dispatch(self) -> None:
-        front = self.server.front
-        handler, route, param = front._match(self.command, self.path)
-        front._m_inflight.inc()
-        started = time.monotonic()
-        try:
-            self._reply(*self._handle(handler, param))
-        finally:
-            front._m_inflight.dec()
-            front._account(route, self.headers, time.monotonic() - started)
-
-    do_GET = do_POST = do_DELETE = _dispatch  # noqa: N815 (stdlib naming)
-
-    def _handle(self, handler: Handler | None, param: str | None) -> Reply:
-        # A Content-Length that is not a non-negative decimal is refused
-        # before any of the body is read: ``int()`` would raise on ``abc``,
-        # and ``rfile.read(-1)`` would hold the thread until the client
-        # hangs up.
-        declared = (self.headers.get("Content-Length") or "0").strip()
-        if not (declared.isascii() and declared.isdigit()):
-            self.close_connection = True
-            return error_reply(
-                400, "bad_request", f"invalid Content-Length {declared!r}"
-            )
-        raw = self.rfile.read(int(declared))
-        if handler is None:
-            return error_reply(404, "not_found")
-        payload: Any = {}
-        if self.command == "POST":
-            try:
-                payload = json.loads(raw.decode("utf-8") or "{}")
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                payload = None
-            if not isinstance(payload, dict):
-                return error_reply(400, "bad_request", "invalid JSON body")
-        try:
-            return handler(Request(self.headers, payload, param))
-        except Exception as exc:  # noqa: BLE001 - one request, not the daemon
-            self.server.front._log.exception(
-                "%s %s failed", self.command, self.path
-            )
-            return error_reply(
-                500, "internal_error", f"{type(exc).__name__}: {exc}"
-            )
-
-    def _reply(
-        self, status: int, body: Any, headers: Mapping[str, str]
-    ) -> None:
-        self.send_response(status)
-        if isinstance(body, str):
-            encoded = body.encode("utf-8")
-        else:
-            encoded = json.dumps(body).encode("utf-8")
-            self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(encoded)))
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(encoded)
-
-    def log_message(self, format: str, *args: Any) -> None:
-        log = self.server.front._log
-        if not log.isEnabledFor(logging.DEBUG):
-            return
-        line = format % args
-        # Client-propagated trace ids make access-log lines joinable
-        # with the crawl-side JSONL spans for the same logical query.
-        trace_id = self.headers.get("X-Trace-Id") if self.headers else None
-        if trace_id:
-            line += f" trace={trace_id}"
-        log.debug("%s %s", self.address_string(), line)
-
-
 class JsonHttpFront:
     """Lifecycle, routing and accounting of one JSON-over-HTTP daemon.
 
@@ -223,10 +281,13 @@ class JsonHttpFront:
         self._host = host
         self._requested_port = port
         self._bound_port: int | None = None
-        self._httpd: _QuietThreadingHTTPServer | None = None
+        self._httpd: _FrontServer | None = None
         self._thread: threading.Thread | None = None
         self._started: float | None = None
         self._log = log
+        # ``(second, "Date: ...\r\n")``: replies share one formatting a
+        # second.
+        self._date_line = (-1, "")
         # Per-instance observability scope, scraped at /metrics.
         self._metrics = MetricsRegistry()
         self._m_inflight = self._metrics.gauge(
@@ -243,8 +304,11 @@ class JsonHttpFront:
         """Acquire what the routes need: runs once the socket is bound,
         before the first request is served."""
 
-    def _account(self, route: str, headers: Any, elapsed: float) -> None:
-        """Record one answered request (called from handler threads)."""
+    def _account(
+        self, route: str, headers: Mapping[str, str], elapsed: float
+    ) -> None:
+        """Record one answered request (called from connection threads):
+        ``elapsed`` runs from the route match to the reply written."""
 
     def start(self) -> "JsonHttpFront":
         """Bind the socket, :meth:`_open`, and serve from a daemon thread.
@@ -271,10 +335,10 @@ class JsonHttpFront:
         self._thread.start()
         return self
 
-    def _bind(self) -> _QuietThreadingHTTPServer:
+    def _bind(self) -> _FrontServer:
         address = (self._host, self._requested_port)
         try:
-            httpd = _QuietThreadingHTTPServer(address, _FrontHandler)
+            return _FrontServer(address, self)
         except OSError as exc:
             if exc.errno not in (errno.EADDRINUSE, errno.EACCES):
                 raise
@@ -288,8 +352,6 @@ class JsonHttpFront:
                 f"{reason}; pick another --port (0 chooses a free one) "
                 f"or stop the process bound to it"
             ) from None
-        httpd.front = self
-        return httpd
 
     def stop(self) -> None:
         """Stop serving and release the socket (idempotent)."""
@@ -382,13 +444,119 @@ class JsonHttpFront:
             return self._routes[method, path], path, None
         return None, UNMATCHED_ROUTE, None
 
+    # ------------------------------------------------------------------
+    # connections (each served in its own thread)
+    # ------------------------------------------------------------------
+    def _serve_connection(
+        self, sock: socket.socket, client: tuple[str, int]
+    ) -> None:
+        """Answer the requests of one connection in order until it closes."""
+        # Small request/response pairs over keep-alive connections stall
+        # on Nagle + delayed ACK; send replies immediately.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+        send_continue = functools.partial(sock.sendall, _CONTINUE)
+        with sock.makefile("rb") as rfile:
+            while True:
+                try:
+                    request = read_request(rfile, send_continue)
+                except HttpRefusal as refusal:
+                    status = refusal.status
+                    self._log.debug("%s refused: %s", client[0], refusal)
+                    error = HTTPStatus(status).name.lower()
+                    reply = error_reply(status, error, str(refusal))
+                    sock.sendall(self._encode(reply, close=True))
+                    return
+                if request is None:
+                    return
+                self._serve(sock, client[0], request)
+                if not request.keep_alive:
+                    return
+
+    def _serve(
+        self, sock: socket.socket, host: str, request: HttpRequest
+    ) -> None:
+        handler, route, param = self._match(request.method, request.path)
+        self._m_inflight.inc()
+        started = time.monotonic()
+        try:
+            reply = self._handle(handler, request, param)
+            if self._log.isEnabledFor(logging.DEBUG):
+                # Client-propagated trace ids make access-log lines
+                # joinable with the crawl-side spans.  The line precedes
+                # the reply, so it is out once the client has its answer.
+                trace_id = request.headers.get("x-trace-id")
+                self._log.debug(
+                    '%s "%s %s %s" %d%s', host, request.method, request.path,
+                    request.version, reply[0],
+                    f" trace={trace_id}" if trace_id else "",
+                )
+            sock.sendall(self._encode(reply, close=not request.keep_alive))
+        finally:
+            self._m_inflight.dec()
+            self._account(route, request.headers, time.monotonic() - started)
+
+    def _handle(
+        self, handler: Handler | None, request: HttpRequest, param: str | None
+    ) -> Reply:
+        if handler is None:
+            return error_reply(404, "not_found")
+        payload: Any = {}
+        if request.method == "POST":
+            try:
+                payload = json.loads(request.body.decode("utf-8") or "{}")
+            except (UnicodeDecodeError, json.JSONDecodeError):
+                payload = None
+            if not isinstance(payload, dict):
+                return error_reply(400, "bad_request", "invalid JSON body")
+        try:
+            return handler(Request(request.headers, payload, param))
+        except Exception as exc:  # noqa: BLE001 - one request, not the daemon
+            self._log.exception("%s %s failed", request.method, request.path)
+            return error_reply(
+                500, "internal_error", f"{type(exc).__name__}: {exc}"
+            )
+
+    def _encode(self, reply: Reply, close: bool) -> bytes:
+        """Status line, headers and body of one reply, as one buffer."""
+        status, body, headers = reply
+        if isinstance(body, str):
+            payload = body.encode("utf-8")
+            kind = ""
+        else:
+            payload = json.dumps(body).encode("utf-8")
+            kind = "Content-Type: application/json\r\n"
+        status_line = _STATUS_LINES.get(status) or f"HTTP/1.1 {status} \r\n"
+        head = (
+            f"{status_line}{self._date()}{kind}"
+            f"Content-Length: {len(payload)}\r\n"
+        )
+        for name, value in headers.items():
+            head += f"{name}: {value}\r\n"
+        if close:
+            head += "Connection: close\r\n"
+        return (head + "\r\n").encode("latin-1") + payload
+
+    def _date(self) -> str:
+        """The ``Date`` header line, formatted at most once a second."""
+        now = int(time.time())
+        second, line = self._date_line
+        if second != now:
+            line = f"Date: {email.utils.formatdate(now, usegmt=True)}\r\n"
+            self._date_line = (now, line)
+        return line
+
 
 __all__ = [
     "Handler",
+    "HttpRefusal",
+    "HttpRequest",
     "JsonHttpFront",
+    "MAX_HEADERS",
+    "MAX_LINE",
     "Reply",
     "Request",
     "ServiceStartupError",
     "UNMATCHED_ROUTE",
     "error_reply",
+    "read_request",
 ]

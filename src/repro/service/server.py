@@ -483,7 +483,7 @@ class HiddenDBServer(JsonHttpFront):
         return {
             ("GET", "/api/schema"): lambda r: self._handle_schema(),
             ("POST", "/api/query"): lambda r: self._handle_query(
-                r.payload, _api_key(r.headers), r.headers.get("X-Request-Id")
+                r.payload, _api_key(r.headers), r.headers.get("x-request-id")
             ),
             ("POST", "/api/batch"): lambda r: self._handle_batch(
                 r.payload, _api_key(r.headers)
@@ -808,7 +808,7 @@ class HiddenDBServer(JsonHttpFront):
                     {"Retry-After": "0"},
                 )
         try:
-            query = decode_query(payload.get("query") or {})
+            query = decode_query(payload.get("query"))
         except (KeyError, TypeError, ValueError) as exc:
             return error_reply(400, "bad_request", str(exc))
         if self._validate:
@@ -856,9 +856,9 @@ class HiddenDBServer(JsonHttpFront):
         )
 
 
-def _api_key(headers: Any) -> str:
+def _api_key(headers: Mapping[str, str]) -> str:
     """The billing identity a request names (``X-Api-Key``)."""
-    return headers.get("X-Api-Key") or ANONYMOUS_KEY
+    return headers.get("x-api-key") or ANONYMOUS_KEY
 
 
 __all__ = [

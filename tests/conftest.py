@@ -387,15 +387,23 @@ def post_raw_content_length(
         return response.status, json.loads(response.read())
 
 
-def raw_exchange(url: str, data: bytes, timeout: float = 5.0) -> bytes:
+def raw_exchange(
+    url: str, data: bytes, timeout: float = 5.0, half_close: bool = False
+) -> bytes:
     """Send ``data`` on a fresh connection to ``url``'s host; returns every
-    byte received until the server closes the connection."""
+    byte received until the server closes the connection.
+
+    ``half_close`` shuts the sending side down after ``data``, as a client
+    that dies mid-request does: the server sees the end of the stream.
+    """
     parts = urllib.parse.urlsplit(url)
     received = b""
     with socket.create_connection(
         (parts.hostname, parts.port), timeout=timeout
     ) as sock:
         sock.sendall(data)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
         try:
             while chunk := sock.recv(65536):
                 received += chunk

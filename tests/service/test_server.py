@@ -288,6 +288,53 @@ class TestMalformedInput:
         assert server.stats().usage("a").issued == 1
 
 
+#: Where a request leaves out its query object.
+MISSING_QUERIES = {"absent": {}, "null": {"query": None}}
+
+
+class TestMissingQuery:
+    """A query object is required: none is not ``*`` (select_all)."""
+
+    @pytest.mark.parametrize(
+        "payload", MISSING_QUERIES.values(), ids=MISSING_QUERIES
+    )
+    def test_query_without_its_object_is_400_and_unbilled(
+        self, serve, table, payload
+    ):
+        server = serve(table)
+        with pytest.raises(urllib.error.HTTPError) as err:
+            post(server.url + "/api/query", payload, api_key="a")
+        assert err.value.code == 400
+        assert json.loads(err.value.read()) == {
+            "error": "bad_request",
+            "message": "query must be a JSON object",
+            "retriable": False,
+        }
+        assert server.stats().queries_total == 0
+
+    @pytest.mark.parametrize(
+        "payload", MISSING_QUERIES.values(), ids=MISSING_QUERIES
+    )
+    def test_batch_item_without_its_query_is_400_beside_its_sibling(
+        self, serve, table, payload
+    ):
+        server = serve(table, k=2)
+        status, body = post(
+            server.url + "/api/batch",
+            {"items": [
+                {"id": "good", "query": encode_query(Query.select_all())},
+                {"id": "bad", **payload},
+            ]},
+            api_key="a",
+        )
+        assert status == 200
+        good, bad = body["items"]
+        assert good["status"] == 200
+        assert bad["status"] == 400
+        assert bad["body"]["error"] == "bad_request"
+        assert server.stats().usage("a").issued == 1
+
+
 class TestStartupErrors:
     def test_port_collision_is_a_clear_startup_error(self, serve, table):
         from repro.service import HiddenDBServer, ServiceStartupError
