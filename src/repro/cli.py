@@ -833,7 +833,10 @@ def build_parser() -> argparse.ArgumentParser:
                      "this endpoint+algorithm instead of starting fresh")
     sub.add_argument("--checkpoint-every", type=int, default=32, metavar="N",
                      help="answers between progress checkpoints "
-                     "(default 32; the billed counter is always exact)")
+                     "(default 32).  Billed answers are ledgered in the "
+                     "checkpoint's transaction, so a SIGKILL leaves at "
+                     "most min(N, 64) merged answers unledgered; the "
+                     "billed counter always equals the ledger")
     sub.add_argument("--delta", action="store_true",
                      help="incremental repair: probe the previous crawl's "
                      "skyline, serve unchanged ledger answers free and "

@@ -232,8 +232,8 @@ class QueryEngine:
         """Mount a persistent query ledger (crawl-store view).
 
         Ledgered answers are free exactly like dedup hits -- no budget
-        reservation, no billing -- and every billed answer is written
-        through, which is what makes a crawl resumable: a restarted run
+        reservation, no billing -- and every billed answer is put to it,
+        which is what makes a crawl resumable: a restarted run
         replays the already-paid-for prefix from the ledger and only bills
         genuinely new queries.
         """
@@ -566,7 +566,7 @@ class _DrainCore:
         self._controller = controller
         self._waiting: deque[_Dispatched] = deque()
         self._inflight_keys: set[str] = set()  # dispatched, not yet merged
-        self._outstanding = 0  # transported entries not yet merged
+        self._outstanding = 0  # popped entries not yet merged
 
     @property
     def busy(self) -> bool:
@@ -574,7 +574,7 @@ class _DrainCore:
         return bool(self._frontier.pending or self._waiting)
 
     def _effective_capacity(self) -> int:
-        """In-flight query cap right now (controller-shrunk when adaptive)."""
+        """Window slots right now (controller-shrunk when adaptive)."""
         if self._controller is None:
             return self._capacity
         return min(self._capacity, self._controller.size * self._per_task)
@@ -619,29 +619,32 @@ class _DrainCore:
         remaining = self._controller.holdoff_remaining()
         time.sleep(min(max(remaining, 0.001), 0.05))
 
-    def next_chunk(self, max_pops: int | None = None) -> list[_Dispatched]:
-        """Pop and classify entries until one transport task is full.
+    def next_chunk(self) -> list[_Dispatched]:
+        """Pop and classify up to one transport task's worth of entries.
 
-        Entries answered for free (memo, in-flight duplicate, ledger,
-        endpoint cache) are queued for their merge turn directly and never
-        reach the returned chunk; the chunk holds only entries that must
-        be transported, already counted in the in-flight window.
-        ``max_pops`` caps how many frontier entries are consumed (the
-        serial strategy classifies one entry per merge round).
+        Every popped entry holds a window slot until it merges and counts
+        toward the task's pop limit, however it is answered, so the order
+        entries are popped in depends on the window's shape alone, not on
+        which answers are free: a resumed crawl, whose prefix the ledger
+        answers, pops exactly as the run it resumes, and an answer lost in
+        flight at a kill comes back within one window of its first
+        billing.  Entries answered for free (memo, in-flight duplicate,
+        ledger, endpoint cache) are queued for their merge turn directly
+        and never reach the returned chunk; the chunk holds only entries
+        that must be transported.
         """
         engine = self._engine
         session = self._session
         observer = engine.observer
         chunk: list[_Dispatched] = []
-        pops = 0
         limit = min(
             self._per_task, self._effective_capacity() - self._outstanding
         )
-        while self._frontier.pending and len(chunk) < limit:
-            if max_pops is not None and pops >= max_pops:
+        for _ in range(limit):
+            if not self._frontier.pending:
                 break
             entry = self._frontier.pop()
-            pops += 1
+            self._outstanding += 1
             merged = session.prepare(entry.query)
             ckey = merged.canonical_key()
             if engine.dedup and (
@@ -683,7 +686,6 @@ class _DrainCore:
             chunk.append(item)
             self._waiting.append(item)
             self._inflight_keys.add(ckey)
-            self._outstanding += 1
             if observer is not None:
                 observer.classified(merged, ckey, "dispatched")
         if chunk:
@@ -699,10 +701,10 @@ class _DrainCore:
         try:
             result = head.resolve(engine)
         finally:
+            self._outstanding -= 1
             if head.transported:
                 self._inflight_keys.discard(head.key)
                 engine.note_done()
-                self._outstanding -= 1
         if head.transported:
             engine.note_answer(
                 head.query, result, batched=head.batch_index is not None
@@ -748,15 +750,14 @@ class _WindowedStrategy(ExecutionStrategy):
 
     The loop is identical for every strategy: keep the dispatch window
     full one chunk (= one transport task) at a time so merges stay
-    responsive, then merge the oldest dispatched entry.  A ``stepwise``
-    strategy (serial) classifies exactly one entry per round and merges
-    it immediately, reproducing the pre-engine pop/issue/callback
-    interleaving bit for bit even when free answers (memo, ledger,
-    endpoint cache) mix with transported ones.
+    responsive, then merge the oldest dispatched entry.  The serial
+    strategy is the one-by-one window: it pops one entry, merges it, and
+    only then pops the next, reproducing the pre-engine
+    pop/issue/callback interleaving bit for bit even when free answers
+    (memo, ledger, endpoint cache) mix with transported ones.
     """
 
     batch_size = 1
-    stepwise = False
     #: Fixed-width by default; adaptive strategies (``workers="auto"``)
     #: set this and the ``[min_workers, max_workers]`` bounds in their
     #: constructors, and :attr:`workers` becomes the ceiling (the pool is
@@ -813,13 +814,9 @@ class _WindowedStrategy(ExecutionStrategy):
             while core.busy:
                 core.poll_pressure()
                 while core.window_open:
-                    chunk = core.next_chunk(
-                        max_pops=1 if self.stepwise else None
-                    )
+                    chunk = core.next_chunk()
                     if chunk:
                         self._submit(context, chunk, session, engine)
-                    if self.stepwise:
-                        break
                 if core.waiting:
                     core.merge_head()
                 elif core.stalled:
@@ -969,7 +966,6 @@ class SerialStrategy(_WindowedStrategy):
     name = "serial"
     workers = 1
     batch_size = 1
-    stepwise = True
 
     def _open(self, engine: QueryEngine) -> _TransportContext:
         return _TransportContext(engine.interface.query)

@@ -154,8 +154,10 @@ class DiscoveryConfig:
         Requires ``store``.
     checkpoint_every:
         Recorded answers between session checkpoints (progress snapshots
-        in the store; the exact billed counter is updated transactionally
-        with every ledger write regardless).
+        in the store).  Each checkpoint also commits the billed answers
+        buffered since the last one, together with the billed counter
+        that counts them, so a SIGKILL leaves at most
+        ``min(checkpoint_every, 64)`` merged answers unledgered.
     trace:
         Attach the observability plane (:mod:`repro.obs`) to the run.
         A path or writable file-like receives one JSONL span per query

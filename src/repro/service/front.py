@@ -39,10 +39,11 @@ status name (``bad_request``), and closes the connection: a malformed
 request or header line (400), another method (501) or version (505), a
 request line over :data:`MAX_LINE` bytes (414), a header line over it or
 more than :data:`MAX_HEADERS` headers (431), a ``Content-Length`` that
-is not a non-negative decimal or appears twice (400), any
-``Transfer-Encoding`` (501: its body cannot be framed), and a request
-that ends before its headers or its ``Content-Length`` bytes do (400,
-with no handler run).
+is not a non-negative decimal or appears twice (400), a
+``Content-Length`` over :data:`MAX_BODY` (413, before any of the body is
+read or ``100 Continue`` sent), any ``Transfer-Encoding`` (501: its body
+cannot be framed), and a request that ends before its headers or its
+``Content-Length`` bytes do (400, with no handler run).
 """
 
 from __future__ import annotations
@@ -71,6 +72,13 @@ UNMATCHED_ROUTE = "unmatched"
 #: in one request: the limits ``http.server`` enforces.
 MAX_LINE = 65536
 MAX_HEADERS = 100
+
+#: Longest request body, in bytes.  The largest bodies the clients send
+#: are about 1 MB: 10,000 ``/api/mutate`` ops on gflights (0.45-1.0 MB
+#: across the CLI datasets) and 1,024 queries in one ``/api/batch``
+#: (0.19-0.29 MB).  16 MiB leaves them 16 times that, while a connection
+#: thread never holds more than this much of a body in memory.
+MAX_BODY = 16 * 1024 * 1024
 
 #: What a handler returns: ``(status, body, headers)``.
 Reply = tuple[int, dict[str, Any] | str, Mapping[str, str]]
@@ -192,13 +200,17 @@ def read_request(
         # on ``abc``, and ``read(-1)`` would hold the thread until the
         # client hangs up.
         raise HttpRefusal(400, f"invalid Content-Length {declared!r}")
+    length = int(declared)
+    if length > MAX_BODY:
+        # Refused before the body: ``read(length)`` would ask for the
+        # whole declared size at once.
+        raise HttpRefusal(413, f"body of {length} bytes over {MAX_BODY}")
     if (
         send_continue is not None
         and version == "HTTP/1.1"
         and headers.get("expect", "").lower() == "100-continue"
     ):
         send_continue()
-    length = int(declared)
     body = rfile.read(length) if length else b""
     if len(body) < length:
         raise HttpRefusal(400, f"body ended at {len(body)} of {length} bytes")
@@ -551,6 +563,7 @@ __all__ = [
     "HttpRefusal",
     "HttpRequest",
     "JsonHttpFront",
+    "MAX_BODY",
     "MAX_HEADERS",
     "MAX_LINE",
     "Reply",

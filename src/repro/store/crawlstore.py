@@ -14,8 +14,9 @@ makes crawls durable by persisting four things:
 * **session checkpoints** -- periodic snapshots of a
   :class:`~repro.core.base.DiscoverySession`'s progress (cumulative billed
   queries, retrieved-tuple and answer counts, and the skyline so far).
-  The billed counter is additionally bumped transactionally with every
-  ledger write, so it is exact even at a ``kill -9``;
+  The session's billed counter commits in the same transaction as the
+  ledger rows it counts (group commit, see :meth:`CrawlStore.ledger_put`),
+  so it equals the ledgered answers even at a ``kill -9``;
 * the **crawl catalog** -- finished results (algorithm, skyline, cost,
   engine stats), queryable from the CLI via ``repro store ls / show``;
 * the **job catalog** -- the coordinator's durable submission queue
@@ -53,8 +54,8 @@ changing its values.
 
 A checkpoint's skyline lives in the ``checkpoint_skyline`` table (layout
 version 4): one row per session and distinct vector, packed like a ledger
-answer, while the session row keeps only the counters, so the per-answer
-``billed`` update rewrites a small row.  A session's first checkpoint
+answer, while the session row keeps only the counters, so the ``billed``
+update of each ledger write rewrites a small row.  A session's first checkpoint
 replaces its stored vectors; every later one writes the counters and only
 the vectors that entered or left the skyline since, in one transaction.
 Version 1, 2 and 3 files migrate in place when opened, in one
@@ -75,7 +76,7 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -116,6 +117,16 @@ CREATE TABLE IF NOT EXISTS ledger (
     expires_at   REAL,
     PRIMARY KEY (fingerprint, qkey)
 )"""
+
+#: Most session-bound billed answers a store holds unwritten: a put that
+#: fills the buffer writes it without waiting for the next checkpoint.
+MAX_BUFFERED = 64
+
+_INSERT_ANSWER = (
+    "INSERT OR REPLACE INTO ledger "
+    "(fingerprint, qkey, query_json, billed_at, answer, epoch, expires_at) "
+    "VALUES (?, ?, ?, ?, ?, ?, ?)"
+)
 
 _CHECKPOINT_DDL = """
 CREATE TABLE IF NOT EXISTS checkpoint_skyline (
@@ -453,10 +464,12 @@ class LedgerEntry:
 class QueryLedger:
     """The ledger of one endpoint, as seen by an engine or client.
 
-    ``get`` answers a query from the persisted ledger (``None`` on a miss);
-    ``put`` records one billed answer.  When the view is bound to a crawl
-    session, every ``put`` also bumps that session's billed counter in the
-    same transaction, keeping crash-time accounting exact.
+    ``get`` answers a query from the ledger (``None`` on a miss); ``put``
+    records one billed answer.  When the view is bound to a crawl session,
+    ``put`` buffers the answer in the store and owes the session one
+    billed count; the store commits buffered answers and the counts they
+    owe together (:meth:`CrawlStore.ledger_put`), keeping crash-time
+    accounting exact.
 
     The view is pinned to an **epoch** -- the endpoint's data version at
     mount time.  ``get`` serves only entries written at that epoch (and
@@ -551,6 +564,11 @@ class CrawlStore:
         #: Optional :class:`~repro.obs.RunObserver`; ``None`` keeps every
         #: hook below a single attribute test (no observability overhead).
         self.observer: Any | None = None
+        #: Billed answers not written yet, as ``_INSERT_ANSWER`` rows keyed
+        #: by ``(fingerprint, qkey)``, and the billed count each session
+        #: owes for them (see :meth:`ledger_put`).
+        self._buffer: dict[tuple[str, str], tuple] = {}
+        self._owed: dict[str, int] = {}
         with self._lock:
             self._conn.execute("PRAGMA busy_timeout=5000")
             if not self._memory:
@@ -620,9 +638,13 @@ class CrawlStore:
         self.observer = observer
 
     def close(self) -> None:
-        """Close the underlying connection (idempotent)."""
+        """Write the buffered answers and close the connection
+        (idempotent)."""
         with self._lock:
-            self._conn.close()
+            try:
+                self._flush()
+            finally:
+                self._conn.close()
 
     def __enter__(self) -> "CrawlStore":
         return self
@@ -717,6 +739,7 @@ class CrawlStore:
     def endpoints(self) -> tuple[EndpointRecord, ...]:
         """Registered endpoints, most recently used first."""
         with self._lock:
+            self._flush()
             rows = self._conn.execute(
                 "SELECT e.fingerprint, e.name, e.k, e.data_version, "
                 "       e.created_at, e.last_seen, "
@@ -778,14 +801,21 @@ class CrawlStore:
         ``interned`` is the row table of :func:`unpack_answer`; a
         :class:`QueryLedger` view passes its own.
         """
+        qkey = query.canonical_key()
         with self._lock:
-            row = self._conn.execute(
-                "SELECT answer, epoch, expires_at FROM ledger "
-                "WHERE fingerprint=? AND qkey=?",
-                (fingerprint, query.canonical_key()),
-            ).fetchone()
-            if row is None:
-                return None
+            # A buffered answer is the newest for its key: the flush
+            # replaces whatever row the key has.
+            row = self._buffer.get((fingerprint, qkey))
+            if row is not None:
+                row = row[4:]
+            else:
+                row = self._conn.execute(
+                    "SELECT answer, epoch, expires_at FROM ledger "
+                    "WHERE fingerprint=? AND qkey=?",
+                    (fingerprint, qkey),
+                ).fetchone()
+                if row is None:
+                    return None
             answer, entry_epoch, expires_at = row
             if epoch is not None and int(entry_epoch) != int(epoch):
                 return None
@@ -795,7 +825,7 @@ class CrawlStore:
             # intern each packed row exactly once.
             rows, overflow, sequence = unpack_answer(answer, interned)
         if self.observer is not None:
-            self.observer.store_event("ledger_hit", key=query.canonical_key())
+            self.observer.store_event("ledger_hit", key=qkey)
         return QueryResult(
             query=query, rows=rows, overflow=overflow, sequence=sequence
         )
@@ -810,34 +840,39 @@ class CrawlStore:
         epoch: int = 0,
         ttl_s: float | None = None,
     ) -> None:
-        """Persist one billed answer; atomically bump the session's billed
-        counter when ``session_id`` is given (exact even at ``kill -9``)."""
+        """Record one billed answer; with ``session_id``, also owe that
+        session one billed count.
+
+        A session-bound answer is buffered, and the buffer is written --
+        one ``executemany`` INSERT and one ``billed`` bump per session, in
+        one transaction -- inside the next :meth:`save_checkpoint`, once
+        :data:`MAX_BUFFERED` answers wait, before any method that reads
+        ledger rows or session counters, and at :meth:`close`.  Rows and
+        the counters that count them commit together, so the sessions'
+        ``billed`` sum equals :meth:`ledger_size` at every ``kill -9``;
+        the kill loses the buffered answers, which a resumed crawl
+        re-bills or the server replays free under the session's request
+        ids.  :meth:`ledger_get` answers from the buffer first.  A put
+        without a session writes through at once.  The answer is packed
+        here, so one that cannot be stored raises at its put.
+        """
         qkey = query.canonical_key()
         answer = pack_answer(result.rows, result.overflow, result.sequence)
         query_json = json.dumps(encode_query(query), separators=(",", ":"))
         now = time.time()
         expires_at = None if ttl_s is None else now + float(ttl_s)
         with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO ledger "
-                    "(fingerprint, qkey, query_json, answer, billed_at, "
-                    " epoch, expires_at) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    (fingerprint, qkey, query_json, answer, now,
-                     int(epoch), expires_at),
-                )
-                if session_id is not None:
-                    self._conn.execute(
-                        "UPDATE sessions SET billed=billed+1, updated_at=? "
-                        "WHERE session_id=?",
-                        (now, session_id),
-                    )
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
+            key = (fingerprint, qkey)
+            # A re-put of a key moves to the end, as its new rowid would.
+            self._buffer.pop(key, None)
+            self._buffer[key] = (
+                fingerprint, qkey, query_json, now,
+                answer, int(epoch), expires_at,
+            )
+            if session_id is not None:
+                self._owed[session_id] = self._owed.get(session_id, 0) + 1
+            if session_id is None or len(self._buffer) >= MAX_BUFFERED:
+                self._flush()
         if self.observer is not None:
             if session_id is not None:
                 self.observer.store_event(
@@ -846,9 +881,41 @@ class CrawlStore:
             else:
                 self.observer.store_event("ledger_put", key=qkey)
 
+    def _flush(self, then: Callable[[], object] | None = None) -> None:
+        """Write the buffered answers and the billed counts they owe, then
+        ``then``'s statements, in one transaction.
+
+        The buffer empties only once the commit lands, so a failed
+        transaction keeps its answers for the next flush.
+        """
+        with self._lock:
+            if not self._buffer and then is None:
+                return
+            self._conn.execute("BEGIN IMMEDIATE")
+            try:
+                if self._buffer:
+                    self._conn.executemany(
+                        _INSERT_ANSWER, self._buffer.values()
+                    )
+                    now = time.time()
+                    self._conn.executemany(
+                        "UPDATE sessions SET billed=billed+?, updated_at=? "
+                        "WHERE session_id=?",
+                        [(owed, now, sid) for sid, owed in self._owed.items()],
+                    )
+                if then is not None:
+                    then()
+                self._conn.execute("COMMIT")
+            except BaseException:
+                self._conn.execute("ROLLBACK")
+                raise
+            self._buffer.clear()
+            self._owed.clear()
+
     def ledger_size(self, fingerprint: str | None = None) -> int:
         """Number of ledgered answers (for one endpoint, or overall)."""
         with self._lock:
+            self._flush()
             if fingerprint is None:
                 row = self._conn.execute("SELECT COUNT(*) FROM ledger").fetchone()
             else:
@@ -873,6 +940,7 @@ class CrawlStore:
             where += " AND epoch=?"
             params = (fingerprint, int(epoch))
         with self._lock:
+            self._flush()
             rows = self._conn.execute(
                 "SELECT qkey, query_json, answer, epoch, billed_at, "
                 f"       expires_at FROM ledger WHERE {where} "
@@ -902,6 +970,7 @@ class CrawlStore:
     def ledger_epoch_histogram(self, fingerprint: str) -> dict[int, int]:
         """``{epoch: entry count}`` for one endpoint's ledger."""
         with self._lock:
+            self._flush()
             rows = self._conn.execute(
                 "SELECT epoch, COUNT(*) FROM ledger WHERE fingerprint=? "
                 "GROUP BY epoch ORDER BY epoch",
@@ -919,6 +988,7 @@ class CrawlStore:
         if epoch is None:
             epoch = self.endpoint_data_version(fingerprint)
         with self._lock:
+            self._flush()
             row = self._conn.execute(
                 "SELECT COUNT(*) FROM ledger WHERE fingerprint=? AND "
                 "(epoch != ? OR (expires_at IS NOT NULL AND expires_at <= ?))",
@@ -939,6 +1009,7 @@ class CrawlStore:
         if not keys:
             return 0
         with self._lock:
+            self._flush()
             self._conn.execute("BEGIN IMMEDIATE")
             try:
                 total = 0
@@ -1013,6 +1084,7 @@ class CrawlStore:
         """
         now = time.time()
         with self._lock:
+            self._flush()
             if session_id is not None:
                 row = self._conn.execute(
                     "SELECT nonce, billed, checkpoint_json, created_at "
@@ -1119,8 +1191,9 @@ class CrawlStore:
         stored skyline loses ``left`` and gains ``entered`` (the vectors
         that left and entered it since the session's previous
         checkpoint), and a read lists it under ``skyline`` after the
-        counters.  Counters and vectors commit in one transaction, so a
-        crash leaves the previous checkpoint whole.
+        counters.  The buffered ledger answers (:meth:`ledger_put`),
+        counters and vectors commit in one transaction, so a crash leaves
+        the previous checkpoint whole.
         """
         snapshot = dict(checkpoint)
         whole = entered is None
@@ -1130,33 +1203,30 @@ class CrawlStore:
             # The vectors live in checkpoint_skyline; the key keeps its
             # place among the counters.
             snapshot["skyline"] = None
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
+
+        def write() -> None:
+            self._conn.execute(
+                "UPDATE sessions SET checkpoint_json=?, updated_at=? "
+                "WHERE session_id=?",
+                (json.dumps(snapshot), time.time(), session_id),
+            )
+            if whole:
                 self._conn.execute(
-                    "UPDATE sessions SET checkpoint_json=?, updated_at=? "
-                    "WHERE session_id=?",
-                    (json.dumps(snapshot), time.time(), session_id),
+                    "DELETE FROM checkpoint_skyline WHERE session_id=?",
+                    (session_id,),
                 )
-                if whole:
-                    self._conn.execute(
-                        "DELETE FROM checkpoint_skyline WHERE session_id=?",
-                        (session_id,),
-                    )
-                else:
-                    self._conn.executemany(
-                        "DELETE FROM checkpoint_skyline "
-                        "WHERE session_id=? AND vector=?",
-                        ((session_id, _pack_vector(v)) for v in left),
-                    )
+            else:
                 self._conn.executemany(
-                    _INSERT_VECTOR,
-                    ((session_id, _pack_vector(v)) for v in entered),
+                    "DELETE FROM checkpoint_skyline "
+                    "WHERE session_id=? AND vector=?",
+                    ((session_id, _pack_vector(v)) for v in left),
                 )
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
+            self._conn.executemany(
+                _INSERT_VECTOR,
+                ((session_id, _pack_vector(v)) for v in entered),
+            )
+
+        self._flush(write)
         if self.observer is not None:
             self.observer.store_event("checkpoint", session_id=session_id)
 
@@ -1165,6 +1235,7 @@ class CrawlStore:
     ) -> None:
         """Mark a session finished and file its result in the catalog."""
         with self._lock:
+            self._flush()
             self._conn.execute(
                 "UPDATE sessions SET status='finished', result_json=?, "
                 "updated_at=? WHERE session_id=?",
@@ -1188,6 +1259,7 @@ class CrawlStore:
 
     def _sessions(self, where: str, params: tuple) -> tuple[SessionRecord, ...]:
         with self._lock:
+            self._flush()
             # One read transaction: a checkpoint's counters and vectors
             # come from the same commit even while another process writes.
             self._conn.execute("BEGIN")
@@ -1396,6 +1468,7 @@ class CrawlStore:
         """
         now = time.time()
         with self._lock:
+            self._flush()
             rows = self._conn.execute(
                 "SELECT fingerprint, name, descriptor, last_seen FROM endpoints"
             ).fetchall()

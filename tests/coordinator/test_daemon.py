@@ -236,7 +236,11 @@ class TestConcurrentTenants:
         # Determinism caps each tenant at the serial cost; the shared
         # ledger must shave at least the committed prefix off the second
         # tenant's bill (the overlap window -- queries in flight at both
-        # tenants simultaneously -- is the only double billing possible).
+        # tenants simultaneously -- is the only double billing possible:
+        # both jobs share the daemon's one store, whose lookups also read
+        # its write buffer, so neither tenant re-bills the other's
+        # unflushed answers; tenants crawling one store file from two
+        # processes would).
         assert first_cost <= reference.total_cost
         assert second_cost <= reference.total_cost - 3
         assert first_cost + second_cost < 2 * reference.total_cost

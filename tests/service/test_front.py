@@ -26,6 +26,7 @@ from repro.coordinator import CrawlCoordinator
 from repro.hiddendb import InterfaceKind
 from repro.hiddendb.query import Query
 from repro.service.front import (
+    MAX_BODY,
     MAX_HEADERS,
     HttpRefusal,
     HttpRequest,
@@ -440,6 +441,12 @@ REFUSALS = {
         + b"{}",
         400,
     ),
+    "petabyte-content-length": (
+        request_bytes(
+            "POST", "/api/jobs", headers=(f"Content-Length: {10 ** 15}",)
+        ),
+        413,
+    ),
 }
 
 
@@ -456,6 +463,40 @@ def test_refusal_has_the_one_error_shape_and_closes(daemon, data, status):
     }
     assert isinstance(reply["message"], str)
     assert get_status(daemon.url + "/healthz") == 200
+
+
+def test_body_at_the_cap_is_answered_and_one_over_is_refused(daemon):
+    path, body, answered = POST_ROUTES[kind(daemon)]
+    # JSON allows trailing whitespace: the route's own body, padded.
+    at_cap = body + b" " * (MAX_BODY - len(body))
+    first, second = exchanges_on_one_connection(
+        daemon.url,
+        [request_bytes("POST", path, at_cap), request_bytes("GET", "/healthz")],
+        timeout=30.0,
+    )
+    assert first[0] == answered
+    assert second[0] == 200
+    over = request_bytes(
+        "POST", path, headers=(f"Content-Length: {MAX_BODY + 1}",)
+    )
+    ((status, headers, _reply),) = parse_replies(raw_exchange(daemon.url, over))
+    assert status == 413
+    assert headers["connection"] == "close"
+
+
+def test_oversized_body_is_refused_before_continue_or_any_body_byte():
+    sent: list[bool] = []
+    head = request_bytes(
+        "POST",
+        "/api/query",
+        headers=(f"Content-Length: {10 ** 15}", "Expect: 100-continue"),
+    )
+    rfile = io.BytesIO(head + b"{}")
+    with pytest.raises(HttpRefusal) as refusal:
+        read_request(rfile, lambda: sent.append(True))
+    assert refusal.value.status == 413
+    assert sent == []
+    assert rfile.read() == b"{}"
 
 
 #: How much of its body a truncated request sends before the client

@@ -186,6 +186,52 @@ class TestLedger:
             ledger.put(query, _answer(query))
         assert store.session(record.session_id).billed == 4
 
+    def test_buffered_puts_from_many_threads_commit_with_their_counts(
+        self, tmp_path
+    ):
+        """Sessions putting from more threads than cores, with the switch
+        interval shortened: every answer is readable at once, and once
+        flushed each session's billed counter equals its puts."""
+        import sys
+        import threading
+
+        from repro.store.crawlstore import MAX_BUFFERED
+
+        store = CrawlStore(tmp_path / "crawl.db")
+        fp = store.register_endpoint(_schema(m=2, domain=1000), 5, "d")
+        threads, puts = 8, 3 * MAX_BUFFERED + 5
+        sessions = [store.begin_session(fp, "rq") for _ in range(threads)]
+        misses: list[str] = []
+
+        def crawl(worker: int) -> None:
+            ledger = store.ledger(fp, sessions[worker].session_id)
+            for hi in range(puts):
+                query = Query({0: Interval(worker, worker), 1: Interval(0, hi)})
+                ledger.put(query, _answer(query, (hi, (worker, hi))))
+                if ledger.get(query) is None:
+                    misses.append(query.canonical_key())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=crawl, args=(worker,))
+                for worker in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            assert not any(worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert misses == []
+        assert store.ledger_size() == threads * puts
+        assert [store.session(s.session_id).billed for s in sessions] == (
+            [puts] * threads
+        )
+        store.close()
+
 
 class TestSessions:
     def test_begin_checkpoint_finish(self):
