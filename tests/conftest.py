@@ -90,6 +90,19 @@ def random_table(
     return Table(schema, matrix)
 
 
+def anti_diagonal_pq_table(domain: int = 400) -> Table:
+    """Two point-query attributes, ``domain / 2`` skyline tuples on the
+    anti-diagonal plus dominated noise: PQ-2D-SKY bills ``domain``."""
+    rng = np.random.default_rng(3)
+    diagonal = [(x, domain - 1 - x) for x in range(0, domain, 2)]
+    noise = rng.integers(0, domain, size=(3000, 2))
+    noise = noise[noise.sum(axis=1) > domain + 5]
+    schema = Schema(
+        [Attribute(f"a{i}", domain, InterfaceKind.PQ) for i in range(2)]
+    )
+    return Table(schema, np.vstack([diagonal, noise]))
+
+
 # ----------------------------------------------------------------------
 # parity-suite fixtures: one candidate table per interface-taxonomy shape
 # (shared by tests/service/test_parity.py, tests/service/test_batch.py and

@@ -23,10 +23,19 @@ The instances:
   domain 12, k=5) x every applicable algorithm; ``pure-pq-2d`` is the one
   instance that ``pq2d`` supports;
 * skyband cells at band 2 and n=300: every skyband extension on every
-  dataset whose schema it supports.
+  dataset whose schema it supports;
+* the anti-diagonal table (two point-query attributes, domain 400, k=5;
+  ``tests.conftest.anti_diagonal_pq_table``), whose 200 skyline tuples
+  make PQ-2D-SKY's line-query chains run: ``pq2d``, ``pq`` and ``mq``.
+  BASELINE bills 63,201 queries there and has cells elsewhere.
 
-``dispatch`` records, for every dataset and kind-mix instance, the
-algorithm ``Discoverer.run`` picks when given no name.
+``dispatch`` records, for every dataset, kind-mix and anti-diagonal
+instance, the algorithm ``Discoverer.run`` picks when given no name.
+
+``concurrent`` pins the same fields for five algorithms run on the
+in-process thread pool at ``workers`` x ``batch_size`` of 4 x 1 and
+4 x 16.  ``result.query_log`` is in merge order, which is dispatch order,
+so its digest pins the order a window of that shape pops in.
 
 ``tests/core/test_golden_costs.py`` recomputes the table and only reads
 the file.  Rewrite the file by running this module from the repository
@@ -52,7 +61,7 @@ from repro.cli import DATASETS
 from repro.core import all_algorithms, applicable_algorithms
 from repro.hiddendb import InterfaceKind, Table
 
-from ..conftest import random_table
+from ..conftest import anti_diagonal_pq_table, random_table
 
 GOLDEN_PATH = Path(__file__).with_name("golden_costs.json")
 
@@ -75,6 +84,21 @@ MIX_K = 5
 SQ = InterfaceKind.SQ
 RQ = InterfaceKind.RQ
 PQ = InterfaceKind.PQ
+
+ANTI_DIAGONAL = "anti-diagonal/d400"
+ANTI_DIAGONAL_K = 5
+ANTI_DIAGONAL_ALGORITHMS = ("mq", "pq", "pq2d")
+
+#: ``(workers, batch_size)`` of the concurrent cells.
+CONCURRENT_SHAPES = ((4, 1), (4, 16))
+#: Algorithm -> the instance its concurrent cells run on.
+CONCURRENT_INSTANCES = {
+    "baseline": "dataset/diamonds/n1000",
+    "mq": "dataset/flights-mixed/n1000",
+    "pq2d": ANTI_DIAGONAL,
+    "rq": "dataset/diamonds/n1000",
+    "sq": "dataset/flights-range/n300",
+}
 
 KIND_MIXES: dict[str, tuple[InterfaceKind, ...]] = {
     "pure-sq": (SQ, SQ, SQ),
@@ -102,6 +126,12 @@ def mix_table(mix: str) -> Table:
     return random_table(rng, KIND_MIXES[mix], MIX_N, MIX_DOMAIN)
 
 
+@functools.cache
+def anti_diagonal_table() -> Table:
+    """The anti-diagonal point-query table (built once)."""
+    return anti_diagonal_pq_table(400)
+
+
 #: Instance key -> (table factory, interface k).
 Instance = tuple[Callable[[], Table], int]
 
@@ -115,6 +145,7 @@ def dispatch_instances() -> dict[str, Instance]:
         )
     for mix in KIND_MIXES:
         instances[f"mix/{mix}"] = (functools.partial(mix_table, mix), MIX_K)
+    instances[ANTI_DIAGONAL] = (anti_diagonal_table, ANTI_DIAGONAL_K)
     return instances
 
 
@@ -143,6 +174,28 @@ def cells() -> dict[str, tuple[str, str, Instance]]:
                 grid[f"skyband/{dataset}/n{SKYBAND_N}/{spec.name}"] = (
                     "skyband", spec.name, instance
                 )
+    for name in ANTI_DIAGONAL_ALGORITHMS:
+        grid[f"{ANTI_DIAGONAL}/{name}"] = (
+            "run", name, (anti_diagonal_table, ANTI_DIAGONAL_K)
+        )
+    return grid
+
+
+def concurrent_cells() -> dict[str, tuple[str, Instance, tuple[int, int]]]:
+    """Cell key -> (registry name, instance, ``(workers, batch_size)``)."""
+    grid: dict[str, tuple[str, Instance, tuple[int, int]]] = {}
+    for name, key in sorted(CONCURRENT_INSTANCES.items()):
+        if key == ANTI_DIAGONAL:
+            instance: Instance = (anti_diagonal_table, ANTI_DIAGONAL_K)
+        else:
+            _, dataset, size = key.split("/")
+            instance = (
+                functools.partial(dataset_table, dataset, int(size[1:])), K
+            )
+        for workers, batch_size in CONCURRENT_SHAPES:
+            grid[f"{key}/{name}/w{workers}b{batch_size}"] = (
+                name, instance, (workers, batch_size)
+            )
     return grid
 
 
@@ -176,6 +229,19 @@ def measure(verb: str, name: str, instance: Instance) -> dict:
     return summarize(name, result, result.skyline_size)
 
 
+def measure_concurrent(
+    name: str, instance: Instance, shape: tuple[int, int]
+) -> dict:
+    """Run one cell on the thread pool at ``shape`` and summarize it."""
+    make_table, k = instance
+    workers, batch_size = shape
+    result = Discoverer().run(
+        TopKInterface(make_table(), k=k), name, record_log=True,
+        strategy="async", workers=workers, batch_size=batch_size,
+    )
+    return summarize(name, result, result.skyline_size)
+
+
 def measure_dispatch(instance: Instance) -> dict:
     """Run ``Discoverer.run`` with no algorithm name and summarize it."""
     make_table, k = instance
@@ -194,6 +260,10 @@ def generate() -> dict:
             key: measure_dispatch(instance)["name"]
             for key, instance in sorted(dispatch_instances().items())
         },
+        "concurrent": {
+            key: measure_concurrent(*cell)
+            for key, cell in sorted(concurrent_cells().items())
+        },
     }
 
 
@@ -201,8 +271,9 @@ def main() -> None:
     table = generate()
     GOLDEN_PATH.write_text(json.dumps(table, indent=1) + "\n")
     print(
-        f"wrote {len(table['cells'])} cells and {len(table['dispatch'])} "
-        f"dispatch entries to {GOLDEN_PATH.name}"
+        f"wrote {len(table['cells'])} cells, {len(table['dispatch'])} "
+        f"dispatch entries and {len(table['concurrent'])} concurrent cells "
+        f"to {GOLDEN_PATH.name}"
     )
 
 

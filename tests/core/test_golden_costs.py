@@ -3,7 +3,8 @@
 The parity grids compare a concurrent run with a serial run of the same
 code, so a change that moves both the same way passes them.  This table
 pins the serial run itself: billed count, distinct skyline size and the
-query sequence of every algorithm on every CLI dataset and kind mix (see
+query sequence of every algorithm on every CLI dataset and kind mix, and
+the merge order of five algorithms at two concurrent window shapes (see
 ``golden_costs.py`` for the cells and how to regenerate the file).
 """
 
@@ -34,6 +35,9 @@ def test_table_covers_exactly_the_cell_grid():
     assert sorted(GOLDEN["dispatch"]) == sorted(
         golden_costs.dispatch_instances()
     )
+    assert sorted(GOLDEN["concurrent"]) == sorted(
+        golden_costs.concurrent_cells()
+    )
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN["cells"]))
@@ -54,3 +58,13 @@ def test_auto_dispatch_matches_golden_table(key):
     picked = GOLDEN["dispatch"][key]
     expected = GOLDEN["cells"][f"{key}/{picked}"]
     assert actual == expected, _mismatch(f"{key} (auto)", expected, actual)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN["concurrent"]))
+def test_concurrent_cell_matches_golden_table(key):
+    """A window of a fixed shape pops, bills and merges in a fixed order."""
+    expected = GOLDEN["concurrent"][key]
+    actual = golden_costs.measure_concurrent(
+        *golden_costs.concurrent_cells()[key]
+    )
+    assert actual == expected, _mismatch(key, expected, actual)

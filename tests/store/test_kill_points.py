@@ -28,14 +28,15 @@ import textwrap
 import threading
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro import CrawlStore, Discoverer, DiscoveryConfig, TopKInterface
 from repro.datagen import diamonds_table
-from repro.hiddendb import Attribute, InterfaceKind, Schema, Table
+from repro.hiddendb import Table
 from repro.hiddendb.endpoint import EventLoopRunner
 from repro.service import HiddenDBServer, RemoteTopKInterface
+
+from ..conftest import anti_diagonal_pq_table
 
 
 class Killed(Exception):
@@ -98,23 +99,10 @@ class LoopBillingEndpoint(BillingEndpoint):
         return self.batch_query(queries)
 
 
-def _anti_diagonal_pq_table(domain: int = 400) -> Table:
-    """Two point-query attributes, ``domain / 2`` skyline tuples on the
-    anti-diagonal plus dominated noise: PQ-2D-SKY bills ``domain``."""
-    rng = np.random.default_rng(3)
-    diagonal = [(x, domain - 1 - x) for x in range(0, domain, 2)]
-    noise = rng.integers(0, domain, size=(3000, 2))
-    noise = noise[noise.sum(axis=1) > domain + 5]
-    schema = Schema(
-        [Attribute(f"a{i}", domain, InterfaceKind.PQ) for i in range(2)]
-    )
-    return Table(schema, np.vstack([diagonal, noise]))
-
-
 #: ``(algorithm, table, k, kill points)``: the two LIFO frontiers.
 LIFO_CASES = {
     "baseline": ("baseline", diamonds_table(3000, seed=0), 10, (200, 500, 800)),
-    "pq2d": ("pq2d", _anti_diagonal_pq_table(), 5, (100, 200, 300)),
+    "pq2d": ("pq2d", anti_diagonal_pq_table(), 5, (100, 200, 300)),
 }
 
 SHAPES = {"4x1": (4, 1), "4x16": (4, 16)}
