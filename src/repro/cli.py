@@ -195,7 +195,7 @@ def _print_remote_telemetry(args, interface) -> None:
 
     ``getattr`` defaults keep this safe for interfaces that expose only a
     subset (e.g. an :class:`~repro.coordinator.endpoints.EndpointSet` has
-    no ledger-hit split).
+    no budget figure).
     """
     if not getattr(args, "url", None):
         return
@@ -206,11 +206,9 @@ def _print_remote_telemetry(args, interface) -> None:
           f"(cache hits {hits}, retries {retries})")
     if getattr(args, "verbose", False):
         flavour = type(interface).__name__
-        ledger_hits = getattr(interface, "ledger_hits", 0)
         remaining = getattr(interface, "budget_remaining", None)
         headroom = "unlimited" if remaining is None else str(remaining)
-        print(f"client     : {flavour} "
-              f"(ledger hits {ledger_hits}, budget remaining {headroom})")
+        print(f"client     : {flavour} (budget remaining {headroom})")
 
 
 def _print_result_header(args, interface, result, queries_suffix="") -> None:

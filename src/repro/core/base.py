@@ -32,7 +32,13 @@ from ..hiddendb.interface import QueryResult
 from ..hiddendb.query import Query
 from ..hiddendb.table import Row
 from .dominance import incremental_skyline_update, skyline_of_rows
-from .engine import EngineStats, ExecutionStrategy, Frontier, QueryEngine
+from .engine import (
+    EngineStats,
+    ExecutionStrategy,
+    Frontier,
+    QueryEngine,
+    SerialStrategy,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..freshness import DeltaReport
@@ -44,6 +50,9 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 #: numpy's per-call cost, few enough that an early block, which survives
 #: almost whole, is cheap to compare against itself.
 FOLD_ROWS = 256
+
+#: The 1 x 1 inline window every ``issue`` drains its one entry through.
+_ONE_BY_ONE = SerialStrategy()
 
 
 @dataclass(frozen=True)
@@ -304,20 +313,25 @@ class DiscoverySession:
     def issue(self, query: Query) -> QueryResult:
         """Issue ``query`` (conjoined with the base query) and record it.
 
-        Routed through the engine: with dedup enabled a repeated identical
-        query is answered from the run-scoped memo without being billed
-        (and without a budget reservation -- memo hits are free).
+        A one-entry frontier drained through the 1 x 1 inline window of
+        :class:`~repro.core.engine.SerialStrategy`, whatever strategy
+        drains this session's frontiers: the consult chain (memo, ledger,
+        endpoint cache -- free answers reserve no budget), billing, the
+        merge and its trace spans are the drain core's, as for every other
+        query.
         """
-        result = self._engine.fetch(self.prepare(query), self)
-        self.record(result)
-        return result
+        answers: list[QueryResult] = []
+        frontier = Frontier(self)
+        frontier.add(query, answers.append)
+        _ONE_BY_ONE.drain(frontier, self)
+        return answers[0]
 
     def record(self, result: QueryResult) -> None:
         """Fold one answer into the session bookkeeping (driver thread).
 
-        Split out of :meth:`issue` so concurrent strategies can transport
-        answers on worker threads and still record them here, in
-        deterministic merge order.
+        The drain core calls it at each entry's merge, in dispatch order,
+        so answers transported on worker threads are still recorded here,
+        deterministically.
         """
         cost = self.cost
         for row in result.rows:

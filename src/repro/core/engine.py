@@ -6,22 +6,23 @@ queries.  This module makes that structure explicit and pluggable:
 
 * :class:`Frontier` -- the pending pool.  An algorithm ``add()``\\ s queries
   whose answers it can process independently of one another, each with an
-  expansion callback, and ``drain()``\\ s the pool; strictly sequential steps
-  (an expansion that must inspect *all* tuples retrieved so far before
-  deciding the next query, as in RQ-DB-SKY's seen-tuple check) go through
-  :meth:`Frontier.fetch` instead.
-* :class:`ExecutionStrategy` -- how a frontier is drained.  All concrete
-  strategies run the **same windowed drain core** (:class:`_DrainCore`):
-  query preparation, the memo / ledger / endpoint-cache consult chain,
-  in-flight duplicate suppression, billing and the dispatch-order merge
-  live in exactly one place, so determinism (identical skyline and billed
-  cost at any concurrency) cannot drift between strategies.  A strategy
-  contributes only *transport* -- how a chunk of prepared queries is put
-  on the wire:
+  expansion callback, and ``drain()``\\ s the pool.  A strictly sequential
+  step (an expansion that must inspect *all* tuples retrieved so far
+  before deciding the next query, as in RQ-DB-SKY's seen-tuple check) goes
+  through :meth:`Frontier.fetch` / ``session.issue``, which drains a
+  one-entry frontier through :class:`SerialStrategy`'s 1 x 1 inline window.
+* :class:`ExecutionStrategy` -- how a frontier is drained.  Every query,
+  the sequential ones included, runs through the **same windowed drain
+  core** (:class:`_DrainCore`): query preparation, the memo / ledger /
+  endpoint-cache consult chain, in-flight duplicate suppression, budget
+  reservation, billing and the dispatch-order merge live in exactly one
+  place, so determinism (identical skyline and billed cost at any
+  concurrency) cannot drift between strategies or paths.  A strategy
+  contributes only its window's shape and where transports run:
 
-  - :class:`SerialStrategy` transports one query at a time, inline, in
-    the frontier's order -- bit-identical to the pre-engine
-    implementations (the parity reference).
+  - :class:`SerialStrategy` is the 1 x 1 window: one query at a time,
+    inline on the driver thread, in the frontier's order -- bit-identical
+    to the pre-engine implementations (the parity reference).
   - :class:`AsyncStrategy` keeps a bounded window of queries in flight,
     packing them into ``batch_query()`` / ``abatch_query()`` round trips
     when the endpoint supports it.  The endpoint picks the transport: an
@@ -30,10 +31,14 @@ queries.  This module makes that structure explicit and pluggable:
     "worker" is an in-flight slot rather than an OS thread; any other
     endpoint is called on a ``workers``-wide thread pool.  ``"pipelined"``
     is accepted as an alias of ``"async"``.
-* :class:`QueryEngine` -- per-session plumbing shared by all paths:
+
+  Each transport (one query, one batch) is written once, as a coroutine
+  that awaits the endpoint call only when the call returns an awaitable:
+  a task on an endpoint's loop, one ``send`` on a pool thread or inline.
+* :class:`QueryEngine` -- per-session state shared by all drains:
   run-scoped query memoization (with dedup enabled, an identical query is
-  never billed twice) and the :class:`EngineStats` counters attached to
-  every result.
+  never billed twice), the mounted crawl-store ledger, and the
+  :class:`EngineStats` counters attached to every result.
 
 Why the in-order merge gives cost/skyline parity
 ------------------------------------------------
@@ -64,8 +69,10 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from inspect import isawaitable
+from typing import TYPE_CHECKING, Callable
 
+from ..hiddendb.endpoint import run_inline
 from ..hiddendb.errors import HiddenDBError, QueryBudgetExceeded
 from ..hiddendb.interface import QueryResult
 from ..hiddendb.query import Query
@@ -173,11 +180,14 @@ class EngineStats:
 
 
 class QueryEngine:
-    """Per-session dispatch plumbing: memo, counters, strategy.
+    """Per-session dispatch state: memo, ledger, counters, strategy.
 
-    All counter and memo mutation happens on the driver thread (the thread
-    running the algorithm); worker threads and the event loop only ever
-    call the endpoint's transport members.
+    Every query of the session, ``session.issue``'s included, reaches it
+    through a :class:`_DrainCore`, which classifies, bills and merges it
+    here: the mounted ledger has no other reader.  All counter and memo
+    mutation happens on the driver thread (the thread running the
+    algorithm); worker threads and the event loop only ever call the
+    endpoint's transport members.
     """
 
     def __init__(
@@ -189,10 +199,9 @@ class QueryEngine:
         self.interface = interface
         self.strategy = strategy if strategy is not None else SerialStrategy()
         self.dedup = dedup
-        # Endpoints with their own free query cache (the remote client's
-        # LRU) expose ``cached_answer``; the engine consults it before
-        # reserving budget or dispatching, since cache hits bill nothing.
-        self._peek = getattr(interface, "cached_answer", None)
+        #: The endpoint's own free query cache (the remote client's LRU),
+        #: consulted before budget is reserved: cache hits bill nothing.
+        self.cached_answer = getattr(interface, "cached_answer", None)
         # The memo is keyed by the canonical query key (the scheme shared
         # with the remote cache and the crawl-store ledger), so layers can
         # never disagree about query identity.
@@ -244,12 +253,6 @@ class QueryEngine:
         """The mounted persistent ledger, if any."""
         return self._ledger
 
-    def lookup(self, query: Query) -> QueryResult | None:
-        """Memoized answer for ``query`` (``None`` unless dedup hit)."""
-        if not self.dedup:
-            return None
-        return self._memo.get(query.canonical_key())
-
     def count_dedup(self) -> None:
         """Record one memo hit."""
         self._deduped += 1
@@ -270,38 +273,6 @@ class QueryEngine:
             self._memo[query.canonical_key()] = hit
         return hit
 
-    def peek_cache(self, query: Query) -> QueryResult | None:
-        """The endpoint's own cached answer for ``query``, if it has one."""
-        if self._peek is None:
-            return None
-        return self._peek(query)
-
-    def consult(self, query: Query) -> QueryResult | None:
-        """The free-answer consult chain: memo, then ledger, then endpoint
-        cache -- in that order, the same order every dispatch path uses.
-
-        Returns ``None`` when the query genuinely has to be transported
-        (and billed).  Counter side effects (dedup / ledger hits, memo
-        write-back of cache hits) are applied here.
-        """
-        hit = self.lookup(query)
-        if hit is not None:
-            self.count_dedup()
-            return hit
-        ledgered = self.ledger_lookup(query)
-        if ledgered is not None:
-            # A ledger hit is an answer an earlier run already paid for:
-            # free, like a dedup hit.
-            return ledgered
-        cached = self.peek_cache(query)
-        if cached is not None:
-            # An endpoint-cache hit is free: no budget reservation, no
-            # billable ``issued`` count (matching queries_issued).
-            if self.dedup:
-                self._memo[query.canonical_key()] = cached
-            return cached
-        return None
-
     def note_answer(
         self, query: Query, result: QueryResult, batched: bool = False
     ) -> None:
@@ -314,9 +285,9 @@ class QueryEngine:
         if self._ledger is not None:
             self._ledger.put(query, result)
         if self.observer is not None:
-            # The single billing point of every execution path (serial
-            # fetches and windowed merges alike), so a traced crawl gets a
-            # "billed" span for exactly the billed queries.
+            # The single billing point (the drain core's merge), so a
+            # traced crawl gets a "billed" span for exactly the billed
+            # queries.
             self.observer.billed(query, batched=batched)
 
     # -- in-flight accounting (driver thread) --------------------------
@@ -346,34 +317,6 @@ class QueryEngine:
             hook = getattr(self.observer, "window_event", None)
             if hook is not None:
                 hook(kind, size)
-
-    # -- sequential fetch (the Frontier.fetch / session.issue path) ----
-    def fetch(
-        self, query: Query, session: "DiscoverySession | None" = None
-    ) -> QueryResult:
-        """Answer one query: the consult chain first, endpoint otherwise.
-
-        The sequential seam for state-dependent expansions.  The session's
-        budget is reserved only when the query is actually about to be
-        billed -- consult hits are free -- and released again if the
-        transport fails without an answer.
-        """
-        hit = self.consult(query)
-        if hit is not None:
-            return hit
-        if session is not None:
-            session.reserve_budget()
-        self.note_dispatch()
-        try:
-            result = self.interface.query(query)
-        except BaseException:
-            if session is not None:
-                session.release_budget()
-            raise
-        finally:
-            self.note_done()
-        self.note_answer(query, result)
-        return result
 
     def snapshot(self) -> EngineStats:
         """Frozen view of the counters."""
@@ -446,11 +389,12 @@ class Frontier:
         return self._pending.pop() if self._lifo else self._pending.popleft()
 
     def fetch(self, query: Query) -> QueryResult:
-        """Issue one query synchronously through the engine.
+        """Issue one query now and return its answer.
 
         The sequential seam for state-dependent expansions: identical to
-        ``session.issue`` (memo, stats and budget all apply), provided so
-        algorithms route *every* query through their frontier.
+        ``session.issue`` (a one-entry drain through the 1 x 1 inline
+        window), provided so algorithms route *every* query through their
+        frontier.
         """
         return self._session.issue(query)
 
@@ -673,7 +617,11 @@ class _DrainCore:
                 if observer is not None:
                     observer.classified(merged, ckey, "ledger")
                 continue
-            cached = engine.peek_cache(merged)
+            cached = (
+                engine.cached_answer(merged)
+                if engine.cached_answer is not None
+                else None
+            )
             if cached is not None:
                 # Endpoint-cache hit: free, no dispatch.
                 if engine.dedup:
@@ -730,33 +678,37 @@ class _DrainCore:
                 item.future.cancel()
 
 
+class _TransportContext:
+    """Per-drain transport state handed between the strategy hooks."""
+
+    __slots__ = ("query", "batch_query", "pool", "runner", "owns")
+
+    def __init__(
+        self, query, batch_query=None, pool=None, runner=None, owns=False
+    ) -> None:
+        self.query = query
+        self.batch_query = batch_query
+        self.pool = pool
+        self.runner = runner
+        self.owns = owns
+
+
 class ExecutionStrategy:
-    """How a :class:`Frontier` is drained.
-
-    Concrete strategies subclass :class:`_WindowedStrategy`, which runs
-    the shared :class:`_DrainCore` and leaves only the transport hooks
-    (``_open`` / ``_submit`` / ``_close``) to the subclass.
-    """
-
-    name = "abstract"
-    workers = 1
-
-    def drain(self, frontier: Frontier, session: "DiscoverySession") -> None:
-        raise NotImplementedError
-
-
-class _WindowedStrategy(ExecutionStrategy):
-    """Shared drain loop over :class:`_DrainCore`; subclasses transport.
+    """How a :class:`Frontier` is drained: a window over :class:`_DrainCore`.
 
     The loop is identical for every strategy: keep the dispatch window
     full one chunk (= one transport task) at a time so merges stay
-    responsive, then merge the oldest dispatched entry.  The serial
-    strategy is the one-by-one window: it pops one entry, merges it, and
-    only then pops the next, reproducing the pre-engine
+    responsive, then merge the oldest dispatched entry.  A strategy
+    contributes the window's shape (``workers`` x ``batch_size``, fixed
+    or adaptive) and where transports run (:meth:`_open`); the default is
+    inline on the driver thread.  The 1 x 1 window pops one entry, merges
+    it, and only then pops the next, reproducing the pre-engine
     pop/issue/callback interleaving bit for bit even when free answers
     (memo, ledger, endpoint cache) mix with transported ones.
     """
 
+    name = "abstract"
+    workers = 1
     batch_size = 1
     #: Fixed-width by default; adaptive strategies (``workers="auto"``)
     #: set this and the ``[min_workers, max_workers]`` bounds in their
@@ -766,7 +718,6 @@ class _WindowedStrategy(ExecutionStrategy):
     min_workers = 1
     max_workers = 1
 
-    # -- adaptive window (shared by all windowed strategies) -----------
     def _controller(self, engine: QueryEngine):
         """The engine's AIMD controller, created on first adaptive drain."""
         if not self.adaptive:
@@ -782,23 +733,30 @@ class _WindowedStrategy(ExecutionStrategy):
             )
         return engine._adaptive
 
-    # -- transport hooks (subclass responsibility) ---------------------
-    def _open(self, engine: QueryEngine):
-        """Per-drain transport context (pool, loop, batch callable)."""
-        raise NotImplementedError
+    def _open(self, engine: QueryEngine) -> _TransportContext:
+        """Per-drain transport context: inline, one query per task."""
+        return _TransportContext(engine.interface.query)
 
     def _close(self, engine: QueryEngine, context) -> None:
         """Release the transport context acquired by :meth:`_open`."""
 
-    def _submit(
-        self,
-        context,
-        chunk: list[_Dispatched],
-        session: "DiscoverySession",
-        engine: QueryEngine,
-    ) -> None:
+    def _submit(self, context, chunk: list[_Dispatched], session, engine):
         """Attach a future to every entry of a non-empty ``chunk``."""
-        raise NotImplementedError
+        queries = [item.query for item in chunk]
+        if context.batch_query is not None and len(chunk) > 1:
+            engine.note_batch()
+            future = _spawn(
+                context, _transport_batch, session, context.batch_query,
+                queries,
+            )
+            for index, item in enumerate(chunk):
+                item.future = future
+                item.batch_index = index
+        else:
+            for item, query in zip(chunk, queries):
+                item.future = _spawn(
+                    context, _transport_one, session, context.query, query
+                )
 
     def drain(self, frontier: Frontier, session: "DiscoverySession") -> None:
         engine = session.engine
@@ -830,23 +788,15 @@ class _WindowedStrategy(ExecutionStrategy):
             self._close(engine, context)
 
 
-class _TransportContext:
-    """Per-drain transport state handed between the strategy hooks."""
-
-    __slots__ = ("query", "batch_query", "pool", "runner", "owns")
-
-    def __init__(
-        self, query, batch_query=None, pool=None, runner=None, owns=False
-    ) -> None:
-        self.query = query
-        self.batch_query = batch_query
-        self.pool = pool
-        self.runner = runner
-        self.owns = owns
+async def _settle(outcome):
+    """``outcome`` itself, or what it resolves to when it is awaitable."""
+    if isawaitable(outcome):
+        return await outcome
+    return outcome
 
 
-def _transport_one(session, query_fn, query) -> QueryResult:
-    """One guarded single-query transport (any transport thread).
+async def _transport_one(session, query_fn, query) -> QueryResult:
+    """One guarded single-query transport.
 
     Session-budget reservation happens here, immediately before the query
     is billed -- never speculatively -- so a budget that suffices for a
@@ -855,14 +805,20 @@ def _transport_one(session, query_fn, query) -> QueryResult:
     """
     session.reserve_budget()
     try:
-        return query_fn(query)
+        return await _settle(query_fn(query))
     except BaseException:
         session.release_budget()
         raise
 
 
-def _reserve_batch(session, queries: Sequence[Query]):
-    """Reserve budget per item; ``(reserved count, pending budget error)``."""
+async def _transport_batch(session, batch_query, queries):
+    """One guarded batch transport.
+
+    Reserves budget per item and only sends the affordable prefix; a
+    shortfall (or a terminal mid-batch failure from the endpoint)
+    surfaces as an exception carrying ``partial_results`` so already
+    billed answers still reach their entries' merges.
+    """
     reserved = 0
     budget_error: QueryBudgetExceeded | None = None
     for _ in queries:
@@ -872,35 +828,19 @@ def _reserve_batch(session, queries: Sequence[Query]):
             budget_error = exc
             break
         reserved += 1
-    return reserved, budget_error
-
-
-def _release_partial(exc: HiddenDBError, session, reserved: int) -> None:
-    """Normalise ``exc.partial_results`` to the sent prefix and return the
-    reservations of its ``None`` holes (exactly the unbilled items)."""
-    outcomes = tuple(getattr(exc, "partial_results", ()) or ())
-    outcomes = outcomes[:reserved]
-    outcomes += (None,) * (reserved - len(outcomes))
-    session.release_budget(sum(1 for outcome in outcomes if outcome is None))
-    exc.partial_results = outcomes
-
-
-def _transport_batch(session, batch_query, queries):
-    """One guarded batch transport (worker thread).
-
-    Reserves budget per item and only sends the affordable prefix; a
-    shortfall (or a terminal mid-batch failure from the endpoint)
-    surfaces as an exception carrying ``partial_results`` so already
-    billed answers still reach their entries' merges.
-    """
-    reserved, budget_error = _reserve_batch(session, queries)
     allowed = queries[:reserved]
     results: tuple[QueryResult, ...] = ()
     try:
         if allowed:
-            results = tuple(batch_query(allowed))
+            results = tuple(await _settle(batch_query(allowed)))
     except HiddenDBError as exc:
-        _release_partial(exc, session, reserved)
+        # Normalise the partial results to the sent prefix and return the
+        # reservations of their ``None`` holes (exactly the unbilled items).
+        outcomes = tuple(getattr(exc, "partial_results", ()) or ())
+        outcomes = outcomes[:reserved]
+        outcomes += (None,) * (reserved - len(outcomes))
+        session.release_budget(outcomes.count(None))
+        exc.partial_results = outcomes
         raise
     except BaseException:
         session.release_budget(reserved)
@@ -911,34 +851,19 @@ def _transport_batch(session, batch_query, queries):
     return results
 
 
-async def _transport_one_async(session, aquery, query) -> QueryResult:
-    """Async twin of :func:`_transport_one` (event-loop thread)."""
-    session.reserve_budget()
+def _spawn(context: _TransportContext, transport, *args) -> Future:
+    """Start one transport coroutine: a task on the endpoint's loop, one
+    ``send`` on a pool thread, or one ``send`` right here."""
+    if context.runner is not None:
+        return context.runner.submit(transport(*args))
+    if context.pool is not None:
+        return context.pool.submit(lambda: run_inline(transport(*args)))
+    future: Future = Future()
     try:
-        return await aquery(query)
-    except BaseException:
-        session.release_budget()
-        raise
-
-
-async def _transport_batch_async(session, abatch_query, queries):
-    """Async twin of :func:`_transport_batch` (event-loop thread)."""
-    reserved, budget_error = _reserve_batch(session, queries)
-    allowed = queries[:reserved]
-    results: tuple[QueryResult, ...] = ()
-    try:
-        if allowed:
-            results = tuple(await abatch_query(allowed))
-    except HiddenDBError as exc:
-        _release_partial(exc, session, reserved)
-        raise
-    except BaseException:
-        session.release_budget(reserved)
-        raise
-    if budget_error is not None:
-        budget_error.partial_results = results
-        raise budget_error
-    return results
+        future.set_result(run_inline(transport(*args)))
+    except BaseException as exc:
+        future.set_exception(exc)
+    return future
 
 
 def _resolve_shape(
@@ -954,35 +879,20 @@ def _resolve_shape(
     return shape
 
 
-class SerialStrategy(_WindowedStrategy):
+class SerialStrategy(ExecutionStrategy):
     """One query at a time, in frontier order -- the parity reference.
 
     With dedup off this is bit-identical to the pre-engine
     implementations: same queries, same order, same costs, same traces.
     Runs the shared drain core with a window of one, transporting inline
-    on the driver thread.
+    on the driver thread.  ``session.issue`` drains its one-entry
+    frontiers through this window whatever the session's strategy.
     """
 
     name = "serial"
-    workers = 1
-    batch_size = 1
-
-    def _open(self, engine: QueryEngine) -> _TransportContext:
-        return _TransportContext(engine.interface.query)
-
-    def _submit(self, context, chunk, session, engine) -> None:
-        for item in chunk:  # window of one: at most a single entry
-            future: Future = Future()
-            item.future = future
-            try:
-                result = _transport_one(session, context.query, item.query)
-            except BaseException as exc:
-                future.set_exception(exc)
-            else:
-                future.set_result(result)
 
 
-class AsyncStrategy(_WindowedStrategy):
+class AsyncStrategy(ExecutionStrategy):
     """Windowed concurrent dispatch; the endpoint picks the transport.
 
     A window of ``workers`` transport tasks is kept in flight.  When the
@@ -1005,9 +915,7 @@ class AsyncStrategy(_WindowedStrategy):
       called on a thread pool of ``workers`` threads.
 
     Each transport is the fast one for its kind of endpoint, so there is
-    no knob that could pair them the slow way round.  A pure-async
-    endpoint without a loop of its own goes through
-    :func:`~repro.hiddendb.endpoint.as_sync_endpoint`.
+    no knob that could pair them the slow way round.
     """
 
     name = "async"
@@ -1055,31 +963,6 @@ class AsyncStrategy(_WindowedStrategy):
         if context.owns:
             engine._drain_pool = None
             context.pool.shutdown(wait=True)
-
-    def _submit(self, context, chunk, session, engine) -> None:
-        queries = [item.query for item in chunk]
-        if context.batch_query is not None and len(chunk) > 1:
-            engine.note_batch()
-            future = self._spawn(
-                context, _transport_batch, _transport_batch_async,
-                session, context.batch_query, queries,
-            )
-            for index, item in enumerate(chunk):
-                item.future = future
-                item.batch_index = index
-        else:
-            for item, query in zip(chunk, queries):
-                item.future = self._spawn(
-                    context, _transport_one, _transport_one_async,
-                    session, context.query, query,
-                )
-
-    @staticmethod
-    def _spawn(context, blocking, coroutine, *args) -> Future:
-        """Start one transport task on the endpoint's loop or the pool."""
-        if context.runner is not None:
-            return context.runner.submit(coroutine(*args))
-        return context.pool.submit(blocking, *args)
 
 
 def make_strategy(

@@ -14,8 +14,6 @@ from .endpoint import (
     BatchSearchEndpoint,
     EventLoopRunner,
     SearchEndpoint,
-    SyncEndpointAdapter,
-    as_sync_endpoint,
 )
 from .errors import (
     HiddenDBError,
@@ -50,8 +48,6 @@ __all__ = [
     "BatchSearchEndpoint",
     "ENGINE_CHOICES",
     "EventLoopRunner",
-    "SyncEndpointAdapter",
-    "as_sync_endpoint",
     "HiddenDBError",
     "InterfaceKind",
     "Interval",

@@ -49,7 +49,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from concurrent.futures import Future
-from typing import Awaitable, Coroutine, Protocol, Sequence, runtime_checkable
+from typing import Coroutine, Protocol, Sequence, runtime_checkable
 
 from .attributes import Schema
 from .interface import QueryResult
@@ -110,8 +110,8 @@ class AsyncSearchEndpoint(Protocol):
     execution strategy can keep hundreds of queries in flight on one
     thread.  :class:`~repro.service.aclient.AsyncRemoteTopKInterface` is
     the canonical implementation.  The engine awaits ``aquery`` only on
-    an endpoint that owns its event loop (``aio_runner``); any other
-    async endpoint is made blocking with :func:`as_sync_endpoint`.
+    an endpoint that owns its event loop (``aio_runner``); an endpoint
+    without one must also offer the blocking ``query()``.
     """
 
     @property
@@ -149,17 +149,35 @@ class AsyncBatchSearchEndpoint(AsyncSearchEndpoint, Protocol):
         ...
 
 
+def run_inline(coro: Coroutine):
+    """Run ``coro`` to completion in the calling thread, in one ``send``.
+
+    For coroutines whose awaits never suspend (each reaches a blocking
+    call or a plain value): the blocking remote client's protocol, and
+    the engine's transports on a pool thread or inline.  No event loop,
+    no thread hop.  A coroutine that does suspend is closed and refused
+    with :class:`RuntimeError` instead of hanging.
+    """
+    try:
+        coro.send(None)
+    except StopIteration as done:
+        return done.value
+    coro.close()
+    raise RuntimeError(
+        f"{coro.__qualname__} suspended with no event loop to resume it "
+        f"(was an async sleep or endpoint given to a blocking caller?)"
+    )
+
+
 class EventLoopRunner:
     """An asyncio event loop on a daemon thread, fed from other threads.
 
-    The bridge both directions of the sync/async seam stand on: the
-    execution engine submits transport coroutines to an async endpoint's
-    own runner and receives :class:`concurrent.futures.Future`\\ s (the
-    same currency thread-pool transports use), and
-    :class:`SyncEndpointAdapter` runs an async endpoint's coroutines here
-    to present a blocking surface.  One runner owns one loop for its whole
-    lifetime, so loop-affine resources (pooled connections) stay valid
-    across calls.
+    The execution engine submits transport coroutines to an async
+    endpoint's own runner and receives
+    :class:`concurrent.futures.Future`\\ s (the same currency thread-pool
+    transports use), and the asyncio client runs its blocking surface
+    here.  One runner owns one loop for its whole lifetime, so loop-affine
+    resources (pooled connections) stay valid across calls.
     """
 
     def __init__(self, name: str = "repro-aio") -> None:
@@ -220,76 +238,11 @@ class EventLoopRunner:
         self.close()
 
 
-class SyncEndpointAdapter:
-    """Blocking view of an :class:`AsyncSearchEndpoint`.
-
-    Runs the endpoint's coroutines on a private :class:`EventLoopRunner`
-    (started lazily, closed via :meth:`close`), so an async-native
-    endpoint without a loop of its own drops into every execution
-    strategy and every other blocking call site.
-    """
-
-    def __init__(self, endpoint: AsyncSearchEndpoint) -> None:
-        self._endpoint = endpoint
-        self._runner: EventLoopRunner | None = None
-        self._runner_lock = threading.Lock()
-        if hasattr(endpoint, "abatch_query"):
-            self.batch_query = self._batch_query
-
-    def __getattr__(self, name: str):
-        return getattr(self._endpoint, name)
-
-    @property
-    def wrapped(self) -> AsyncSearchEndpoint:
-        """The underlying async endpoint."""
-        return self._endpoint
-
-    def _run(self, coro: Coroutine):
-        with self._runner_lock:
-            if self._runner is None:
-                self._runner = EventLoopRunner(name="repro-sync-adapter")
-            runner = self._runner
-        return runner.run(coro)
-
-    def query(self, query: Query) -> QueryResult:
-        return self._run(self._endpoint.aquery(query))
-
-    def _batch_query(
-        self, queries: Sequence[Query]
-    ) -> tuple[QueryResult, ...]:
-        return self._run(self._endpoint.abatch_query(list(queries)))
-
-    def close(self) -> None:
-        with self._runner_lock:
-            runner, self._runner = self._runner, None
-        if runner is not None:
-            runner.close()
-        close = getattr(self._endpoint, "close", None)
-        if close is not None:
-            outcome = close()
-            if isinstance(outcome, Awaitable):  # async close coroutines
-                EventLoopRunner(name="repro-close").run(outcome)  # pragma: no cover
-
-    def __enter__(self) -> "SyncEndpointAdapter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def as_sync_endpoint(endpoint) -> "SearchEndpoint":
-    """``endpoint`` itself if it already blocks, adapted otherwise."""
-    if hasattr(endpoint, "query"):
-        return endpoint
-    return SyncEndpointAdapter(endpoint)
-
-
 __all__ = [
     "AsyncBatchSearchEndpoint",
     "AsyncSearchEndpoint",
     "BatchSearchEndpoint",
     "EventLoopRunner",
     "SearchEndpoint",
-    "SyncEndpointAdapter",
-    "as_sync_endpoint",
+    "run_inline",
 ]

@@ -93,7 +93,6 @@ class AsyncRemoteTopKInterface(QueryClientCore):
         backoff: float = 0.05,
         backoff_cap: float = 2.0,
         cache_size: int | None = None,
-        ledger=None,
         replay_nonce: str | None = None,
         pool_size: int = DEFAULT_POOL_SIZE,
         sleep: Callable[[float], Awaitable[None] | None] = asyncio.sleep,
@@ -106,7 +105,6 @@ class AsyncRemoteTopKInterface(QueryClientCore):
             backoff=backoff,
             backoff_cap=backoff_cap,
             cache_size=cache_size,
-            ledger=ledger,
             replay_nonce=replay_nonce,
             sleep=sleep,
         )

@@ -18,9 +18,11 @@ as coroutines of :class:`QueryClientCore`, and never touches a socket:
   :class:`QueryBudgetExceeded`, ``unsupported_query`` ->
   :class:`UnsupportedQueryError`), so algorithm code cannot tell a remote
   run from a local one;
-* **never-billed caches** -- an LRU of answers and an optional crawl-store
-  ledger answer repeated queries client-side; hits advance neither
-  :attr:`~QueryClientCore.queries_issued` nor the server's billing counter;
+* **never-billed cache** -- an LRU of answers answers repeated queries
+  client-side; hits advance neither
+  :attr:`~QueryClientCore.queries_issued` nor the server's billing
+  counter.  There is no ledger mount: a durable crawl's ledger is read by
+  the execution engine alone (``DiscoveryConfig(store=...)``);
 * **batched round trips** -- ``batch_query()`` sends a frontier wave as
   one ``POST /api/batch`` with per-item billing and retries, and a
   terminal failure carries every paid-for answer as ``partial_results``.
@@ -28,8 +30,9 @@ as coroutines of :class:`QueryClientCore`, and never touches a socket:
 A transport contributes one HTTP round trip (``_exchange``), the backoff
 sleeper and a way to run a protocol coroutine.  :class:`RemoteTopKInterface`
 is the blocking transport: thread-local keep-alive ``http.client``
-connections, with coroutines run to completion in the calling thread
-because its hooks never suspend.  The asyncio transport is
+connections, with coroutines run to completion in one ``send`` in the
+calling thread (:func:`~repro.hiddendb.endpoint.run_inline`) because its
+hooks never suspend.  The asyncio transport is
 :class:`~repro.service.aclient.AsyncRemoteTopKInterface`.  Counters and the
 cache are lock-guarded, so ``workers > 1`` strategies may drive one client
 from several threads.
@@ -50,6 +53,7 @@ from collections import OrderedDict
 from typing import Any, Awaitable, Callable, Coroutine, Mapping, Sequence
 
 from ..hiddendb.attributes import Schema
+from ..hiddendb.endpoint import run_inline
 from ..hiddendb.errors import (
     HiddenDBError,
     QueryBudgetExceeded,
@@ -111,9 +115,9 @@ class QueryClientCore:
     ``partial_results`` contract, the retry loop, the response tail
     (budget and data-version headers, error classification,
     ``Retry-After``, JSON body), the operator calls, the never-billed LRU
-    query cache and crawl-store ledger mount, deterministic
-    ``X-Request-Id`` replay derivation and the telemetry counters.  The
-    protocol runs as coroutines that only ever await the transport.
+    query cache, deterministic ``X-Request-Id`` replay derivation and the
+    telemetry counters.  The protocol runs as coroutines that only ever
+    await the transport.
 
     Subclasses contribute only transport: :meth:`_exchange` (one HTTP
     round trip), a ``sleep`` callable for backoff (awaited when it returns
@@ -131,7 +135,6 @@ class QueryClientCore:
         backoff: float,
         backoff_cap: float,
         cache_size: int | None,
-        ledger,
         replay_nonce: str | None,
         sleep: Callable[[float], Awaitable[None] | None],
     ) -> None:
@@ -160,11 +163,9 @@ class QueryClientCore:
         # engine memo and the crawl-store ledger, so the layers can never
         # disagree about query identity.
         self._cache: OrderedDict[str, QueryResult] = OrderedDict()
-        self._ledger = ledger
         self._replay_nonce = replay_nonce or None
         self._count = 0
         self._cache_hits = 0
-        self._ledger_hits = 0
         self._retries = 0
         self._throttled = 0
         #: Pressure accumulator drained by ``take_throttle_signals()``:
@@ -248,7 +249,7 @@ class QueryClientCore:
         Called -- duck-typed, like :meth:`set_replay_nonce` -- by a traced
         :class:`~repro.core.base.DiscoverySession`.  While bound, the
         client emits transport lifecycle events (attempt / retry / fault /
-        cache and ledger hits / billed) and stamps every wire request with
+        cache hits / billed) and stamps every wire request with
         the observer's deterministic ``X-Trace-Id``, so server access logs
         correlate with the engine-side spans of the same logical query.
         """
@@ -269,7 +270,7 @@ class QueryClientCore:
         return f"{nonce}-{query_fingerprint(query)}"
 
     def _cache_lookup(self, query: Query) -> QueryResult | None:
-        if not self._cache_size and self._ledger is None:
+        if not self._cache_size:
             return None
         key = query.canonical_key()
         with self._lock:
@@ -277,30 +278,11 @@ class QueryClientCore:
             if cached is not None:
                 self._cache.move_to_end(key)
                 self._cache_hits += 1
-        if cached is not None:
-            if self._observer is not None:
-                self._observer.client_event("cache_hit", query)
-            return cached
-        if self._ledger is None:
-            return None
-        # Durable cache: an answer some earlier run/process paid for.
-        persisted = self._ledger.get(query)
-        if persisted is None:
-            return None
-        with self._lock:
-            self._ledger_hits += 1
-            self._cache_hits += 1
-            if self._cache_size:
-                self._cache[key] = persisted
-                if len(self._cache) > self._cache_size:
-                    self._cache.popitem(last=False)
-        if self._observer is not None:
-            self._observer.client_event("ledger_hit", query)
-        return persisted
+        if cached is not None and self._observer is not None:
+            self._observer.client_event("cache_hit", query)
+        return cached
 
     def _cache_store(self, query: Query, result: QueryResult) -> None:
-        if self._ledger is not None:
-            self._ledger.put(query, result)
         if not self._cache_size:
             return
         with self._lock:
@@ -825,13 +807,8 @@ class QueryClientCore:
 
     @property
     def cache_hits(self) -> int:
-        """Queries answered from the local cache or ledger (never billed)."""
+        """Queries answered from the local cache (never billed)."""
         return self._cache_hits
-
-    @property
-    def ledger_hits(self) -> int:
-        """Subset of :attr:`cache_hits` answered by the persistent ledger."""
-        return self._ledger_hits
 
     @property
     def cache_size(self) -> int:
@@ -904,13 +881,9 @@ class RemoteTopKInterface(QueryClientCore):
     cache_size:
         Capacity of the client-side LRU query cache; ``None`` or ``0``
         disables caching (the default -- parity runs must bill every query).
-    ledger:
-        Optional persistent query ledger (a
-        :class:`~repro.store.QueryLedger` view of a crawl store) mounted
-        as this client's durable never-billed cache: where the LRU forgets
-        on restart, ledgered answers survive process restarts and are
-        shared across clients.  Hits are free exactly like LRU hits; every
-        billed answer is written through.
+        The client mounts no crawl-store ledger: a durable crawl
+        (``DiscoveryConfig(store=...)``) has the execution engine read
+        and write it.
     replay_nonce:
         When set, ``X-Request-Id`` values are derived deterministically
         from this nonce plus the query's canonical key instead of drawn at
@@ -933,7 +906,6 @@ class RemoteTopKInterface(QueryClientCore):
         backoff: float = 0.05,
         backoff_cap: float = 2.0,
         cache_size: int | None = None,
-        ledger=None,
         replay_nonce: str | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
@@ -945,7 +917,6 @@ class RemoteTopKInterface(QueryClientCore):
             backoff=backoff,
             backoff_cap=backoff_cap,
             cache_size=cache_size,
-            ledger=ledger,
             replay_nonce=replay_nonce,
             sleep=sleep,
         )
@@ -959,21 +930,9 @@ class RemoteTopKInterface(QueryClientCore):
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
-    def _run(self, coro: Coroutine[Any, Any, Any]) -> Any:
-        """Run ``coro`` in the calling thread, in a single step.
-
-        Every hook of this transport blocks instead of suspending, so the
-        protocol coroutine completes on its first ``send`` -- no event
-        loop, no thread hop.
-        """
-        try:
-            coro.send(None)
-        except StopIteration as done:
-            return done.value
-        coro.close()
-        raise RuntimeError(
-            "blocking client protocol suspended (was an async sleep given?)"
-        )
+    # Every hook of this transport blocks instead of suspending, so a
+    # protocol coroutine completes on its first ``send``.
+    _run = staticmethod(run_inline)
 
     async def _exchange(
         self,

@@ -27,9 +27,10 @@ makes crawls durable by persisting four things:
 Resume is *replay-driven*: the ledger doubles as the fetch log of the
 state-dependent RQ/PQ paths.  A resumed run simply re-executes its
 (deterministic) algorithm; every query whose answer is already owned --
-including the strictly sequential ``frontier.fetch`` steps -- is answered
-from the ledger without being billed, so the run replays to the exact
-pre-crash state and then continues paying only for genuinely new queries.
+including the strictly sequential ``frontier.fetch`` steps, which drain
+like every other query -- is answered from the ledger without being
+billed, so the run replays to the exact pre-crash state and then
+continues paying only for genuinely new queries.
 Kill a crawl mid-run, rerun the same command, and discovery completes with
 the same skyline at no more than the uninterrupted cost; a warm second run
 over an unchanged endpoint bills zero queries.
@@ -554,9 +555,9 @@ class CrawlStore:
         self._memory = self._path == ":memory:"
         if not self._memory:
             Path(self._path).parent.mkdir(parents=True, exist_ok=True)
-        # One shared connection, serialised by an RLock: ledger lookups
-        # happen on the driver thread, but a ledger mounted as a remote
-        # client's cache is read from the drain's pool threads too.
+        # One shared connection, serialised by an RLock: each crawl reads
+        # and writes its ledger on its own driver thread, and the
+        # coordinator runs several jobs' crawls against one store.
         self._conn = sqlite3.connect(
             self._path, check_same_thread=False, isolation_level=None
         )

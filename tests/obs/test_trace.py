@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import io
 import json
+from collections import Counter
 
 import pytest
 
 from repro import Discoverer
-from repro.core import DiscoveryConfig
+from repro.cli import DATASETS
+from repro.core import DiscoveryConfig, all_algorithms
 from repro.hiddendb import InterfaceKind, TopKInterface
 from repro.hiddendb.query import Query, query_fingerprint
 from repro.obs import MetricsRegistry, RunObserver, TraceWriter
 
 from ..conftest import (
     PARITY_TABLES,
+    anti_diagonal_pq_table,
     make_table,
     parity_strategy_params,
     truth_values,
@@ -190,6 +193,50 @@ def test_traced_crawl_parity_and_span_coverage(strategy, config):
     assert len(dispatched) == traced.total_cost
     merged = [s for s in spans if s["phase"] == "merged"]
     assert len(merged) == traced.total_cost
+
+
+#: Per registered algorithm, ``(table factory, k)`` of a cold run that
+#: bills well over a handful of queries (45 to 760).
+COVERAGE_TABLES = {
+    "baseline": (lambda: DATASETS["diamonds"](200, 0), 10),
+    "mq": (lambda: DATASETS["flights-mixed"](200, 0), 10),
+    "pq": (lambda: DATASETS["flights-pq"](500, 0), 10),
+    "pq2d": (lambda: anti_diagonal_pq_table(100), 5),
+    "rq": (lambda: DATASETS["diamonds"](200, 0), 10),
+    "sq": (lambda: DATASETS["flights-range"](200, 0), 10),
+}
+
+COVERAGE_SHAPES = {
+    "serial": {"strategy": "serial"},
+    "async-4x16": {"strategy": "async", "workers": 4, "batch_size": 16},
+}
+
+
+def test_coverage_tables_name_every_registered_algorithm():
+    assert sorted(COVERAGE_TABLES) == sorted(
+        spec.name for spec in all_algorithms()
+    )
+
+
+@pytest.mark.parametrize("shape", COVERAGE_SHAPES.values(), ids=COVERAGE_SHAPES)
+@pytest.mark.parametrize("algorithm", sorted(COVERAGE_TABLES))
+def test_every_billed_query_is_dispatched_billed_and_merged_once(
+    algorithm, shape
+):
+    """Sequential steps (``session.issue``) drain like frontier entries,
+    so every billed query of every algorithm carries its whole chain."""
+    make, k = COVERAGE_TABLES[algorithm]
+    buffer = io.StringIO()
+    result = Discoverer(DiscoveryConfig(trace=buffer, **shape)).run(
+        TopKInterface(make(), k=k), algorithm
+    )
+    assert result.total_cost > 40
+    keys = {"dispatched": Counter(), "billed": Counter(), "merged": Counter()}
+    for span in spans_of(buffer):
+        if span["phase"] in keys:
+            keys[span["phase"]][span["key"]] += 1
+    assert sum(keys["billed"].values()) == result.total_cost
+    assert keys["dispatched"] == keys["billed"] == keys["merged"]
 
 
 def test_traced_run_matches_ground_truth_on_auto_dispatch():

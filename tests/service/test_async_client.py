@@ -4,17 +4,17 @@ The client contract both transports share is checked for each of them
 in ``test_client.py``; this file keeps what is particular to the asyncio
 transport or worth a crawl-sized check: awaiting from a foreign loop,
 batch-vs-single answers, fault convergence under the async strategy,
-replay ids, the ledger mount and the sync adapter.
+replay ids and the transport the engine picks for it.
 """
 
 import asyncio
 
 import pytest
 
-from repro import CrawlStore, Discoverer, DiscoveryConfig, TopKInterface
+from repro import Discoverer, DiscoveryConfig, TopKInterface
 from repro.core.base import DiscoverySession
 from repro.core.engine import AsyncStrategy
-from repro.hiddendb import Query, as_sync_endpoint
+from repro.hiddendb import Query
 from repro.hiddendb.endpoint import EventLoopRunner
 from repro.service import AsyncRemoteTopKInterface, FaultConfig
 
@@ -96,28 +96,6 @@ class TestQuerySemantics:
             # server replays the billed answer instead of charging twice.
             assert server.stats().usage("nonced").issued == 1
 
-    def test_ledger_mount_is_a_durable_free_cache(self, serve):
-        table = TABLES["rq3"]
-        server = serve(table, k=5, name="aledger")
-        store = CrawlStore.memory()
-        with AsyncRemoteTopKInterface(server.url) as probe:
-            fingerprint = store.register_endpoint(
-                probe.schema, probe.k, probe.service_name
-            )
-        ledger = store.ledger(fingerprint)
-        with AsyncRemoteTopKInterface(server.url, ledger=ledger) as cold:
-            reference = Discoverer().run(cold)
-            billed = server.stats().queries_total
-            assert billed == reference.total_cost > 0
-        # A brand-new client answers everything from the ledger.
-        with AsyncRemoteTopKInterface(server.url, ledger=ledger) as warm:
-            result = Discoverer().run(warm)
-            assert result.skyline_values == reference.skyline_values
-            assert result.total_cost == 0
-            assert warm.queries_issued == 0
-            assert warm.ledger_hits == reference.total_cost
-            assert server.stats().queries_total == billed
-
 
 class TestTransportChoice:
     @pytest.mark.parametrize("batch_size", [1, 4])
@@ -151,39 +129,3 @@ class TestTransportChoice:
             assert session.engine_stats.issued == 8
             assert loops
             assert all(loop is client.aio_runner.loop for loop in loops)
-
-
-class TestSyncAdapter:
-    def test_as_sync_endpoint_passes_async_clients_through(self, serve):
-        table = TABLES["rq3"]
-        server = serve(table, k=5)
-        with AsyncRemoteTopKInterface(server.url) as client:
-            # The async client already offers a blocking surface, so the
-            # adapter is the identity for it.
-            assert as_sync_endpoint(client) is client
-
-    def test_adapter_wraps_a_pure_async_endpoint(self, serve):
-        table = TABLES["rq3"]
-        server = serve(table, k=5)
-
-        class PureAsync:
-            """An endpoint speaking only the async protocol."""
-
-            def __init__(self, inner):
-                self._inner = inner
-                self.schema = inner.schema
-                self.k = inner.k
-
-            @property
-            def queries_issued(self):
-                return self._inner.queries_issued
-
-            async def aquery(self, query):
-                return await self._inner.aquery(query)
-
-        with AsyncRemoteTopKInterface(server.url) as client:
-            adapted = as_sync_endpoint(PureAsync(client))
-            with adapted:
-                answer = adapted.query(Query.select_all())
-                assert answer.rows
-                assert adapted.queries_issued == 1
