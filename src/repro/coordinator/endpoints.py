@@ -264,7 +264,7 @@ class EndpointSet:
 
     @property
     def cache_hits(self) -> int:
-        """Free (cache/ledger) answers across the pool."""
+        """Free (client-cache) answers across the pool."""
         return sum(b.client.cache_hits for b in self._backends)
 
     @property

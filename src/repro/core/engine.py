@@ -201,7 +201,9 @@ class QueryEngine:
         self.dedup = dedup
         #: The endpoint's own free query cache (the remote client's LRU),
         #: consulted before budget is reserved: cache hits bill nothing.
-        self.cached_answer = getattr(interface, "cached_answer", None)
+        self.cached_answer = getattr(
+            interface, "cached_answer", lambda query: None
+        )
         # The memo is keyed by the canonical query key (the scheme shared
         # with the remote cache and the crawl-store ledger), so layers can
         # never disagree about query identity.
@@ -617,11 +619,7 @@ class _DrainCore:
                 if observer is not None:
                     observer.classified(merged, ckey, "ledger")
                 continue
-            cached = (
-                engine.cached_answer(merged)
-                if engine.cached_answer is not None
-                else None
-            )
+            cached = engine.cached_answer(merged)
             if cached is not None:
                 # Endpoint-cache hit: free, no dispatch.
                 if engine.dedup:
@@ -678,21 +676,6 @@ class _DrainCore:
                 item.future.cancel()
 
 
-class _TransportContext:
-    """Per-drain transport state handed between the strategy hooks."""
-
-    __slots__ = ("query", "batch_query", "pool", "runner", "owns")
-
-    def __init__(
-        self, query, batch_query=None, pool=None, runner=None, owns=False
-    ) -> None:
-        self.query = query
-        self.batch_query = batch_query
-        self.pool = pool
-        self.runner = runner
-        self.owns = owns
-
-
 class ExecutionStrategy:
     """How a :class:`Frontier` is drained: a window over :class:`_DrainCore`.
 
@@ -740,7 +723,13 @@ class ExecutionStrategy:
     def _close(self, engine: QueryEngine, context) -> None:
         """Release the transport context acquired by :meth:`_open`."""
 
-    def _submit(self, context, chunk: list[_Dispatched], session, engine):
+    def _submit(
+        self,
+        context,
+        chunk: list[_Dispatched],
+        session: "DiscoverySession",
+        engine: QueryEngine,
+    ) -> None:
         """Attach a future to every entry of a non-empty ``chunk``."""
         queries = [item.query for item in chunk]
         if context.batch_query is not None and len(chunk) > 1:
@@ -788,24 +777,34 @@ class ExecutionStrategy:
             self._close(engine, context)
 
 
-async def _settle(outcome):
-    """``outcome`` itself, or what it resolves to when it is awaitable."""
-    if isawaitable(outcome):
-        return await outcome
-    return outcome
+class _TransportContext:
+    """Per-drain transport state handed between the strategy hooks."""
+
+    __slots__ = ("query", "batch_query", "pool", "runner", "owns")
+
+    def __init__(
+        self, query, batch_query=None, pool=None, runner=None, owns=False
+    ) -> None:
+        self.query = query
+        self.batch_query = batch_query
+        self.pool = pool
+        self.runner = runner
+        self.owns = owns
 
 
 async def _transport_one(session, query_fn, query) -> QueryResult:
     """One guarded single-query transport.
 
-    Session-budget reservation happens here, immediately before the query
-    is billed -- never speculatively -- so a budget that suffices for a
-    serial run also suffices concurrently (the strategies issue the same
-    query set).
+    ``query_fn`` is the endpoint's ``query`` or ``aquery``; its answer is
+    awaited only when it is awaitable.  Session-budget reservation happens
+    here, immediately before the query is billed -- never speculatively --
+    so a budget that suffices for a serial run also suffices concurrently
+    (the strategies issue the same query set).
     """
     session.reserve_budget()
     try:
-        return await _settle(query_fn(query))
+        answer = query_fn(query)
+        return await answer if isawaitable(answer) else answer
     except BaseException:
         session.release_budget()
         raise
@@ -832,7 +831,10 @@ async def _transport_batch(session, batch_query, queries):
     results: tuple[QueryResult, ...] = ()
     try:
         if allowed:
-            results = tuple(await _settle(batch_query(allowed)))
+            answers = batch_query(allowed)
+            results = tuple(
+                await answers if isawaitable(answers) else answers
+            )
     except HiddenDBError as exc:
         # Normalise the partial results to the sent prefix and return the
         # reservations of their ``None`` holes (exactly the unbilled items).
@@ -857,6 +859,8 @@ def _spawn(context: _TransportContext, transport, *args) -> Future:
     if context.runner is not None:
         return context.runner.submit(transport(*args))
     if context.pool is not None:
+        # The coroutine is built on the pool thread, so a task cancelled
+        # before it starts leaves no coroutine that was never awaited.
         return context.pool.submit(lambda: run_inline(transport(*args)))
     future: Future = Future()
     try:
