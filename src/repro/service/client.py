@@ -18,7 +18,7 @@ as coroutines of :class:`QueryClientCore`, and never touches a socket:
   :class:`QueryBudgetExceeded`, ``unsupported_query`` ->
   :class:`UnsupportedQueryError`), so algorithm code cannot tell a remote
   run from a local one;
-* **never-billed cache** -- an LRU of answers answers repeated queries
+* **never-billed cache** -- an LRU of answers serves repeated queries
   client-side; hits advance neither
   :attr:`~QueryClientCore.queries_issued` nor the server's billing
   counter.  There is no ledger mount: a durable crawl's ledger is read by
