@@ -196,7 +196,7 @@ def test_traced_crawl_parity_and_span_coverage(strategy, config):
 
 
 #: Per registered algorithm, ``(table factory, k)`` of a cold run that
-#: bills well over a handful of queries (45 to 760).
+#: bills well over a handful of queries (63 to 753).
 COVERAGE_TABLES = {
     "baseline": (lambda: DATASETS["diamonds"](200, 0), 10),
     "mq": (lambda: DATASETS["flights-mixed"](200, 0), 10),
