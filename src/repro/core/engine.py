@@ -25,12 +25,16 @@ queries.  This module makes that structure explicit and pluggable:
     to the pre-engine implementations (the parity reference).
   - :class:`AsyncStrategy` keeps a bounded window of queries in flight,
     packing them into ``batch_query()`` / ``abatch_query()`` round trips
-    when the endpoint supports it.  The endpoint picks the transport: an
-    endpoint that owns an event loop (``aio_runner``, i.e. the asyncio
-    remote client) has its coroutines awaited on that loop, where a
-    "worker" is an in-flight slot rather than an OS thread; any other
-    endpoint is called on a ``workers``-wide thread pool.  ``"pipelined"``
-    is accepted as an alias of ``"async"``.
+    when the endpoint supports it.  Its transports run on a
+    ``workers``-wide thread pool.  ``"pipelined"`` is accepted as an
+    alias of ``"async"``.
+
+  An endpoint that owns an event loop (``aio_runner``, i.e. the asyncio
+  remote client) overrides where transports run, under either strategy:
+  each is a task on that loop, awaiting ``aquery`` / ``abatch_query``.
+  The loop has no thread of its own; the driver thread runs it while it
+  waits for an entry's answer, so tasks start in dispatch order and a
+  "worker" is an in-flight slot rather than an OS thread.
 
   Each transport (one query, one batch) is written once, as a coroutine
   that awaits the endpoint call only when the call returns an awaitable:
@@ -79,6 +83,8 @@ from ..hiddendb.query import Query
 from .adaptive import AdaptiveWindow, resolve_workers
 
 if TYPE_CHECKING:  # pragma: no cover - types only
+    import asyncio
+
     from ..hiddendb.endpoint import SearchEndpoint
     from .base import DiscoverySession
 
@@ -186,8 +192,8 @@ class QueryEngine:
     through a :class:`_DrainCore`, which classifies, bills and merges it
     here: the mounted ledger has no other reader.  All counter and memo
     mutation happens on the driver thread (the thread running the
-    algorithm); worker threads and the event loop only ever call the
-    endpoint's transport members.
+    algorithm), outside any event loop; pool threads and tasks on an
+    endpoint's loop only ever call the endpoint's transport members.
     """
 
     def __init__(
@@ -409,16 +415,17 @@ class Frontier:
 class _Dispatched:
     """One dispatched entry awaiting its in-order merge.
 
-    Exactly one answer source is set: a future (per-query task, or a
-    ``(future, batch_index)`` pair into a batch task), a memo key (dedup:
-    the answer is -- or by this entry's merge turn will be -- memoized),
-    or a direct ``result`` (endpoint-cache or ledger hit at dispatch time).
+    Exactly one answer source is set: a transport's future (per-query
+    task, or a ``(future, batch_index)`` pair into a batch task; see
+    :func:`_spawn`), a memo key (dedup: the answer is -- or by this
+    entry's merge turn will be -- memoized), or a direct ``result``
+    (endpoint-cache or ledger hit at dispatch time).
     """
 
     entry: _Entry
     query: Query | None = None  #: merged query (transported entries only)
     key: str | None = None  #: canonical key of ``query``
-    future: Future | None = None
+    future: "Future | asyncio.Task | _Outcome | None" = None
     batch_index: int | None = None
     memo_key: str | None = None
     #: Dedup-off duplicate of an in-flight query with a ledger mounted:
@@ -431,7 +438,7 @@ class _Dispatched:
     def transported(self) -> bool:
         return self.query is not None
 
-    def resolve(self, engine: QueryEngine) -> QueryResult:
+    def resolve(self, engine: QueryEngine, wait) -> QueryResult:
         if self.result is not None:
             return self.result
         if self.memo_key is not None:
@@ -447,7 +454,7 @@ class _Dispatched:
             return answer
         assert self.future is not None
         try:
-            outcome = self.future.result()
+            outcome = wait(self.future)
         except HiddenDBError as exc:
             # A terminal failure inside a batch carries every answer that
             # was actually obtained/billed (``partial_results``, aligned
@@ -487,14 +494,15 @@ class _DrainCore:
       against exactly the session state a serial run would show them.
 
     A strategy's only job is to attach a future to each transported entry
-    of the chunks this core hands out (inline call, thread-pool task, or
-    event-loop task).
+    of the chunks this core hands out (inline outcome, thread-pool task,
+    or event-loop task).
     """
 
     def __init__(
         self,
         frontier: Frontier,
         session: "DiscoverySession",
+        context: "_TransportContext",
         capacity: int,
         per_task: int,
         controller=None,
@@ -502,6 +510,7 @@ class _DrainCore:
         self._frontier = frontier
         self._session = session
         self._engine = session.engine
+        self._context = context
         self._capacity = capacity
         self._per_task = per_task
         #: Optional AIMD window controller (``workers="auto"``): shrinks
@@ -645,7 +654,7 @@ class _DrainCore:
         engine = self._engine
         head = self._waiting.popleft()
         try:
-            result = head.resolve(engine)
+            result = head.resolve(engine, self._context.wait)
         finally:
             self._outstanding -= 1
             if head.transported:
@@ -669,11 +678,10 @@ class _DrainCore:
 
     def cancel(self) -> None:
         """Cancel unmerged transports (don't issue work the algorithm
-        will never see); queued tasks die, running ones finish harmlessly
-        (transports never touch session state)."""
-        for item in self._waiting:
-            if item.future is not None:
-                item.future.cancel()
+        will never see)."""
+        self._context.cancel(
+            [item.future for item in self._waiting if item.future is not None]
+        )
 
 
 class ExecutionStrategy:
@@ -684,7 +692,8 @@ class ExecutionStrategy:
     responsive, then merge the oldest dispatched entry.  A strategy
     contributes the window's shape (``workers`` x ``batch_size``, fixed
     or adaptive) and where transports run (:meth:`_open`); the default is
-    inline on the driver thread.  The 1 x 1 window pops one entry, merges
+    inline on the driver thread, or tasks on the endpoint's own event
+    loop when it owns one.  The 1 x 1 window pops one entry, merges
     it, and only then pops the next, reproducing the pre-engine
     pop/issue/callback interleaving bit for bit even when free answers
     (memo, ledger, endpoint cache) mix with transported ones.
@@ -717,8 +726,18 @@ class ExecutionStrategy:
         return engine._adaptive
 
     def _open(self, engine: QueryEngine) -> _TransportContext:
-        """Per-drain transport context: inline, one query per task."""
-        return _TransportContext(engine.interface.query)
+        """Per-drain transport context: tasks on the endpoint's own event
+        loop if it owns one (``aio_runner``), else inline."""
+        interface = engine.interface
+        runner = getattr(interface, "aio_runner", None)
+        if runner is None:
+            return _TransportContext(interface.query)
+        return _TransportContext(
+            interface.aquery,
+            getattr(interface, "abatch_query", None)
+            if self.batch_size > 1 else None,
+            runner=runner,
+        )
 
     def _close(self, engine: QueryEngine, context) -> None:
         """Release the transport context acquired by :meth:`_open`."""
@@ -754,7 +773,7 @@ class ExecutionStrategy:
             self.batch_size if context.batch_query is not None else 1
         )
         core = _DrainCore(
-            frontier, session, capacity=self.workers * per_task,
+            frontier, session, context, capacity=self.workers * per_task,
             per_task=per_task, controller=self._controller(engine),
         )
         try:
@@ -790,6 +809,23 @@ class _TransportContext:
         self.pool = pool
         self.runner = runner
         self.owns = owns
+
+    def wait(self, future):
+        """A transport's outcome, at its entry's merge turn (a loop task
+        is run to completion here, on the driver thread)."""
+        if self.runner is not None:
+            return self.runner.wait(future)
+        return future.result()
+
+    def cancel(self, futures: list) -> None:
+        """Cancel unmerged transports: those not started never start, loop
+        tasks are run out before this returns, pool tasks already running
+        finish harmlessly (transports never touch session state)."""
+        if self.runner is not None:
+            self.runner.cancel(futures)
+        elif self.pool is not None:
+            for future in futures:
+                future.cancel()
 
 
 async def _transport_one(session, query_fn, query) -> QueryResult:
@@ -853,21 +889,36 @@ async def _transport_batch(session, batch_query, queries):
     return results
 
 
-def _spawn(context: _TransportContext, transport, *args) -> Future:
+class _Outcome:
+    """An inline transport's value or exception, carried to its entry's
+    merge turn (and raised there)."""
+
+    __slots__ = ("value", "error")
+
+    def __init__(self, value=None, error: BaseException | None = None) -> None:
+        self.value = value
+        self.error = error
+
+    def result(self):
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+def _spawn(context: _TransportContext, transport, *args):
     """Start one transport coroutine: a task on the endpoint's loop, one
-    ``send`` on a pool thread, or one ``send`` right here."""
+    ``send`` on a pool thread, or one ``send`` right here; the returned
+    future is settled by ``context.wait`` at its entry's merge turn."""
     if context.runner is not None:
         return context.runner.submit(transport(*args))
     if context.pool is not None:
         # The coroutine is built on the pool thread, so a task cancelled
         # before it starts leaves no coroutine that was never awaited.
         return context.pool.submit(lambda: run_inline(transport(*args)))
-    future: Future = Future()
     try:
-        future.set_result(run_inline(transport(*args)))
+        return _Outcome(run_inline(transport(*args)))
     except BaseException as exc:
-        future.set_exception(exc)
-    return future
+        return _Outcome(error=exc)
 
 
 def _resolve_shape(
@@ -889,8 +940,9 @@ class SerialStrategy(ExecutionStrategy):
     With dedup off this is bit-identical to the pre-engine
     implementations: same queries, same order, same costs, same traces.
     Runs the shared drain core with a window of one, transporting inline
-    on the driver thread.  ``session.issue`` drains its one-entry
-    frontiers through this window whatever the session's strategy.
+    on the driver thread (as a task on the endpoint's loop, if it owns
+    one).  ``session.issue`` drains its one-entry frontiers through this
+    window whatever the session's strategy.
     """
 
     name = "serial"
@@ -911,10 +963,12 @@ class AsyncStrategy(ExecutionStrategy):
 
     * an endpoint that owns an event loop (``aio_runner``, as
       :class:`~repro.service.aclient.AsyncRemoteTopKInterface` does) has
-      its ``aquery`` / ``abatch_query`` coroutines awaited on that loop.
-      A worker is then an in-flight slot, not an OS thread, so wide
-      windows cost no thread stand-up, and the endpoint's pooled
-      connections stay on the loop that owns them;
+      its ``aquery`` / ``abatch_query`` coroutines submitted as tasks on
+      that loop, which the driver thread runs while it waits for the
+      next answer to merge.  A worker is then an in-flight slot, not an
+      OS thread, so wide windows cost no thread stand-up, tasks start in
+      dispatch order, and the endpoint's pooled connections stay on the
+      loop that owns them;
     * any other endpoint has its blocking ``query`` / ``batch_query``
       called on a thread pool of ``workers`` threads.
 
@@ -939,14 +993,8 @@ class AsyncStrategy(ExecutionStrategy):
 
     def _open(self, engine: QueryEngine) -> _TransportContext:
         interface = engine.interface
-        batched = self.batch_size > 1
-        runner = getattr(interface, "aio_runner", None)
-        if runner is not None:
-            return _TransportContext(
-                interface.aquery,
-                getattr(interface, "abatch_query", None) if batched else None,
-                runner=runner,
-            )
+        if getattr(interface, "aio_runner", None) is not None:
+            return super()._open(engine)
         # Nested drains (a callback running a sub-frontier mid-merge)
         # share the outermost drain's pool instead of churning one
         # executor per recursion level.  Only transports run on the pool,
@@ -958,7 +1006,8 @@ class AsyncStrategy(ExecutionStrategy):
             )
         return _TransportContext(
             interface.query,
-            getattr(interface, "batch_query", None) if batched else None,
+            getattr(interface, "batch_query", None)
+            if self.batch_size > 1 else None,
             pool=engine._drain_pool,
             owns=owns,
         )

@@ -41,15 +41,13 @@ endpoint from a thread pool, so endpoints that implement ``batch_query``
 (or that are driven with ``workers > 1``) must tolerate concurrent
 ``query()`` calls from multiple threads.  An endpoint that owns an event
 loop (an ``aio_runner``, like the asyncio remote client) is awaited on
-that loop instead.
+that loop instead, by the thread that drives the crawl.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
-from concurrent.futures import Future
-from typing import Coroutine, Protocol, Sequence, runtime_checkable
+from typing import Collection, Coroutine, Protocol, Sequence, runtime_checkable
 
 from .attributes import Schema
 from .interface import QueryResult
@@ -170,66 +168,64 @@ def run_inline(coro: Coroutine):
 
 
 class EventLoopRunner:
-    """An asyncio event loop on a daemon thread, fed from other threads.
+    """An asyncio event loop run by the thread that waits on it.
 
-    The execution engine submits transport coroutines to an async
-    endpoint's own runner and receives
-    :class:`concurrent.futures.Future`\\ s (the same currency thread-pool
-    transports use), and the asyncio client runs its blocking surface
-    here.  One runner owns one loop for its whole lifetime, so loop-affine
-    resources (pooled connections) stay valid across calls.
+    The loop has no thread of its own.  :meth:`submit` creates a task
+    without running it, and :meth:`wait` runs the loop until that task is
+    done, so tasks start in the order they were submitted, on the waiting
+    thread, and the loop sits idle between waits.  The execution engine
+    submits an async endpoint's transports to the endpoint's own runner,
+    and the asyncio client runs its blocking surface here.  One runner
+    owns one loop for its whole lifetime, so loop-affine resources
+    (pooled connections) stay valid across calls.
+
+    One thread at a time may drive a runner, and never from inside a
+    running event loop (asyncio refuses to run a second loop there).
     """
 
-    def __init__(self, name: str = "repro-aio") -> None:
+    def __init__(self) -> None:
         self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run, name=name, daemon=True
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
 
     @property
     def loop(self) -> asyncio.AbstractEventLoop:
         """The runner's event loop (for loop-affine resource keying)."""
         return self._loop
 
-    def submit(self, coro: Coroutine) -> Future:
-        """Schedule ``coro`` on the loop; a thread-safe future of it."""
-        return asyncio.run_coroutine_threadsafe(coro, self._loop)
+    def submit(self, coro: Coroutine) -> asyncio.Task:
+        """A task of ``coro`` on the loop, started by the next wait."""
+        return self._loop.create_task(coro)
+
+    def wait(self, task: asyncio.Task):
+        """Run the loop until ``task`` is done and return its result."""
+        if not task.done():
+            self._loop.run_until_complete(task)
+        return task.result()
 
     def run(self, coro: Coroutine):
         """Run ``coro`` to completion and return its result (blocking)."""
-        return self.submit(coro).result()
+        return self.wait(self.submit(coro))
 
-    def close(self, timeout: float = 5.0) -> None:
-        """Cancel leftover tasks, stop the loop, join the thread."""
+    def cancel(self, tasks: Collection[asyncio.Task]) -> None:
+        """Cancel ``tasks``, then run the loop until every one of them has
+        finished; their outcomes, whatever they are, are dropped."""
+        for task in tasks:
+            task.cancel()
+        if tasks:
+            self._loop.run_until_complete(
+                asyncio.gather(*tasks, return_exceptions=True)
+            )
 
-        async def _shutdown() -> None:
-            loop = asyncio.get_running_loop()
-            tasks = [
-                task
-                for task in asyncio.all_tasks(loop)
-                if task is not asyncio.current_task()
-            ]
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-            await loop.shutdown_asyncgens()
-            await loop.shutdown_default_executor()
-
-        if self._loop.is_closed():
+    def close(self) -> None:
+        """Cancel leftover tasks, run them out, and close the loop."""
+        loop = self._loop
+        if loop.is_closed():
             return
         try:
-            self.submit(_shutdown()).result(timeout=timeout)
-        except Exception:
-            pass
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=timeout)
-        if not self._loop.is_running():
-            self._loop.close()
+            self.cancel(asyncio.all_tasks(loop))
+            loop.run_until_complete(loop.shutdown_asyncgens())
+            loop.run_until_complete(loop.shutdown_default_executor())
+        finally:
+            loop.close()
 
     def __enter__(self) -> "EventLoopRunner":
         return self

@@ -3,7 +3,7 @@
 :class:`AsyncRemoteTopKInterface` runs the one client protocol of
 :class:`~repro.service.client.QueryClientCore` -- caching, billing,
 request-id replay, retry, batching, error mapping, telemetry -- over
-**non-blocking sockets** driven by one asyncio event loop, so hundreds of
+**non-blocking sockets** driven by an asyncio event loop, so hundreds of
 queries can be in flight without a thread apiece.  The blocking
 :class:`~repro.service.client.RemoteTopKInterface` runs the same protocol
 over ``http.client``; the two differ only in transport, so their billing
@@ -15,27 +15,33 @@ into serial strategies unchanged.
 
 Transport specifics:
 
-* **connection pooling** -- keep-alive HTTP/1.1 connections are pooled on
-  the client's private event loop and reused across queries; concurrent
-  in-flight queries each hold one connection and return it on completion;
-* **minimal HTTP parsing** -- responses are read with a purpose-built
-  status-line / headers / ``Content-Length`` parser instead of the stdlib
-  ``http.client`` machinery, which is a measurable per-query saving at
-  high concurrency (the wire format is fixed and simple, so the client
-  does the minimum work the format requires);
-* **event-loop affinity** -- all I/O runs on one
-  :class:`~repro.hiddendb.endpoint.EventLoopRunner` owned by the client,
-  so pooled connections stay valid across calls.  ``aquery`` /
-  ``abatch_query`` may be awaited from any loop; the work is marshalled
-  to the client's loop and awaited without blocking the caller's loop.
-  ``close()`` releases everything deterministically, and like the
-  blocking client the next request reconnects, on a fresh loop.
+* **one protocol per connection** -- each keep-alive HTTP/1.1 connection
+  is an :class:`asyncio.Protocol` that parses the response out of its
+  buffer with a purpose-built status-line / headers / ``Content-Length``
+  reader (the wire format is fixed and simple, so the client does the
+  minimum work the format requires) and settles the waiter of the one
+  request in flight on it.  One ``call_later`` timer per request bounds
+  connect, write and response together by the client's ``timeout``;
+* **connection pooling** -- connections opened on the client's own loop
+  are pooled and reused across queries; concurrent in-flight queries
+  each hold one connection and return it on completion;
+* **no loop thread** -- the client's loop
+  (:class:`~repro.hiddendb.endpoint.EventLoopRunner`, ``aio_runner``)
+  runs only while the thread driving the crawl waits on it: the
+  execution engine submits each transport as a task and runs the loop
+  until the answer it needs next is in, and the blocking surface runs it
+  for one request.  So that surface is driven by one thread at a time,
+  and cannot be called from inside a running event loop.  ``aquery`` /
+  ``abatch_query`` run on whichever loop awaits them; a connection opened
+  on any loop but the client's closes with its request, so none outlives
+  the loop it was opened on.  ``close()`` releases everything
+  deterministically, and like the blocking client the next request
+  reconnects, on a fresh loop.
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
 from typing import Any, Awaitable, Callable, Coroutine, Mapping, Sequence
 
 from ..hiddendb.endpoint import EventLoopRunner
@@ -51,36 +57,136 @@ from .wire import decode_answer, encode_query  # noqa: F401
 DEFAULT_POOL_SIZE = 128
 
 
-class _Connection:
-    """One pooled keep-alive connection (reader/writer pair)."""
+def _parse_head(head: bytes) -> tuple[int, dict[str, str], int]:
+    """Status, lower-cased headers and body length of a response head
+    (the service always sends ``Content-Length``, never chunked bodies)."""
+    status_line, _, header_block = head.partition(b"\r\n")
+    parts = status_line.split(None, 2)
+    if (
+        len(parts) < 2
+        or not parts[0].startswith(b"HTTP/")
+        or not parts[1].isdigit()
+    ):
+        raise ConnectionError(f"malformed status line {status_line!r}")
+    headers: dict[str, str] = {}
+    for line in header_block.decode("latin-1").split("\r\n"):
+        if not line:
+            continue
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    declared = headers.get("content-length", "0") or "0"
+    if not declared.isdigit():
+        raise ConnectionError(f"malformed Content-Length {declared!r}")
+    return int(parts[1]), headers, int(declared)
 
-    __slots__ = ("reader", "writer")
+
+class _Connection(asyncio.Protocol):
+    """One keep-alive connection, opened on ``loop`` at construction.
+
+    :meth:`request` writes one request (as soon as the connection is up)
+    and returns a future of its ``(status, headers, body)``.  Everything
+    that ends the request early -- a failed connect, a malformed or cut
+    response, :meth:`expire` -- fails that future with an
+    :class:`OSError`.
+    """
 
     def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self, loop: asyncio.AbstractEventLoop, host: str, port: int, ssl
     ) -> None:
-        self.reader = reader
-        self.writer = writer
+        self.loop = loop
+        self._transport: asyncio.Transport | None = None
+        self._buffer = bytearray()
+        self._waiter: asyncio.Future | None = None
+        self._unsent = b""
+        self._closed = False
+        self._connecting = loop.create_task(
+            loop.create_connection(lambda: self, host, port, ssl=ssl)
+        )
+        self._connecting.add_done_callback(self._connected)
 
     @property
     def usable(self) -> bool:
-        return not self.writer.is_closing()
+        return not self._closed and not self._transport.is_closing()
+
+    def request(self, data: bytes) -> asyncio.Future:
+        self._waiter = self.loop.create_future()
+        if self._transport is None:
+            self._unsent = data  # written by connection_made
+        else:
+            self._transport.write(data)
+        return self._waiter
+
+    def expire(self) -> None:
+        """The request in flight ran out of time: fail it, drop the
+        connection (its stream state is unknown)."""
+        if self._waiter is not None:
+            self._fail(TimeoutError("timed out"))
+            self.close()
 
     def close(self) -> None:
+        self._closed = True
+        self._connecting.cancel()
+        if self._transport is not None:
+            self._transport.close()
+
+    def _fail(self, exc: BaseException) -> None:
+        waiter, self._waiter = self._waiter, None
+        if waiter is not None and not waiter.done():
+            waiter.set_exception(exc)
+
+    def _connected(self, task: asyncio.Task) -> None:
+        error = None if task.cancelled() else task.exception()
+        if error is not None:
+            self._closed = True
+            self._fail(error)
+
+    # -- asyncio.Protocol ----------------------------------------------
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+        if self._closed:
+            transport.close()
+        elif self._unsent:
+            transport.write(self._unsent)
+            self._unsent = b""
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        if self._waiter is None:
+            return
+        end = self._buffer.find(b"\r\n\r\n")
+        if end < 0:
+            return
         try:
-            self.writer.close()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
+            status, headers, length = _parse_head(bytes(self._buffer[:end]))
+        except ConnectionError as exc:
+            self._fail(exc)
+            self.close()
+            return
+        start = end + 4
+        if len(self._buffer) < start + length:
+            return
+        body = bytes(self._buffer[start : start + length])
+        del self._buffer[: start + length]
+        waiter, self._waiter = self._waiter, None
+        if not waiter.done():
+            waiter.set_result((status, headers, body))
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._closed = True
+        self._fail(exc or ConnectionError("connection closed before response"))
 
 
 class AsyncRemoteTopKInterface(QueryClientCore):
     """An :class:`AsyncSearchEndpoint` speaking HTTP to a hidden-DB service.
 
     Construction performs the same ``/api/schema`` bootstrap as the
-    blocking client (on the client's private loop).  Parameters mirror
+    blocking client (on the client's loop).  Parameters mirror
     :class:`~repro.service.client.RemoteTopKInterface`; ``sleep`` may be a
     plain callable or a coroutine function (tests pass a no-op),
-    ``pool_size`` bounds the idle keep-alive connections retained.
+    ``pool_size`` bounds the idle keep-alive connections retained.  The
+    blocking surface (``query()``, ``batch_query()``, the operator calls,
+    ``close()``) is driven by one thread at a time and cannot be called
+    from inside a running event loop.
     """
 
     def __init__(
@@ -109,14 +215,14 @@ class AsyncRemoteTopKInterface(QueryClientCore):
             sleep=sleep,
         )
         self._pool_size = pool_size
-        #: Idle connections; touched only on the runner's loop, so no lock.
+        #: Idle connections of the client's own loop.
         self._pool: list[_Connection] = []
-        #: Started on first use (and again after ``close()``).
+        #: Created on first use (and again after ``close()``).
         self._runner: EventLoopRunner | None = None
         try:
             self._fetch_metadata()
         except BaseException:
-            # A failed bootstrap must not leak the loop thread (callers
+            # A failed bootstrap must not leave the loop open (callers
             # may retry construction in a supervisor loop).
             self.close()
             raise
@@ -127,65 +233,53 @@ class AsyncRemoteTopKInterface(QueryClientCore):
     async def aquery(self, query: Query) -> QueryResult:
         """Issue one query without blocking (or answer it from the cache).
 
-        Awaitable from any event loop; the I/O runs on the client's own
-        loop.  Semantics are the shared protocol's, as for ``query()``.
+        Runs on whichever event loop awaits it; the execution engine
+        awaits it in a task on the client's own loop.  Semantics are the
+        shared protocol's, as for ``query()``.
         """
-        return await self._marshal(self._query(query))
+        return await self._query(query)
 
     async def abatch_query(
         self, queries: Sequence[Query]
     ) -> tuple[QueryResult, ...]:
         """Answer several independent queries in one ``/api/batch`` trip
         (the ``partial_results`` contract of ``batch_query()``)."""
-        return await self._marshal(self._batch_query(list(queries)))
+        return await self._batch_query(list(queries))
 
     # ------------------------------------------------------------------
-    # loop lifecycle and marshalling
+    # loop lifecycle
     # ------------------------------------------------------------------
     @property
     def aio_runner(self) -> EventLoopRunner:
-        """The client's event-loop runner (started on first use).
+        """The client's event loop (created on first use).
 
-        Exposed so the async execution strategy can schedule transports
-        directly on the loop that owns this client's connection pool --
-        one cross-thread hop per query instead of two.
+        The execution engine's marker of an endpoint that owns a loop: it
+        submits the crawl's transports to it as tasks, which start in
+        dispatch order and reuse the pooled connections, and runs it on
+        the driver thread while waiting for an answer.
         """
-        runner = self._runner
-        if runner is None:
-            with self._lock:
-                if self._runner is None:
-                    self._runner = EventLoopRunner(name="repro-aclient")
-                runner = self._runner
-        return runner
+        if self._runner is None:
+            self._runner = EventLoopRunner()
+        return self._runner
 
     def _run(self, coro: Coroutine[Any, Any, Any]) -> Any:
         """Run ``coro`` on the client's loop, blocking until it finishes."""
         return self.aio_runner.run(coro)
 
-    async def _marshal(self, coro):
-        """Run ``coro`` on the client's loop, awaited from any loop."""
-        runner = self.aio_runner
-        if asyncio.get_running_loop() is runner.loop:
-            return await coro
-        return await asyncio.wrap_future(runner.submit(coro))
-
     def close(self) -> None:
-        """Close every pooled connection and stop the client's loop.
+        """Close every pooled connection and the client's loop.
 
         The next request starts a fresh loop and reconnects.
         """
-        with self._lock:
-            runner, self._runner = self._runner, None
-        if runner is None:
-            return
-        try:
-            runner.run(self._drain_pool())
-        except Exception:
-            pass
-        runner.close()
+        runner, self._runner = self._runner, None
+        pool, self._pool = self._pool, []
+        for conn in pool:
+            conn.close()
+        if runner is not None:
+            runner.close()
 
     # ------------------------------------------------------------------
-    # transport (runs on the client's loop)
+    # transport (runs on whichever loop awaits it)
     # ------------------------------------------------------------------
     async def _exchange(
         self,
@@ -195,119 +289,66 @@ class AsyncRemoteTopKInterface(QueryClientCore):
         headers: Mapping[str, str],
     ) -> tuple[int, Mapping[str, str], bytes]:
         body = data or b""
-        held: list[_Connection] = []  # visible to cleanup if we time out
-
-        async def exchange():
-            conn = await self._acquire()
-            held.append(conn)
-            head = f"{method} {path} HTTP/1.1\r\nHost: {self._netloc}\r\n"
-            for name, value in headers.items():
-                head += f"{name}: {value}\r\n"
-            head += f"Content-Length: {len(body)}\r\n\r\n"
-            conn.writer.write(head.encode("latin-1") + body)
-            await conn.writer.drain()
-            return await self._read_response(conn.reader)
-
+        head = f"{method} {path} HTTP/1.1\r\nHost: {self._netloc}\r\n"
+        for name, value in headers.items():
+            head += f"{name}: {value}\r\n"
+        head += f"Content-Length: {len(body)}\r\n\r\n"
+        loop = asyncio.get_running_loop()
+        conn = self._acquire(loop)
+        # One timer bounds the whole round trip -- connect, write,
+        # response -- matching the blocking client's socket timeout.
+        timer = loop.call_later(self._timeout, conn.expire)
         try:
-            # One timeout bounds the whole round trip -- connect, write,
-            # response -- matching the blocking client's socket timeout.
-            status, response_headers, raw = await asyncio.wait_for(
-                exchange(), self._timeout
+            status, response_headers, raw = await conn.request(
+                head.encode("latin-1") + body
             )
         except asyncio.CancelledError:
             # A cancelled drain abandons the request mid-flight; the
             # connection's stream state is unknown, so drop it.
-            for conn in held:
-                conn.close()
+            conn.close()
             raise
-        except (
-            OSError,
-            EOFError,
-            ConnectionError,
-            asyncio.TimeoutError,
-            asyncio.IncompleteReadError,
-        ) as exc:
+        except OSError as exc:
             # Transient transport failure (refused mid-restart, reset,
             # timeout, half-closed keep-alive): reconnect on retry.
-            for conn in held:
-                conn.close()
+            conn.close()
             raise _Retriable(
                 str(exc) or type(exc).__name__, status=None
             ) from None
-        conn = held[0]
+        finally:
+            timer.cancel()
         if response_headers.get("connection", "").lower() == "close":
             conn.close()
         else:
             self._release(conn)
         return status, response_headers, raw
 
-    @staticmethod
-    async def _read_response(
-        reader: asyncio.StreamReader,
-    ) -> tuple[int, dict[str, str], bytes]:
-        """Minimal HTTP/1.1 response parse: status, headers, sized body.
-
-        The service always sends ``Content-Length`` (no chunked encoding),
-        so the full generality -- and Python-level cost -- of the stdlib
-        parser is not needed on this hot path.
-        """
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                raise EOFError("connection closed before response") from None
-            raise
-        status_line, _, header_block = head.partition(b"\r\n")
-        parts = status_line.split(None, 2)
-        if (
-            len(parts) < 2
-            or not parts[0].startswith(b"HTTP/")
-            or not parts[1].isdigit()
-        ):
-            raise ConnectionError(f"malformed status line {status_line!r}")
-        status = int(parts[1])
-        headers: dict[str, str] = {}
-        for line in header_block.decode("latin-1").split("\r\n"):
-            if not line:
-                continue
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        declared = headers.get("content-length", "0") or "0"
-        if not declared.isdigit():
-            raise ConnectionError(f"malformed Content-Length {declared!r}")
-        length = int(declared)
-        raw = await reader.readexactly(length) if length else b""
-        return status, headers, raw
-
-    async def _acquire(self) -> _Connection:
-        """A pooled keep-alive connection, opening a fresh one when dry."""
-        while self._pool:
+    def _acquire(self, loop: asyncio.AbstractEventLoop) -> _Connection:
+        """A pooled keep-alive connection, opening a fresh one when dry
+        (asyncio's TCP transports disable Nagle themselves)."""
+        while self._pool and loop is self._runner.loop:
             conn = self._pool.pop()
             if conn.usable:
                 return conn
             conn.close()
-        reader, writer = await asyncio.open_connection(
+        return _Connection(
+            loop,
             self._host,
             self._port,
             ssl=True if self._scheme == "https" else None,
         )
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            # Disable Nagle: each query is one small request waiting on
-            # one small response, the exact pattern Nagle + delayed ACK
-            # turns into ~40ms/query stalls on a keep-alive connection.
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return _Connection(reader, writer)
 
     def _release(self, conn: _Connection) -> None:
-        if conn.usable and len(self._pool) < self._pool_size:
+        """Pool ``conn`` if it belongs to the client's own loop; one
+        opened on any other loop closes now, so none outlives its loop."""
+        runner = self._runner
+        if (
+            runner is not None
+            and conn.loop is runner.loop
+            and conn.usable
+            and len(self._pool) < self._pool_size
+        ):
             self._pool.append(conn)
         else:
-            conn.close()
-
-    async def _drain_pool(self) -> None:
-        pool, self._pool = self._pool, []
-        for conn in pool:
             conn.close()
 
 

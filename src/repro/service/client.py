@@ -33,9 +33,10 @@ is the blocking transport: thread-local keep-alive ``http.client``
 connections, with coroutines run to completion in one ``send`` in the
 calling thread (:func:`~repro.hiddendb.endpoint.run_inline`) because its
 hooks never suspend.  The asyncio transport is
-:class:`~repro.service.aclient.AsyncRemoteTopKInterface`.  Counters and the
-cache are lock-guarded, so ``workers > 1`` strategies may drive one client
-from several threads.
+:class:`~repro.service.aclient.AsyncRemoteTopKInterface`, whose event loop
+runs on the thread that waits on it.  Counters and the cache are
+lock-guarded, so a ``workers > 1`` strategy's thread pool may drive one
+blocking client from several threads.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ def client_cls(request):
 
     A per-test subclass: patching its transport hooks leaves the real
     class untouched, and every client a test opens is closed at teardown
-    (the async transport owns an event-loop thread).
+    (the async transport owns an event loop).
     """
     opened = []
 

@@ -4,19 +4,21 @@ The client contract both transports share is checked for each of them
 in ``test_client.py``; this file keeps what is particular to the asyncio
 transport or worth a crawl-sized check: awaiting from a foreign loop,
 batch-vs-single answers, fault convergence under the async strategy,
-replay ids and the transport the engine picks for it.
+replay ids, the transport the engine picks for it, and that transport
+running on the thread that drives the crawl.
 """
 
 import asyncio
+import threading
 
 import pytest
 
 from repro import Discoverer, DiscoveryConfig, TopKInterface
 from repro.core.base import DiscoverySession
 from repro.core.engine import AsyncStrategy
-from repro.hiddendb import Query
+from repro.hiddendb import Query, QueryBudgetExceeded
 from repro.hiddendb.endpoint import EventLoopRunner
-from repro.service import AsyncRemoteTopKInterface, FaultConfig
+from repro.service import AsyncRemoteTopKInterface, FaultConfig, aclient
 
 from ..conftest import PARITY_TABLES as TABLES
 
@@ -129,3 +131,84 @@ class TestTransportChoice:
             assert session.engine_stats.issued == 8
             assert loops
             assert all(loop is client.aio_runner.loop for loop in loops)
+
+
+class TestDriverThreadTransport:
+    """The client's loop has no thread: the thread that drives the crawl
+    runs it while waiting for answers, and ``aquery`` runs on whichever
+    loop awaits it."""
+
+    @pytest.mark.parametrize("algorithm", ["baseline", "rq"])
+    def test_every_aquery_runs_on_the_driving_thread(self, serve, algorithm):
+        # RQ also reaches the endpoint through session.issue's 1 x 1
+        # window, which must take the loop too, not the blocking query().
+        table = TABLES["rq3"]
+        server = serve(table, k=5)
+        local = Discoverer().run(TopKInterface(table, k=5), algorithm)
+        with AsyncRemoteTopKInterface(server.url) as client:
+            threads = []
+            for name in ("aquery", "abatch_query", "_exchange"):
+                async def recording(*args, _inner=getattr(client, name)):
+                    threads.append(threading.get_ident())
+                    return await _inner(*args)
+
+                setattr(client, name, recording)
+
+            def blocking(*_args):
+                raise AssertionError("the drain used the blocking surface")
+
+            client.query = client.batch_query = blocking
+            result = Discoverer(
+                DiscoveryConfig(strategy="async", workers=4, batch_size=16)
+            ).run(client, algorithm)
+            assert result.skyline_values == local.skyline_values
+            assert result.total_cost == local.total_cost
+            assert threads
+            assert set(threads) == {threading.get_ident()}
+
+    def test_aquery_under_successive_asyncio_runs(self, serve, monkeypatch):
+        table = TABLES["rq3"]
+        server = serve(table, k=5)
+        expected = TopKInterface(table, k=5).query(Query.select_all())
+        used = []  # (connection, its loop, the loop that sent on it)
+        original = aclient._Connection.request
+
+        def recording(conn, data):
+            used.append((conn, conn.loop, asyncio.get_running_loop()))
+            return original(conn, data)
+
+        with AsyncRemoteTopKInterface(server.url, api_key="runs") as client:
+            monkeypatch.setattr(aclient._Connection, "request", recording)
+            for _ in range(2):
+                answer = asyncio.run(client.aquery(Query.select_all()))
+                assert answer.rows == expected.rows
+            assert client.queries_issued == 2
+        assert server.stats().usage("runs").issued == 2
+        assert len(used) == 2
+        (first, first_loop, sent_on), (second, second_loop, _) = used
+        # Each request went out on a connection of its own loop, and none
+        # outlived asyncio.run's loop to be reused on the next one.
+        assert first_loop is sent_on and first is not second
+        assert first_loop is not second_loop
+        assert all(not conn.usable for conn, _, _ in used)
+
+    def test_budget_stop_mid_window_leaves_no_task(self, serve):
+        server = serve(TABLES["rq3"], k=5)
+        client = AsyncRemoteTopKInterface(server.url, api_key="budget")
+        loop = client.aio_runner.loop
+        try:
+            session = DiscoverySession(
+                client, strategy=AsyncStrategy(workers=4, batch_size=1),
+                budget=2,
+            )
+            frontier = session.frontier()
+            for upper in range(8):
+                frontier.add(Query.select_all().and_upper(0, upper))
+            with pytest.raises(QueryBudgetExceeded):
+                frontier.drain()
+            assert not asyncio.all_tasks(loop)
+            assert client.queries_issued == 2
+        finally:
+            client.close()
+        assert loop.is_closed()
+        assert server.stats().usage("budget").issued == 2
