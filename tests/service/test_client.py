@@ -3,6 +3,8 @@ telemetry -- checked against both transports through ``client_cls``."""
 
 import asyncio
 import json
+import socket
+import threading
 
 import pytest
 
@@ -73,6 +75,30 @@ class TestEndpointSurface:
             client_cls(
                 "http://127.0.0.1:9", max_retries=1, sleep=no_sleep, timeout=1.0
             )
+
+    def test_stalled_service_times_out(self, no_sleep, client_cls):
+        """A listener that accepts and never answers: ``timeout`` bounds
+        each attempt, and the retries end in :class:`RemoteServiceError`."""
+        outcome = []
+
+        def construct(url):
+            try:
+                client_cls(url, max_retries=1, sleep=no_sleep, timeout=0.2)
+            except Exception as exc:  # reported below
+                outcome.append(exc)
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+            # The listener's backlog completes the handshakes; nothing
+            # ever reads a request or writes a byte back.
+            worker = threading.Thread(
+                target=construct, args=(url,), daemon=True
+            )
+            worker.start()
+            worker.join(timeout=10.0)
+            assert not worker.is_alive(), "the client ignored its timeout"
+        assert len(outcome) == 1
+        assert isinstance(outcome[0], RemoteServiceError)
 
 
 class TestErrorMapping:
