@@ -32,9 +32,10 @@ queries.  This module makes that structure explicit and pluggable:
   An endpoint that owns an event loop (``aio_runner``, i.e. the asyncio
   remote client) overrides where transports run, under either strategy:
   each is a task on that loop, awaiting ``aquery`` / ``abatch_query``.
-  The loop has no thread of its own; the driver thread runs it while it
-  waits for an entry's answer, so tasks start in dispatch order and a
-  "worker" is an in-flight slot rather than an OS thread.
+  The loop has no thread of its own; the thread running the algorithm
+  runs it while waiting for an entry's answer, so tasks start in
+  dispatch order and a "worker" is an in-flight slot rather than an OS
+  thread.
 
   Each transport (one query, one batch) is written once, as a coroutine
   that awaits the endpoint call only when the call returns an awaitable:
@@ -692,8 +693,7 @@ class ExecutionStrategy:
     responsive, then merge the oldest dispatched entry.  A strategy
     contributes the window's shape (``workers`` x ``batch_size``, fixed
     or adaptive) and where transports run (:meth:`_open`); the default is
-    inline on the driver thread, or tasks on the endpoint's own event
-    loop when it owns one.  The 1 x 1 window pops one entry, merges
+    inline, or tasks on the endpoint's own event loop when it owns one.  The 1 x 1 window pops one entry, merges
     it, and only then pops the next, reproducing the pre-engine
     pop/issue/callback interleaving bit for bit even when free answers
     (memo, ledger, endpoint cache) mix with transported ones.
@@ -812,7 +812,7 @@ class _TransportContext:
 
     def wait(self, future):
         """A transport's outcome, at its entry's merge turn (a loop task
-        is run to completion here, on the driver thread)."""
+        is run to completion here, on the calling thread)."""
         if self.runner is not None:
             return self.runner.wait(future)
         return future.result()
@@ -940,9 +940,9 @@ class SerialStrategy(ExecutionStrategy):
     With dedup off this is bit-identical to the pre-engine
     implementations: same queries, same order, same costs, same traces.
     Runs the shared drain core with a window of one, transporting inline
-    on the driver thread (as a task on the endpoint's loop, if it owns
-    one).  ``session.issue`` drains its one-entry frontiers through this
-    window whatever the session's strategy.
+    (or as a task on the endpoint's loop, if it owns one).
+    ``session.issue`` drains its one-entry frontiers through this window
+    whatever the session's strategy.
     """
 
     name = "serial"
@@ -964,8 +964,8 @@ class AsyncStrategy(ExecutionStrategy):
     * an endpoint that owns an event loop (``aio_runner``, as
       :class:`~repro.service.aclient.AsyncRemoteTopKInterface` does) has
       its ``aquery`` / ``abatch_query`` coroutines submitted as tasks on
-      that loop, which the driver thread runs while it waits for the
-      next answer to merge.  A worker is then an in-flight slot, not an
+      that loop, which the thread running the algorithm runs while it
+      waits for the next answer to merge.  A worker is then an in-flight slot, not an
       OS thread, so wide windows cost no thread stand-up, tasks start in
       dispatch order, and the endpoint's pooled connections stay on the
       loop that owns them;

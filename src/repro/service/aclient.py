@@ -256,7 +256,7 @@ class AsyncRemoteTopKInterface(QueryClientCore):
         The execution engine's marker of an endpoint that owns a loop: it
         submits the crawl's transports to it as tasks, which start in
         dispatch order and reuse the pooled connections, and runs it on
-        the driver thread while waiting for an answer.
+        the crawl's own thread while waiting for an answer.
         """
         if self._runner is None:
             self._runner = EventLoopRunner()

@@ -133,13 +133,13 @@ class TestTransportChoice:
             assert all(loop is client.aio_runner.loop for loop in loops)
 
 
-class TestDriverThreadTransport:
+class TestCrawlThreadTransport:
     """The client's loop has no thread: the thread that drives the crawl
     runs it while waiting for answers, and ``aquery`` runs on whichever
     loop awaits it."""
 
     @pytest.mark.parametrize("algorithm", ["baseline", "rq"])
-    def test_every_aquery_runs_on_the_driving_thread(self, serve, algorithm):
+    def test_every_aquery_runs_on_the_crawl_thread(self, serve, algorithm):
         # RQ also reaches the endpoint through session.issue's 1 x 1
         # window, which must take the loop too, not the blocking query().
         table = TABLES["rq3"]
