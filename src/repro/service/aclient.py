@@ -81,7 +81,7 @@ def _parse_head(head: bytes) -> tuple[int, dict[str, str], int]:
 
 
 class _Connection(asyncio.Protocol):
-    """One keep-alive connection, opened on ``loop`` at construction.
+    """One keep-alive connection on ``loop``.
 
     :meth:`request` writes one request (as soon as the connection is up)
     and returns a future of its ``(status, headers, body)``.  Everything
@@ -90,19 +90,22 @@ class _Connection(asyncio.Protocol):
     :class:`OSError`.
     """
 
-    def __init__(
-        self, loop: asyncio.AbstractEventLoop, host: str, port: int, ssl
-    ) -> None:
+    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
         self.loop = loop
         self._transport: asyncio.Transport | None = None
         self._buffer = bytearray()
         self._waiter: asyncio.Future | None = None
         self._unsent = b""
         self._closed = False
-        self._connecting = loop.create_task(
-            loop.create_connection(lambda: self, host, port, ssl=ssl)
+        self._connecting: asyncio.Task | None = None
+
+    def connect(self, host: str, port: int, ssl) -> "_Connection":
+        """Open the connection, in a task of its own; returns ``self``."""
+        self._connecting = self.loop.create_task(
+            self.loop.create_connection(lambda: self, host, port, ssl=ssl)
         )
         self._connecting.add_done_callback(self._connected)
+        return self
 
     @property
     def usable(self) -> bool:
@@ -125,7 +128,8 @@ class _Connection(asyncio.Protocol):
 
     def close(self) -> None:
         self._closed = True
-        self._connecting.cancel()
+        if self._connecting is not None:
+            self._connecting.cancel()
         if self._transport is not None:
             self._transport.close()
 
@@ -330,12 +334,8 @@ class AsyncRemoteTopKInterface(QueryClientCore):
             if conn.usable:
                 return conn
             conn.close()
-        return _Connection(
-            loop,
-            self._host,
-            self._port,
-            ssl=True if self._scheme == "https" else None,
-        )
+        ssl = True if self._scheme == "https" else None
+        return _Connection(loop).connect(self._host, self._port, ssl)
 
     def _release(self, conn: _Connection) -> None:
         """Pool ``conn`` if it belongs to the client's own loop; one

@@ -212,3 +212,93 @@ class TestCrawlThreadTransport:
             client.close()
         assert loop.is_closed()
         assert server.stats().usage("budget").issued == 2
+
+
+class _Sink(asyncio.Transport):
+    """A transport that keeps what is written to it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.written = b""
+        self.closed = False
+
+    def write(self, data) -> None:
+        self.written += data
+
+    def is_closing(self) -> bool:
+        return self.closed
+
+    def close(self) -> None:
+        self.closed = True
+
+
+@pytest.fixture
+def bare_loop():
+    loop = asyncio.new_event_loop()
+    yield loop
+    loop.close()
+
+
+class TestConnectionProtocol:
+    """One connection's response parsing, fed bytes as the wire may cut
+    them (no socket: the protocol's callbacks are called directly)."""
+
+    HEAD = (
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        b"X-Data-Version: 3\r\nContent-Length: 13\r\n\r\n"
+    )
+    BODY = b'{"rows": [1]}'
+
+    @staticmethod
+    def _request(loop):
+        conn = aclient._Connection(loop)
+        conn.connection_made(_Sink())
+        return conn, conn.request(b"POST /api/query HTTP/1.1\r\n\r\n")
+
+    def test_a_response_parses_alike_however_it_is_cut(self, bare_loop):
+        raw = self.HEAD + self.BODY
+        cuts = [[raw[:at], raw[at:]] for at in range(1, len(raw))]
+        cuts.append([raw[at : at + 1] for at in range(len(raw))])
+        headers = {
+            "content-type": "application/json",
+            "x-data-version": "3",
+            "content-length": "13",
+        }
+        for pieces in cuts:
+            conn, answer = self._request(bare_loop)
+            for piece in pieces:
+                assert not answer.done()
+                conn.data_received(piece)
+            assert answer.result() == (200, headers, self.BODY)
+            assert conn.usable
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"HTTP/1.1 abc OK\r\n\r\n",
+            b"SMTP 200 OK\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 1x\r\n\r\n",
+        ],
+        ids=["status", "protocol", "length"],
+    )
+    def test_a_malformed_head_fails_the_request(self, bare_loop, head):
+        conn, answer = self._request(bare_loop)
+        conn.data_received(head)
+        assert isinstance(answer.exception(), ConnectionError)
+        assert not conn.usable
+
+    def test_a_response_cut_short_fails_the_request(self, bare_loop):
+        conn, answer = self._request(bare_loop)
+        conn.data_received(self.HEAD + self.BODY[:5])
+        conn.connection_lost(None)
+        assert isinstance(answer.exception(), ConnectionError)
+        assert not conn.usable
+
+    def test_an_expired_request_fails_and_drops_the_connection(
+        self, bare_loop
+    ):
+        conn, answer = self._request(bare_loop)
+        conn.data_received(self.HEAD)
+        conn.expire()
+        assert isinstance(answer.exception(), TimeoutError)
+        assert not conn.usable
