@@ -111,12 +111,12 @@ def test_record_skyband_shared_memo():
     table = diamonds_table(800, seed=3)
     result = Discoverer().skyband(TopKInterface(table, k=K), 3)
     assert result.complete
-    assert result.stats.duplicate_queries > 0
+    assert result.stats.deduped > 0
     record(
         "engine",
         "rq_diamonds_n800_skyband3_dedup",
         billed_queries=result.total_cost,
-        duplicate_queries=result.stats.duplicate_queries,
+        duplicate_queries=result.stats.deduped,
         dedup_hit_rate=result.stats.dedup_rate,
         band_size=len(result.skyband),
         engine_wall_time_s=result.stats.wall_time_s,

@@ -37,9 +37,10 @@ Progress hooks stream the anytime curve while a run is still going::
     )
     Discoverer(config).run(interface)
 
-``Discoverer.run`` is the one way to run an algorithm: one-shot runs can
-use the module-level ``discover(interface)``, a one-line wrapper of it, and
-new algorithms plug in through
+``Discoverer.run`` and ``Discoverer.skyband`` are the only ways to run an
+algorithm (a delta repair of a stored crawl is ``run(..., mode="delta")``):
+one-shot runs can use the module-level ``discover(interface)``, a one-line
+wrapper of ``run``, and new algorithms plug in through
 :func:`repro.core.registry.register_algorithm`.
 
 Algorithms access data only through the :class:`SearchEndpoint` protocol, so
@@ -105,10 +106,7 @@ from .core import (
     default_discoverer,
     discover,
     get_algorithm,
-    pq_db_skyband,
     register_algorithm,
-    rq_db_skyband,
-    sq_db_skyband,
 )
 from .store import CrawlStore, QueryLedger, StoreError, StoreMismatchError
 
@@ -153,8 +151,5 @@ __all__ = [
     "default_discoverer",
     "discover",
     "get_algorithm",
-    "pq_db_skyband",
     "register_algorithm",
-    "rq_db_skyband",
-    "sq_db_skyband",
 ]

@@ -48,7 +48,6 @@ session -- replaying the paid prefix instead of re-billing it.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import logging
 import threading
@@ -57,6 +56,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Mapping
 
 from ..core.base import DiscoverySession
+from ..core.facade import Discoverer
 from ..obs import RunObserver
 from ..core.registry import (
     AlgorithmNotFoundError,
@@ -64,8 +64,6 @@ from ..core.registry import (
     get_algorithm,
     resolve_algorithm,
 )
-from ..freshness import DeltaCrawl
-from ..hiddendb import QueryBudgetExceeded
 from ..hiddendb.errors import HiddenDBError
 from ..service.front import (
     Handler,
@@ -641,24 +639,14 @@ class CrawlCoordinator(JsonHttpFront):
                 on_query=on_query,
             )
             store.update_job(job_id, status="running")
+            # The job keeps its live session (the anytime ``live`` view
+            # reads it) and runs the one session lifecycle on it.
             session = DiscoverySession.from_config(
                 endpoints, cfg, algorithm=algo.name
             )
             active.session = session
             active.endpoints = endpoints
-            complete = True
-            try:
-                algo.run(session, cfg)
-            except QueryBudgetExceeded:
-                complete = False
-            result = session.result(algo.display(endpoints.schema), complete)
-            result = dataclasses.replace(
-                result,
-                config=cfg,
-                info=algo.info(),
-                store_session=session.store_session,
-            )
-            session.finish_store(result)
+            result = session.finish(algo, cfg, session.run(algo.run, cfg))
             watching = bool(spec.get("watch")) and result.complete
             store.update_job(
                 job_id,
@@ -671,7 +659,7 @@ class CrawlCoordinator(JsonHttpFront):
             )
             self._skyline_verified_at[job_id] = time.monotonic()
             if watching:
-                self._watch(active, spec, endpoints, algo, cfg)
+                self._watch(active, spec, endpoints, algo.name, cfg)
                 store.update_job(
                     job_id, status="cancelled", error="watch stopped"
                 )
@@ -700,7 +688,7 @@ class CrawlCoordinator(JsonHttpFront):
         active: _ActiveJob,
         spec: Mapping[str, Any],
         endpoints: EndpointSet,
-        algo: Any,
+        algorithm: str,
         cfg: DiscoveryConfig,
     ) -> None:
         """Continuous-monitor loop of a ``watch`` job.
@@ -721,9 +709,7 @@ class CrawlCoordinator(JsonHttpFront):
         while not active.cancel.wait(interval):
             cycles += 1
             endpoints.refresh_data_version()
-            repair = DeltaCrawl(
-                endpoints, algo, cfg.replace(mode="delta")
-            ).run()
+            repair = Discoverer(cfg).run(endpoints, algorithm, mode="delta")
             report = repair.freshness
             assert report is not None
             if report.billed:

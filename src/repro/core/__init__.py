@@ -63,12 +63,7 @@ from .pq import choose_plane_attributes, pq_db_sky
 from .pq2d import pq_2d_sky
 from .pqsub import PlaneState, explore_plane
 from .rq import rq_db_sky
-from .skyband import (
-    SkybandResult,
-    pq_db_skyband,
-    rq_db_skyband,
-    sq_db_skyband,
-)
+from .skyband import SkybandResult
 from .sq import sq_db_sky
 from .facade import Discoverer, default_discoverer, discover
 from .stats import QueryLogSummary, summarize_log, summarize_session
@@ -112,18 +107,15 @@ __all__ = [
     "mq_db_sky",
     "pq_2d_sky",
     "pq_db_sky",
-    "pq_db_skyband",
     "register_algorithm",
     "resolve_algorithm",
     "rows_values",
     "rq_db_sky",
-    "rq_db_skyband",
     "skyband_indices",
     "skyband_of_rows",
     "skyline_indices",
     "skyline_of_rows",
     "sq_db_sky",
-    "sq_db_skyband",
     "summarize_log",
     "summarize_session",
 ]

@@ -11,6 +11,15 @@ bookkeeping the paper's evaluation needs:
 * the skyline of everything retrieved so far, maintained by block folds
   (the BASELINE crawler's local skyline extraction, done as it crawls).
 
+The session also owns the one run lifecycle every entry point shares
+(:meth:`Discoverer.run <repro.core.facade.Discoverer.run>`,
+``Discoverer.skyband``, each delta-repair round and each coordinator job):
+:meth:`DiscoverySession.from_config` starts it; :meth:`DiscoverySession.run`
+runs an algorithm body, maps budget exhaustion to the anytime
+``complete=False`` of §7.1 and always ends in
+:meth:`DiscoverySession.close`; :meth:`DiscoverySession.finish` packages
+the result and files it in the crawl store.
+
 Results are reported as a :class:`DiscoveryResult`.  Skylines are compared by
 **value vectors** throughout the library: under the paper's general
 positioning assumption value vectors are unique, and when a dataset does
@@ -21,8 +30,8 @@ the copies, so value-set equality is the right correctness criterion.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from dataclasses import dataclass, field, replace as _dc_replace
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
@@ -43,7 +52,7 @@ from .engine import (
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..freshness import DeltaReport
     from ..store import CrawlStore, SessionRecord
-    from .registry import AlgorithmInfo, DiscoveryConfig
+    from .registry import AlgorithmInfo, AlgorithmSpec, DiscoveryConfig
     from .skyband import SkybandResult
 
 #: First-seen rows per fold into the maintained skyline: enough to amortise
@@ -168,8 +177,8 @@ class DiscoverySession:
         Enable run-scoped query memoization: an identical query (after
         merging with the base query) is answered from the memo and never
         billed twice.  Off by default so default runs keep the historical
-        query counts; the skyband runners turn it on (their overlapping
-        subspace trees re-issue many identical queries).
+        query counts; ``Discoverer.skyband`` turns it on (the overlapping
+        subspace trees of the extensions re-issue many identical queries).
     """
 
     def __init__(
@@ -359,13 +368,16 @@ class DiscoverySession:
         *,
         default_dedup: bool = False,
         algorithm: str | None = None,
+        ledger_factory: "Callable[[str, SessionRecord], object] | None" = None,
     ) -> "DiscoverySession":
-        """A session honouring a :class:`DiscoveryConfig` (``None`` = defaults).
+        """Start a run: a session honouring a :class:`DiscoveryConfig`
+        (``None`` = defaults).
 
         ``default_dedup`` is the memoization default applied when the
-        config leaves ``dedup`` unset (skyband runners pass ``True``).
-        ``algorithm`` labels the crawl session when ``config.store`` is
-        set (resume matches on endpoint + algorithm).
+        config leaves ``dedup`` unset (``Discoverer.skyband`` passes
+        ``True``).  ``algorithm`` labels the crawl session when
+        ``config.store`` is set (resume matches on endpoint + algorithm),
+        and ``ledger_factory`` is handed to :meth:`attach_store`.
         """
         if config is None:
             return cls(interface, dedup=default_dedup)
@@ -386,6 +398,7 @@ class DiscoverySession:
                 resume=config.resume,
                 session_id=config.session_id,
                 checkpoint_every=config.checkpoint_every,
+                ledger_factory=ledger_factory,
             )
         if config.trace is not None:
             from ..obs import RunObserver
@@ -393,10 +406,83 @@ class DiscoverySession:
             if isinstance(config.trace, RunObserver):
                 session.attach_observer(config.trace)
             else:
-                session.attach_observer(
-                    RunObserver(trace=config.trace), owned=True
-                )
+                try:
+                    observer = RunObserver(trace=config.trace)
+                except OSError:
+                    # A trace file that cannot be opened must not leave
+                    # the durable run's replay nonce on the shared client.
+                    session.close()
+                    raise
+                session.attach_observer(observer, owned=True)
         return session
+
+    # ------------------------------------------------------------------
+    # run lifecycle
+    # ------------------------------------------------------------------
+    def run(self, body: Callable[..., None], *args: Any) -> bool:
+        """Run ``body(self, *args)`` and end the run; ``False`` = partial.
+
+        Budget exhaustion (:class:`QueryBudgetExceeded`) is the anytime
+        end of §7.1: the run returns ``False`` and the session still holds
+        everything retrieved so far.  Any other exception propagates.
+        Either way :meth:`close` runs first, so a crash leaves neither a
+        replay nonce nor an observer on the shared client.
+        """
+        try:
+            body(self, *args)
+        except QueryBudgetExceeded:
+            return False
+        finally:
+            self.close()
+        return True
+
+    def close(self) -> None:
+        """Release the shared client and the trace sink (idempotent).
+
+        A durable session drops its replay nonce: later non-durable runs
+        on the same client must not be server-replayed unbilled while
+        still counting their queries as issued.  A traced session detaches
+        its observer from the engine, the client and the store, then
+        closes it (owned) or flushes it (caller's).
+        """
+        if self._store_session is not None:
+            set_nonce = getattr(self._interface, "set_replay_nonce", None)
+            if set_nonce is not None:
+                set_nonce(None)
+        observer = self._observer
+        if observer is None:
+            return
+        self._observer = None
+        self._engine.observer = None
+        attach = getattr(self._interface, "attach_observer", None)
+        if attach is not None:
+            attach(None)
+        if self._store is not None:
+            self._store.attach_observer(None)
+        if self._owns_observer:
+            observer.close()
+        else:
+            observer.flush()
+
+    def finish(
+        self, spec: "AlgorithmSpec", config: "DiscoveryConfig", complete: bool
+    ) -> DiscoveryResult:
+        """Package the run of ``spec`` under ``config`` and file it.
+
+        The result carries the config, the registry info, the query log
+        (when ``config.record_log`` is set) and the crawl-store session;
+        :meth:`finish_store` files it.  A run that raised never gets here,
+        so its durable session stays ``running``, i.e. resumable.
+        """
+        result = _dc_replace(
+            self.result(spec.display(self.schema), complete),
+            config=config,
+            info=spec.info(),
+            query_log=self.log if config.record_log else (),
+            store_session=self._store_session,
+        )
+        self.finish_store(result)
+        return result
 
     # ------------------------------------------------------------------
     # observability plumbing (repro.obs)
@@ -409,9 +495,9 @@ class DiscoverySession:
         the replay nonce -- to the interface when it exposes
         ``attach_observer`` (the remote clients and the coordinator's
         endpoint set do), covering transport events and the over-the-wire
-        ``X-Trace-Id`` header.  ``owned=True`` makes :meth:`close_observer`
-        close the observer's trace writer (sessions own observers they
-        created from ``DiscoveryConfig(trace=path)``).
+        ``X-Trace-Id`` header.  ``owned=True`` makes :meth:`close` close
+        the observer's trace writer (sessions own observers they created
+        from ``DiscoveryConfig(trace=path)``).
 
         The hooks only ever *emit* events; no algorithmic control flow
         reads the observer, so a traced run is bit-identical in skyline
@@ -430,23 +516,6 @@ class DiscoverySession:
     def observer(self):
         """The bound :class:`repro.obs.RunObserver`, if any."""
         return self._observer
-
-    def close_observer(self) -> None:
-        """Detach the observer and flush/close its trace sink (idempotent)."""
-        observer = self._observer
-        if observer is None:
-            return
-        self._observer = None
-        self._engine.observer = None
-        attach = getattr(self._interface, "attach_observer", None)
-        if attach is not None:
-            attach(None)
-        if self._store is not None:
-            self._store.attach_observer(None)
-        if self._owns_observer:
-            observer.close()
-        else:
-            observer.flush()
 
     # ------------------------------------------------------------------
     # durable-crawl plumbing (crawl store)
@@ -554,12 +623,6 @@ class DiscoverySession:
         """
         if self._store is None or self._store_session is None:
             return
-        # The session's deterministic replay nonce must not leak into
-        # later non-durable runs on the same client (their repeats would
-        # be server-replayed unbilled while still counted as issued).
-        set_nonce = getattr(self._interface, "set_replay_nonce", None)
-        if set_nonce is not None:
-            set_nonce(None)
         if not result.complete:
             self.save_checkpoint()
             return
@@ -584,6 +647,11 @@ class DiscoverySession:
         """Flag the run as provably partial (e.g. an unsplittable crawl
         region); the packaged result will report ``complete=False``."""
         self._incomplete = True
+
+    @property
+    def marked_incomplete(self) -> bool:
+        """Whether the body called :meth:`mark_incomplete`."""
+        return self._incomplete
 
     # ------------------------------------------------------------------
     # retrieval bookkeeping

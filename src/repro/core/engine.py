@@ -134,11 +134,6 @@ class EngineStats:
     window_decreases: int = 0
 
     @property
-    def duplicate_queries(self) -> int:
-        """Queries identical to an earlier one of the same run (free)."""
-        return self.deduped
-
-    @property
     def dedup_rate(self) -> float:
         """Fraction of logical queries answered from the memo."""
         total = self.issued + self.deduped + self.ledger_hits

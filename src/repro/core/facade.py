@@ -12,9 +12,14 @@ algorithm registry and exposes three verbs:
   registered algorithm and return a
   :class:`~repro.core.skyband.SkybandResult`.
 
-Results carry the effective config plus the registry metadata of the
-algorithm that produced them, so downstream reporting never has to guess
-how a number was obtained.
+``run`` and ``skyband`` are the only ways to run an algorithm; a delta
+repair of a stored crawl is ``run(..., mode="delta")``.  Every run goes
+through the session's one lifecycle
+(:meth:`~repro.core.base.DiscoverySession.run`): budget exhaustion yields a
+partial result, and however the run ends its replay nonce and observer are
+released before the result is filed.  Results carry the effective config
+plus the registry metadata of the algorithm that produced them, so
+downstream reporting never has to guess how a number was obtained.
 
 Quick start::
 
@@ -29,13 +34,12 @@ Quick start::
 
 from __future__ import annotations
 
-from dataclasses import replace as _dc_replace
 from typing import Any
 
-from ..hiddendb.errors import QueryBudgetExceeded
 from ..hiddendb.endpoint import SearchEndpoint
 from . import baseline, mq, pq, pq2d, rq, sq  # noqa: F401  (self-registration)
 from .base import DiscoveryResult, DiscoverySession
+from .dominance import skyband_of_rows
 from .registry import (
     AlgorithmNotFoundError,
     AlgorithmSpec,
@@ -100,9 +104,11 @@ class Discoverer:
         ``algorithm`` is a registry name (``"sq"``, ``"rq"``, ``"pq"``,
         ``"pq2d"``, ``"mq"``, ``"baseline"``, ...); ``None`` auto-dispatches
         on the schema's interface taxonomy
-        (:func:`~repro.core.registry.resolve_algorithm`).  This is the one
-        way to run a discovery algorithm; :func:`repro.discover` is a
-        one-line wrapper of it.
+        (:func:`~repro.core.registry.resolve_algorithm`).
+        :func:`repro.discover` is a one-line wrapper of it.  With
+        ``mode="delta"`` the run repairs the store's earlier crawl instead
+        (:class:`~repro.freshness.DeltaCrawl`).  A run that raises leaves
+        its durable session ``running``, i.e. resumable.
         """
         cfg = self._effective(config, overrides)
         spec = self._spec_for(interface, algorithm)
@@ -113,27 +119,10 @@ class Discoverer:
             from ..freshness import DeltaCrawl
 
             return DeltaCrawl(interface, spec, cfg).run()
-        session = self._session(interface, cfg, spec.name)
-        complete = True
-        try:
-            spec.run(session, cfg)
-        except QueryBudgetExceeded:
-            complete = False
-        finally:
-            # However the run ends -- including a mid-run crash raising
-            # past us -- the durable session's deterministic replay nonce
-            # must not leak into later runs on the same client, and the
-            # traced session's observer must release its trace sink (and
-            # detach from the shared client) the same way.
-            self._clear_replay_nonce(interface, cfg)
-            session.close_observer()
-        result = session.result(spec.display(interface.schema), complete)
-        result = self._decorate(result, spec, cfg, session)
-        # Durable runs file their outcome in the store's crawl catalog;
-        # a run that *raises* instead leaves its session 'running', i.e.
-        # resumable with DiscoveryConfig(resume=True).
-        session.finish_store(result)
-        return result
+        session = DiscoverySession.from_config(
+            interface, cfg, algorithm=spec.name
+        )
+        return session.finish(spec, cfg, session.run(spec.run, cfg))
 
     def run_all(
         self,
@@ -170,6 +159,11 @@ class Discoverer:
         ``band`` defaults to ``config.band``.  ``algorithm`` must name a
         registered algorithm with a skyband extension; ``None`` picks the
         highest-priority applicable one (RQ > PQ > SQ for the built-ins).
+        The extension body runs through the same session lifecycle as
+        :meth:`run`, with run-scoped memoization on unless the config
+        turns it off: its overlapping subspace trees re-derive many
+        identical queries, and each is billed once.  Band membership is
+        decided by counting dominators among the retrieved tuples.
         """
         cfg = self._effective(config, overrides)
         if cfg.mode != "full":
@@ -180,11 +174,34 @@ class Discoverer:
         if band is not None:
             cfg = cfg.replace(band=band)
         spec = self._skyband_spec_for(interface, algorithm)
-        try:
-            result = spec.skyband(interface, cfg.band, cfg)
-        finally:
-            self._clear_replay_nonce(interface, cfg)
-        return _dc_replace(result, config=cfg, info=spec.info())
+        session = DiscoverySession.from_config(
+            interface,
+            cfg,
+            default_dedup=True,
+            algorithm=f"{spec.name}:skyband",
+        )
+        complete = session.run(spec.skyband, cfg.band)
+        retrieved = session.retrieved_rows
+        result = SkybandResult(
+            # RQ-DB-SKY -> RQ-DB-SKYBAND: the extension's reported name.
+            algorithm=f"{spec.display_name}BAND",
+            band=cfg.band,
+            skyband=tuple(
+                sorted(
+                    skyband_of_rows(retrieved, cfg.band),
+                    key=lambda row: (row.values, row.rid),
+                )
+            ),
+            total_cost=session.cost,
+            retrieved=tuple(retrieved),
+            complete=complete and not session.marked_incomplete,
+            config=cfg,
+            info=spec.info(),
+            query_log=session.log if cfg.record_log else (),
+            stats=session.engine_stats,
+        )
+        session.finish_store(result)
+        return result
 
     # ------------------------------------------------------------------
     # plumbing
@@ -248,42 +265,6 @@ class Discoverer:
                 [spec.name for spec in all_algorithms() if spec.skyband],
             )
         return candidates[0]
-
-    @staticmethod
-    def _session(
-        interface: SearchEndpoint, cfg: DiscoveryConfig, algorithm: str = ""
-    ) -> DiscoverySession:
-        return DiscoverySession.from_config(interface, cfg, algorithm=algorithm)
-
-    @staticmethod
-    def _clear_replay_nonce(
-        interface: SearchEndpoint, cfg: DiscoveryConfig
-    ) -> None:
-        """Drop the durable session's replay nonce from a shared client.
-
-        Only durable runs set one, so only they clear it -- an explicitly
-        user-configured ``replay_nonce`` on a plain run is left alone.
-        """
-        if cfg.store is None:
-            return
-        set_nonce = getattr(interface, "set_replay_nonce", None)
-        if set_nonce is not None:
-            set_nonce(None)
-
-    @staticmethod
-    def _decorate(
-        result: DiscoveryResult,
-        spec: AlgorithmSpec,
-        cfg: DiscoveryConfig,
-        session: DiscoverySession,
-    ) -> DiscoveryResult:
-        return _dc_replace(
-            result,
-            config=cfg,
-            info=spec.info(),
-            query_log=session.log if cfg.record_log else (),
-            store_session=session.store_session,
-        )
 
     def __repr__(self) -> str:
         return f"Discoverer(config={self._config!r})"

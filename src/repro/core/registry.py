@@ -7,7 +7,8 @@ mix it can query through) and its capabilities (``anytime``, ``skyband``,
 ``complete``, ...).  The :class:`~repro.core.facade.Discoverer` facade is a
 thin consumer of this registry: it resolves a name (or auto-dispatches on
 the schema taxonomy), builds a session from a :class:`DiscoveryConfig` and
-runs the registered entry point.
+runs the registered body through the session's one run lifecycle
+(:meth:`~repro.core.base.DiscoverySession.run`).
 
 The registry is the extension seam for new algorithms and backends: a new
 module only has to decorate its runner --
@@ -36,12 +37,10 @@ from ..hiddendb.attributes import InterfaceKind, Schema
 from .engine import DEFAULT_BATCH_SIZE, ExecutionStrategy, make_strategy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from ..hiddendb.endpoint import SearchEndpoint
     from ..hiddendb.interface import QueryResult
     from ..hiddendb.query import Query
     from ..store import CrawlStore
     from .base import DiscoverySession, TraceEntry
-    from .skyband import SkybandResult
 
 
 class AlgorithmNotFoundError(KeyError):
@@ -127,9 +126,9 @@ class DiscoveryConfig:
     dedup:
         Run-scoped query memoization: an identical query is never billed
         twice within one run (hits show up as ``result.stats.deduped``).
-        ``None`` (the default) keeps each entry point's own default --
-        *off* for plain discovery runs (historical query counts), *on* for
-        the skyband runners (their overlapping subspace trees repeat many
+        ``None`` (the default) keeps each verb's own default -- *off* for
+        plain discovery runs (historical query counts), *on* for
+        ``Discoverer.skyband`` (its overlapping subspace trees repeat many
         queries).
     store:
         Optional :class:`~repro.store.CrawlStore` making the run durable:
@@ -298,11 +297,12 @@ class AlgorithmInfo:
 class AlgorithmSpec:
     """One registered discovery algorithm.
 
-    ``run`` is the uniform entry point every algorithm adapts to:
+    ``run`` is the uniform body every algorithm adapts to:
     ``run(session, config)`` issues queries through the session and returns
     nothing; the facade packages the session into a result.  ``skyband`` is
-    an optional second entry point (attached via :func:`attach_skyband`)
-    implementing the K-skyband extension of §7.2.
+    an optional second body of the same shape, ``skyband(session, band)``
+    (attached via :func:`attach_skyband`), implementing the K-skyband
+    extension of §7.2; ``Discoverer.skyband`` runs it.
     """
 
     name: str
@@ -320,7 +320,7 @@ class AlgorithmSpec:
     priority: int = 0
     #: Schema-dependent display name (PQ-DB-SKY reports PQ-2D-SKY on m=2).
     display_for: Callable[[Schema], str] | None = None
-    skyband: "Callable[[SearchEndpoint, int, DiscoveryConfig], SkybandResult] | None" = None
+    skyband: "Callable[[DiscoverySession, int], None] | None" = None
     skyband_requires: Callable[[Schema], bool] | None = None
 
     def supports(self, schema: Schema) -> bool:
@@ -413,25 +413,33 @@ def attach_skyband(
     *,
     requires: Callable[[Schema], bool] | None = None,
 ) -> Callable[[Callable], Callable]:
-    """Attach a K-skyband runner ``(interface, band, config) -> SkybandResult``
-    to the already-registered algorithm ``name``."""
+    """Attach a K-skyband body ``(session, band) -> None`` to the
+    already-registered algorithm ``name``.
+
+    Like a ``run(session, config)`` body it only issues queries through the
+    session; :meth:`~repro.core.facade.Discoverer.skyband` runs it, counts
+    the band among the retrieved tuples and reports it as
+    ``<display name>BAND`` (RQ-DB-SKY -> RQ-DB-SKYBAND).  A body that
+    leaves part of the band provably unexplored calls
+    ``session.mark_incomplete()``.
+    """
     key = name.lower()
 
-    def decorator(runner: Callable) -> Callable:
+    def decorator(body: Callable) -> Callable:
         spec = _REGISTRY.get(key)
         if spec is None:
             raise AlgorithmNotFoundError(name, _REGISTRY)
         if spec.skyband is not None:
             raise DuplicateAlgorithmError(
-                f"algorithm {name!r} already has a skyband runner"
+                f"algorithm {name!r} already has a skyband extension"
             )
         _REGISTRY[key] = _dc_replace(
             spec,
-            skyband=runner,
+            skyband=body,
             skyband_requires=requires,
             capabilities=spec.capabilities | {"skyband"},
         )
-        return runner
+        return body
 
     return decorator
 

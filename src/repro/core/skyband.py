@@ -17,9 +17,13 @@ discovery algorithm differently:
   that are dominated by ``K - 1`` others *within the same answer* (needs a
   generous interface ``k``) and otherwise reports the discovery as partial.
 
-All variants report a :class:`SkybandResult`; membership is decided by
-counting dominators among the retrieved tuples, which is sound because every
-dominator of a band tuple lies in a lower band and is therefore retrieved.
+Each extension is a body ``(session, band) -> None``, like an algorithm's
+``run(session, config)``: it issues queries through the session and returns
+nothing.  :meth:`Discoverer.skyband <repro.core.facade.Discoverer.skyband>`
+is the one way to run one; it owns the session lifecycle and reports a
+:class:`SkybandResult`, whose membership is decided by counting dominators
+among the retrieved tuples -- sound because every dominator of a band tuple
+lies in a lower band and is therefore retrieved.
 """
 
 from __future__ import annotations
@@ -30,21 +34,19 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..hiddendb.attributes import InterfaceKind
-from ..hiddendb.errors import QueryBudgetExceeded
-from ..hiddendb.endpoint import SearchEndpoint
 from ..hiddendb.interface import QueryResult
 from ..hiddendb.query import Query
 from ..hiddendb.table import Row
 from .base import DiscoverySession
 from .dominance import skyband_of_rows
 from .pq import pq_db_sky
-from .registry import DiscoveryConfig, attach_skyband
+from .registry import attach_skyband
 from .rq import rq_db_sky
 from . import sq as _sq  # noqa: F401  (registers "sq" before attachment)
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from .engine import EngineStats
-    from .registry import AlgorithmInfo
+    from .registry import AlgorithmInfo, DiscoveryConfig
 
 
 @dataclass(frozen=True)
@@ -57,15 +59,14 @@ class SkybandResult:
     total_cost: int
     retrieved: tuple[Row, ...]
     complete: bool
-    #: Run configuration (``None`` when an extension is called directly
-    #: without one; :meth:`Discoverer.skyband` always sets it).
+    #: Run configuration (:meth:`Discoverer.skyband` always sets it).
     config: "DiscoveryConfig | None" = None
     #: Registry metadata of the algorithm that produced this result.
     info: "AlgorithmInfo | None" = None
     #: Full query/answer log (populated when ``config.record_log`` is set).
     query_log: tuple[QueryResult, ...] = field(default=(), repr=False)
-    #: Execution-engine counters of the run; ``stats.duplicate_queries``
-    #: reports how many cross-subspace repeats the shared memoizer absorbed.
+    #: Execution-engine counters of the run; ``stats.deduped`` reports how
+    #: many cross-subspace repeats the shared memoizer absorbed.
     stats: "EngineStats | None" = None
 
     @property
@@ -79,57 +80,6 @@ class SkybandResult:
             f"|band|={len(self.skyband)}, cost={self.total_cost}, "
             f"complete={self.complete})"
         )
-
-
-def _session(
-    interface: SearchEndpoint,
-    config: DiscoveryConfig | None,
-    algorithm: str = "",
-) -> DiscoverySession:
-    """A skyband session: run-scoped memoization defaults to *on*.
-
-    The extensions below re-root their discovery trees once per band tuple
-    (RQ) or per plane (PQ), and overlapping subspaces re-derive many
-    syntactically identical queries; the shared memoizer answers the
-    repeats for free, so each distinct query is billed exactly once per
-    run.  ``DiscoveryConfig(dedup=False)`` restores the historical
-    re-billing behaviour.  ``algorithm`` labels the crawl session when the
-    config mounts a :class:`~repro.store.CrawlStore`.
-    """
-    return DiscoverySession.from_config(
-        interface, config, default_dedup=True, algorithm=algorithm
-    )
-
-
-def _finish(
-    session: DiscoverySession,
-    algorithm: str,
-    band: int,
-    complete: bool,
-    config: DiscoveryConfig | None = None,
-) -> SkybandResult:
-    retrieved = session.retrieved_rows
-    result = SkybandResult(
-        algorithm=algorithm,
-        band=band,
-        skyband=tuple(
-            sorted(
-                skyband_of_rows(retrieved, band),
-                key=lambda row: (row.values, row.rid),
-            )
-        ),
-        total_cost=session.cost,
-        retrieved=tuple(retrieved),
-        complete=complete,
-        query_log=session.log if config is not None and config.record_log else (),
-        stats=session.engine_stats,
-    )
-    session.finish_store(result)
-    # Traced runs: flush/close the observer's sink and detach it from the
-    # shared interface (the skyband verbs own their session, so the facade
-    # cannot do this for them).
-    session.close_observer()
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -172,9 +122,7 @@ def _domination_subspace_roots(row: Row, domain_sizes: tuple[int, ...]) -> list[
         a.kind is InterfaceKind.RQ for a in schema.ranking_attributes
     ),
 )
-def rq_db_skyband(
-    interface: SearchEndpoint, band: int, config: DiscoveryConfig | None = None
-) -> SkybandResult:
+def _rq_skyband(session: DiscoverySession, band: int) -> None:
     """Discover the top-``band`` skyband through a two-ended range interface.
 
     One range-tree run discovers the skyline; every confirmed band tuple of
@@ -182,25 +130,17 @@ def rq_db_skyband(
     subspace, surfacing the next level.  Total runs: ``|top-(K-1) band| + 1``
     (§7.2).
     """
-    if band < 1:
-        raise ValueError(f"band must be >= 1, got {band}")
-    session = _session(interface, config, "rq:skyband")
-    domain_sizes = interface.schema.domain_sizes
-    complete = True
-    try:
-        rq_db_sky(session)
-        expanded: set[int] = set()
-        while True:
-            candidates = _expansion_candidates(session, band, expanded)
-            if not candidates:
-                break
-            for row in candidates:
-                expanded.add(row.rid)
-                for root in _domination_subspace_roots(row, domain_sizes):
-                    rq_db_sky(session, root=root)
-    except QueryBudgetExceeded:
-        complete = False
-    return _finish(session, "RQ-DB-SKYBAND", band, complete, config)
+    domain_sizes = session.schema.domain_sizes
+    rq_db_sky(session)
+    expanded: set[int] = set()
+    while True:
+        candidates = _expansion_candidates(session, band, expanded)
+        if not candidates:
+            break
+        for row in candidates:
+            expanded.add(row.rid)
+            for root in _domination_subspace_roots(row, domain_sizes):
+                rq_db_sky(session, root=root)
 
 
 def _expansion_candidates(
@@ -218,9 +158,7 @@ def _expansion_candidates(
 # PQ extension
 # ----------------------------------------------------------------------
 @attach_skyband("pq")
-def pq_db_skyband(
-    interface: SearchEndpoint, band: int, config: DiscoveryConfig | None = None
-) -> SkybandResult:
+def _pq_skyband(session: DiscoverySession, band: int) -> None:
     """Discover the top-``band`` skyband through a point-predicate interface.
 
     Reuses the PQ plane machinery with dominator-count pruning: a plane cell
@@ -228,38 +166,24 @@ def pq_db_skyband(
     is smaller than ``band``, overflowing line queries are drained with
     fully-specified point queries.
     """
-    if band < 1:
-        raise ValueError(f"band must be >= 1, got {band}")
-    session = _session(interface, config, "pq:skyband")
-    complete = True
-    try:
-        pq_db_sky(session, band=band)
-    except QueryBudgetExceeded:
-        complete = False
-    return _finish(session, "PQ-DB-SKYBAND", band, complete, config)
+    pq_db_sky(session, band=band)
 
 
 # ----------------------------------------------------------------------
 # SQ extension (best effort)
 # ----------------------------------------------------------------------
 @attach_skyband("sq")
-def sq_db_skyband(
-    interface: SearchEndpoint, band: int, config: DiscoveryConfig | None = None
-) -> SkybandResult:
+def _sq_skyband(session: DiscoverySession, band: int) -> None:
     """Best-effort top-``band`` skyband through a one-ended range interface.
 
     Branches on an answer tuple dominated by ``band - 1`` others *within the
     answer* (so everything it dominates is provably outside the band).  When
     an overflowing answer contains no such tuple the subtree cannot be
-    explored safely; the result is then flagged ``complete=False`` -- the
-    paper shows complete SQ skyband discovery degenerates to a full crawl in
-    the worst case.
+    explored safely; the session is then marked incomplete -- the paper
+    shows complete SQ skyband discovery degenerates to a full crawl in the
+    worst case.
     """
-    if band < 1:
-        raise ValueError(f"band must be >= 1, got {band}")
-    session = _session(interface, config, "sq:skyband")
-    state = {"complete": True}
-    m = interface.schema.m
+    m = session.schema.m
     # Like SQ-DB-SKY, the branching pivot depends only on the node's own
     # answer, so the tree expands through a parallel-friendly frontier.
     frontier = session.frontier()
@@ -269,20 +193,16 @@ def sq_db_skyband(
             return
         pivot = _band_pivot(result.rows, band)
         if pivot is None:
-            state["complete"] = False
+            session.mark_incomplete()
             return
         for attribute in range(m):
             child = query.and_upper(attribute, pivot[attribute] - 1)
             if child is not None:
                 frontier.add(child, lambda res, q=child: expand(q, res))
 
-    try:
-        root = Query.select_all()
-        frontier.add(root, lambda res: expand(root, res))
-        frontier.drain()
-    except QueryBudgetExceeded:
-        state["complete"] = False
-    return _finish(session, "SQ-DB-SKYBAND", band, state["complete"], config)
+    root = Query.select_all()
+    frontier.add(root, lambda res: expand(root, res))
+    frontier.drain()
 
 
 def _band_pivot(rows: tuple[Row, ...], band: int) -> Row | None:
@@ -298,9 +218,4 @@ def _band_pivot(rows: tuple[Row, ...], band: int) -> Row | None:
     return None
 
 
-__all__ = [
-    "SkybandResult",
-    "pq_db_skyband",
-    "rq_db_skyband",
-    "sq_db_skyband",
-]
+__all__ = ["SkybandResult"]

@@ -8,11 +8,11 @@ affected by the observed churn (probing the previous skyline first, then
 cascading re-expansion to wherever answers actually changed) and repairs
 the skyline for a fraction of the from-scratch billed cost.
 
-Entry points: ``DiscoveryConfig(mode="delta")`` through the standard
-:class:`repro.Discoverer` facade, ``repro crawl --delta`` on the CLI, and
-coordinator ``watch`` jobs for continuous monitoring.
+A repair is run as ``Discoverer.run(interface, mode="delta")`` (with a
+``DiscoveryConfig`` carrying the store) -- also what ``repro crawl --delta``
+on the CLI and each cycle of a coordinator ``watch`` job call.
 """
 
-from .delta import DeltaCrawl, DeltaLedger, DeltaReport, run_delta
+from .delta import DeltaCrawl, DeltaLedger, DeltaReport
 
-__all__ = ["DeltaCrawl", "DeltaLedger", "DeltaReport", "run_delta"]
+__all__ = ["DeltaCrawl", "DeltaLedger", "DeltaReport"]

@@ -52,14 +52,13 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
 from ..core.base import DiscoveryResult, DiscoverySession
 from ..core.dominance import dominates, skyline_indices
-from ..hiddendb.errors import QueryBudgetExceeded
 from ..hiddendb.interface import QueryResult
 from ..hiddendb.query import Query
 
@@ -369,9 +368,8 @@ class DeltaLedger:
 class DeltaCrawl:
     """One delta-crawl repair of a store ledger against a live endpoint.
 
-    Built by the :class:`repro.Discoverer` facade for
-    ``DiscoveryConfig(mode="delta")``; usable directly when the spec is
-    already resolved.  The repair always begins a *fresh* crawl session:
+    Built by :meth:`repro.Discoverer.run` for ``mode="delta"``, the one way
+    to run a repair.  The repair always begins a *fresh* crawl session:
     reusing an earlier session's replay nonce could let the server replay
     answers billed against the old data version.
     """
@@ -392,6 +390,8 @@ class DeltaCrawl:
         self._fingerprint = ""
         self._epoch = 0
         self._probes = 0
+        #: Skyline vectors of the previous crawl (set by the first pass).
+        self._prior: frozenset[tuple[int, ...]] = frozenset()
 
     # ------------------------------------------------------------------
     # session plumbing
@@ -423,32 +423,6 @@ class DeltaCrawl:
                 strict=bool(self._config.options.get("delta_strict", False)),
             )
         return self._ledger
-
-    def _make_session(
-        self, session_id: str | None, billed_so_far: int
-    ) -> DiscoverySession:
-        cfg = self._config
-        budget = None
-        if cfg.budget is not None:
-            budget = max(cfg.budget - billed_so_far, 0)
-        session = DiscoverySession(
-            self._interface,
-            cfg.base_query,
-            budget=budget,
-            on_query=cfg.on_query,
-            on_tuple=cfg.on_tuple,
-            strategy=cfg.execution_strategy(),
-            dedup=cfg.dedup if cfg.dedup is not None else False,
-        )
-        session.attach_store(
-            self._store,
-            algorithm=self._spec.name,
-            resume=False,
-            session_id=session_id,
-            checkpoint_every=cfg.checkpoint_every,
-            ledger_factory=self._ledger_factory,
-        )
-        return session
 
     # ------------------------------------------------------------------
     # probe selection
@@ -552,8 +526,21 @@ class DeltaCrawl:
     # ------------------------------------------------------------------
     # the repair loop
     # ------------------------------------------------------------------
+    def _repair_pass(self, session: DiscoverySession, probe: bool) -> None:
+        """One revalidation pass; the first probes the previous skyline."""
+        if probe:
+            self._prior = self._prior_skyline()
+            self._issue_probes(session, self._select_probes(self._prior))
+        self._spec.run(session, self._config)
+
     def run(self) -> DiscoveryResult:
-        """Run the repair to its fixpoint and file the result."""
+        """Run the repair to its fixpoint and file the result.
+
+        Each pass is one session of the shared run lifecycle
+        (:meth:`DiscoverySession.run`), resuming the previous pass's
+        crawl session under the remaining budget; one observer spans
+        every pass and is closed once.
+        """
         cfg = self._config
         interface = self._interface
         # A live remote endpoint may have advanced past the metadata the
@@ -570,42 +557,37 @@ class DeltaCrawl:
             version = int(getattr(interface, "data_version", 0) or 0)
             session_id = f"{session_id}@v{version}"
 
-        observer = None
+        observer = cfg.trace
         owns_observer = False
-        if cfg.trace is not None:
+        if observer is not None:
             from ..obs import RunObserver
 
-            if isinstance(cfg.trace, RunObserver):
-                observer = cfg.trace
-            else:
+            if not isinstance(observer, RunObserver):
                 observer = RunObserver(trace=cfg.trace)
                 owns_observer = True
 
-        prior: frozenset[tuple[int, ...]] = frozenset()
         session: DiscoverySession | None = None
         complete = True
         rounds = 0
         try:
             while True:
                 rounds += 1
-                billed_so_far = 0
-                if session is not None:
-                    billed_so_far = session.cost
-                session = self._make_session(session_id, billed_so_far)
+                budget = cfg.budget
+                if budget is not None and session is not None:
+                    budget = max(budget - session.cost, 0)
+                session = DiscoverySession.from_config(
+                    interface,
+                    cfg.replace(
+                        budget=budget, session_id=session_id, trace=observer
+                    ),
+                    algorithm=self._spec.name,
+                    ledger_factory=self._ledger_factory,
+                )
                 session_id = session.store_session.session_id
-                if observer is not None:
-                    session.attach_observer(observer, owned=False)
                 ledger = self._ledger
                 assert ledger is not None
                 ledger.begin_round()
-                try:
-                    if rounds == 1:
-                        prior = self._prior_skyline()
-                        self._issue_probes(
-                            session, self._select_probes(prior)
-                        )
-                    self._spec.run(session, cfg)
-                except QueryBudgetExceeded:
+                if not session.run(self._repair_pass, rounds == 1):
                     complete = False
                     break
                 newly_forced = ledger.finish_round()
@@ -626,77 +608,31 @@ class DeltaCrawl:
                 if newly_forced == 0 or rounds >= MAX_ROUNDS:
                     break
         finally:
-            set_nonce = getattr(interface, "set_replay_nonce", None)
-            if set_nonce is not None:
-                set_nonce(None)
-            if session is not None:
-                session.close_observer()
-            if observer is not None and owns_observer:
+            if owns_observer:
                 observer.close()
 
-        assert session is not None and self._ledger is not None
         ledger = self._ledger
         revalidated = 0
         if complete:
             revalidated = self._store.ledger_bump_epoch(
                 self._fingerprint, ledger.trusted_keys(), self._epoch
             )
-        result = session.result(
-            self._spec.display(interface.schema), complete
-        )
+        result = session.finish(self._spec, cfg, complete)
+        prior = self._prior
         new_skyline = result.skyline_values
-        report = DeltaReport(
-            epoch=self._epoch,
-            stale_entries=ledger.stale_entries,
-            probes=self._probes,
-            served_stale=ledger.served_stale,
-            forced=ledger.forced_count,
-            revalidated=revalidated,
-            rounds=rounds,
-            billed=result.total_cost,
-            prior_skyline_size=len(prior),
-            skyline_added=tuple(sorted(new_skyline - prior)),
-            skyline_removed=tuple(sorted(prior - new_skyline)),
+        return replace(
+            result,
+            freshness=DeltaReport(
+                epoch=self._epoch,
+                stale_entries=ledger.stale_entries,
+                probes=self._probes,
+                served_stale=ledger.served_stale,
+                forced=ledger.forced_count,
+                revalidated=revalidated,
+                rounds=rounds,
+                billed=result.total_cost,
+                prior_skyline_size=len(prior),
+                skyline_added=tuple(sorted(new_skyline - prior)),
+                skyline_removed=tuple(sorted(prior - new_skyline)),
+            ),
         )
-        result = _decorated(result, self._spec, cfg, session, report)
-        session.finish_store(result)
-        return result
-
-
-def _decorated(
-    result: DiscoveryResult,
-    spec: "AlgorithmSpec",
-    cfg: "DiscoveryConfig",
-    session: DiscoverySession,
-    report: DeltaReport,
-) -> DiscoveryResult:
-    from dataclasses import replace
-
-    return replace(
-        result,
-        config=cfg,
-        info=spec.info(),
-        query_log=session.log if cfg.record_log else (),
-        store_session=session.store_session,
-        freshness=report,
-    )
-
-
-def run_delta(
-    interface: "SearchEndpoint",
-    algorithm: str | None = None,
-    *,
-    config: "DiscoveryConfig",
-) -> DiscoveryResult:
-    """Run one delta-crawl repair (convenience over :class:`DeltaCrawl`).
-
-    ``config`` must carry a store; ``algorithm`` resolves through the
-    registry exactly like :meth:`repro.Discoverer.run` (auto-dispatch on
-    the schema's taxonomy when ``None``).
-    """
-    from ..core.facade import Discoverer
-
-    if config.mode != "delta":
-        config = config.replace(mode="delta")
-    spec = Discoverer._spec_for(interface, algorithm)
-    return DeltaCrawl(interface, spec, config).run()

@@ -29,7 +29,6 @@ from .query import (
     Query,
     predicates_from_strings,
     query_fingerprint,
-    query_key,
 )
 from .ranking import (
     LexicographicRanker,
@@ -74,5 +73,4 @@ __all__ = [
     "make_engine",
     "predicates_from_strings",
     "query_fingerprint",
-    "query_key",
 ]

@@ -329,11 +329,6 @@ class Query:
         return "Query(" + " & ".join(parts) + ")"
 
 
-def query_key(query: Query) -> str:
-    """Canonical string identity of ``query`` (see :meth:`Query.canonical_key`)."""
-    return query.canonical_key()
-
-
 def query_fingerprint(query: Query) -> str:
     """Short stable hex digest of a query's canonical key.
 

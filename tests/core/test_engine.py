@@ -61,7 +61,6 @@ class TestEngineStats:
 
     def test_stats_helpers(self):
         stats = EngineStats(issued=6, deduped=2, batched=4, batches=2)
-        assert stats.duplicate_queries == 2
         assert stats.dedup_rate == pytest.approx(0.25)
         assert stats.as_dict()["issued"] == 6
         assert EngineStats().dedup_rate == 0.0
@@ -182,7 +181,7 @@ class TestSkybandSharedMemo:
         interface = TopKInterface(diamonds, k=10)
         result = Discoverer().skyband(interface, 3)
         assert result.algorithm == "RQ-DB-SKYBAND"
-        assert result.stats.duplicate_queries > 0
+        assert result.stats.deduped > 0
         assert result.total_cost == result.stats.issued
 
     def test_dedup_savings_do_not_change_the_band(self, diamonds):
@@ -195,7 +194,7 @@ class TestSkybandSharedMemo:
         # Every absorbed duplicate is a query the un-memoized run re-bills.
         assert rebilled.stats.deduped == 0
         assert (
-            deduped.total_cost + deduped.stats.duplicate_queries
+            deduped.total_cost + deduped.stats.deduped
             == rebilled.total_cost
         )
         assert deduped.total_cost < rebilled.total_cost

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import pq_db_skyband, rq_db_skyband, sq_db_skyband
+from repro.core import Discoverer
 from repro.core.skyband import _domination_subspace_roots
 from repro.hiddendb import InterfaceKind, Row, TopKInterface
 
@@ -38,24 +38,24 @@ class TestRQSkyband:
     def test_matches_ground_truth(self, band, seed):
         rng = np.random.default_rng(seed)
         table = random_table(rng, [K.RQ] * 3, n=120, domain=7, distinct=True)
-        result = rq_db_skyband(TopKInterface(table, k=2), band)
+        result = Discoverer().skyband(TopKInterface(table, k=2), band, "rq")
         assert result.complete
         assert result.skyband_values == truth_band_values(table, band)
 
     def test_band_one_equals_skyline(self):
         rng = np.random.default_rng(4)
         table = random_table(rng, [K.RQ] * 2, n=60, domain=9, distinct=True)
-        result = rq_db_skyband(TopKInterface(table, k=1), 1)
+        result = Discoverer().skyband(TopKInterface(table, k=1), 1, "rq")
         assert result.skyband_values == truth_band_values(table, 1)
 
     def test_band_must_be_positive(self):
         table = make_table([(1, 1)], domain=3)
         with pytest.raises(ValueError):
-            rq_db_skyband(TopKInterface(table, k=1), 0)
+            Discoverer().skyband(TopKInterface(table, k=1), 0, "rq")
 
     def test_result_metadata(self):
         table = make_table([(0, 1), (1, 0)], domain=3)
-        result = rq_db_skyband(TopKInterface(table, k=1), 2)
+        result = Discoverer().skyband(TopKInterface(table, k=1), 2, "rq")
         assert result.algorithm == "RQ-DB-SKYBAND"
         assert result.band == 2
         assert "RQ-DB-SKYBAND" in repr(result)
@@ -67,10 +67,10 @@ class TestRQSkyband:
         can be underestimated."""
         rng = np.random.default_rng(5)
         table = random_table(rng, [K.RQ] * 3, n=200, domain=7, distinct=True)
-        full = rq_db_skyband(TopKInterface(table, k=1), 2)
+        full = Discoverer().skyband(TopKInterface(table, k=1), 2, "rq")
         assert full.total_cost > 2
-        partial = rq_db_skyband(
-            TopKInterface(table, k=1, budget=full.total_cost // 2), 2
+        partial = Discoverer().skyband(
+            TopKInterface(table, k=1, budget=full.total_cost // 2), 2, "rq"
         )
         assert not partial.complete
         assert partial.skyband_values  # still returns a best-effort band
@@ -81,7 +81,7 @@ class TestPQSkyband:
     def test_matches_ground_truth(self, band, k):
         rng = np.random.default_rng(band * 10 + k)
         table = random_table(rng, [K.PQ] * 3, n=100, domain=6, distinct=True)
-        result = pq_db_skyband(TopKInterface(table, k=k), band)
+        result = Discoverer().skyband(TopKInterface(table, k=k), band, "pq")
         assert result.complete
         assert result.skyband_values == truth_band_values(table, band)
 
@@ -89,40 +89,40 @@ class TestPQSkyband:
         """band > k exercises the 0-D drain of §7.2."""
         rng = np.random.default_rng(40)
         table = random_table(rng, [K.PQ] * 2, n=60, domain=8, distinct=True)
-        result = pq_db_skyband(TopKInterface(table, k=1), 3)
+        result = Discoverer().skyband(TopKInterface(table, k=1), 3, "pq")
         assert result.skyband_values == truth_band_values(table, 3)
 
     def test_band_validation(self):
         table = make_table([(1, 1)], kinds=K.PQ, domain=3)
         with pytest.raises(ValueError):
-            pq_db_skyband(TopKInterface(table, k=1), 0)
+            Discoverer().skyband(TopKInterface(table, k=1), 0, "pq")
 
 
 class TestSQSkyband:
     def test_complete_with_generous_k(self):
         rng = np.random.default_rng(50)
         table = random_table(rng, [K.SQ] * 2, n=80, domain=8, distinct=True)
-        result = sq_db_skyband(TopKInterface(table, k=40), 2)
+        result = Discoverer().skyband(TopKInterface(table, k=40), 2, "sq")
         if result.complete:
             assert result.skyband_values == truth_band_values(table, 2)
 
     def test_partial_results_are_sound(self):
         rng = np.random.default_rng(51)
         table = random_table(rng, [K.SQ] * 2, n=100, domain=8, distinct=True)
-        result = sq_db_skyband(TopKInterface(table, k=2), 3)
+        result = Discoverer().skyband(TopKInterface(table, k=2), 3, "sq")
         assert result.skyband_values <= truth_band_values(table, 3)
 
     def test_band_one_reduces_to_sq_db_sky(self):
         rng = np.random.default_rng(52)
         table = random_table(rng, [K.SQ] * 2, n=80, domain=8, distinct=True)
-        result = sq_db_skyband(TopKInterface(table, k=1), 1)
+        result = Discoverer().skyband(TopKInterface(table, k=1), 1, "sq")
         assert result.complete
         assert result.skyband_values == truth_band_values(table, 1)
 
     def test_band_validation(self):
         table = make_table([(1, 1)], kinds=K.SQ, domain=3)
         with pytest.raises(ValueError):
-            sq_db_skyband(TopKInterface(table, k=1), 0)
+            Discoverer().skyband(TopKInterface(table, k=1), 0, "sq")
 
 
 class TestBandNesting:
@@ -131,6 +131,8 @@ class TestBandNesting:
         table = random_table(rng, [K.RQ] * 2, n=100, domain=9, distinct=True)
         previous: frozenset = frozenset()
         for band in (1, 2, 3):
-            result = rq_db_skyband(TopKInterface(table, k=2), band)
+            result = Discoverer().skyband(
+                TopKInterface(table, k=2), band, "rq"
+            )
             assert previous <= result.skyband_values
             previous = result.skyband_values

@@ -18,7 +18,6 @@ import pytest
 
 from repro.core import Discoverer, DiscoveryConfig, all_algorithms
 from repro.datagen import churn_ops
-from repro.freshness import run_delta
 from repro.hiddendb import Attribute, InterfaceKind, Schema, Table, TopKInterface
 from repro.store import CrawlStore
 
@@ -100,6 +99,7 @@ class TestRepairParity:
             config.replace(store=store, mode="delta")
         ).run(interface, algorithm)
         assert repaired.complete
+        assert repaired.config.mode == "delta"
         assert repaired.skyline_values == scratch.skyline_values
         report = repaired.freshness
         assert report is not None
@@ -306,14 +306,3 @@ class TestConfigSurface:
         ).run(interface)
         assert repaired.complete
         assert repaired.stats.workers == width
-
-    def test_run_delta_convenience_wrapper(self):
-        kinds = PARITY_KIND_MIXES["rq3"]
-        table, interface, store, _ = crawl_then_churn(kinds)
-        scratch = scratch_crawl(table)
-        result = run_delta(
-            interface, config=DiscoveryConfig(store=store, mode="delta")
-        )
-        assert result.skyline_values == scratch.skyline_values
-        assert result.freshness is not None
-        assert result.config.mode == "delta"

@@ -16,7 +16,6 @@ from repro import (
     Query,
     TopKInterface,
     discover,
-    rq_db_skyband,
 )
 from repro.datagen import (
     autos_table,
@@ -94,7 +93,7 @@ class TestMarketplacePipelines:
         interface = TopKInterface(
             table, ranker=LinearRanker.single_attribute(0, 3), k=50
         )
-        band = rq_db_skyband(interface, 2)
+        band = Discoverer().skyband(interface, 2, "rq")
         truth = frozenset(
             tuple(int(v) for v in row)
             for row in table.matrix[table.skyband_indices(2)]

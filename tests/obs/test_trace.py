@@ -14,6 +14,7 @@ from repro.core import DiscoveryConfig, all_algorithms
 from repro.hiddendb import InterfaceKind, TopKInterface
 from repro.hiddendb.query import Query, query_fingerprint
 from repro.obs import MetricsRegistry, RunObserver, TraceWriter
+from repro.store import CrawlStore
 
 from ..conftest import (
     PARITY_TABLES,
@@ -262,6 +263,88 @@ def test_observer_detached_after_run():
     before = len(spans_of(buffer))
     Discoverer(DiscoveryConfig()).run(interface, "baseline")
     assert len(spans_of(buffer)) == before, "observer leaked into next run"
+
+
+class EndpointDied(Exception):
+    """The backend went away mid-crawl."""
+
+
+class DyingEndpoint:
+    """An in-process endpoint that dies after ``limit`` billed queries.
+
+    It takes ``attach_observer`` and ``set_replay_nonce`` the way the
+    remote clients do, and keeps what a run leaves bound on it.
+    """
+
+    def __init__(self, table, limit: int) -> None:
+        self._inner = TopKInterface(table, k=5)
+        self._limit = limit
+        self.observer = None
+        self.nonce = None
+        self.nonces_set = 0
+
+    @property
+    def schema(self):
+        return self._inner.schema
+
+    @property
+    def k(self) -> int:
+        return self._inner.k
+
+    @property
+    def queries_issued(self) -> int:
+        return self._inner.queries_issued
+
+    def attach_observer(self, observer) -> None:
+        self.observer = observer
+
+    def set_replay_nonce(self, nonce) -> None:
+        self.nonces_set += nonce is not None
+        self.nonce = nonce
+
+    def query(self, query):
+        if self._inner.queries_issued >= self._limit:
+            raise EndpointDied(f"gone after {self._limit} queries")
+        return self._inner.query(query)
+
+
+DYING_RUNS = {
+    "run": lambda disc, endpoint: disc.run(endpoint, "rq"),
+    "skyband": lambda disc, endpoint: disc.skyband(endpoint, 2, "rq"),
+    "delta": lambda disc, endpoint: disc.run(endpoint, "rq", mode="delta"),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(DYING_RUNS))
+def test_crashed_run_writes_its_spans_and_releases_the_client(verb, tmp_path):
+    """However a traced durable run dies, every billed query has left its
+    ``billed`` span, and neither the observer nor the replay nonce stays
+    bound to the client a later run shares."""
+    endpoint = DyingEndpoint(DATASETS["diamonds"](300, 0), limit=40)
+    trace = tmp_path / "trace.jsonl"
+    disc = Discoverer(DiscoveryConfig(trace=trace, store=CrawlStore.memory()))
+    with pytest.raises(EndpointDied):
+        DYING_RUNS[verb](disc, endpoint)
+    assert endpoint.queries_issued == 40
+    spans = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert sum(span["phase"] == "billed" for span in spans) == 40
+    assert endpoint.observer is None
+    assert endpoint.nonces_set >= 1
+    assert endpoint.nonce is None
+
+
+def test_unopenable_trace_releases_the_client(tmp_path):
+    """A durable run whose trace file cannot be opened raises before it
+    issues a query, and drops the replay nonce it already set."""
+    endpoint = DyingEndpoint(DATASETS["diamonds"](300, 0), limit=40)
+    config = DiscoveryConfig(
+        trace=tmp_path / "missing" / "trace.jsonl", store=CrawlStore.memory()
+    )
+    with pytest.raises(FileNotFoundError):
+        Discoverer(config).run(endpoint, "rq")
+    assert endpoint.queries_issued == 0
+    assert endpoint.nonces_set == 1
+    assert endpoint.nonce is None
 
 
 def test_config_rejects_nonsense_trace():

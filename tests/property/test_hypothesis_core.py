@@ -12,12 +12,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (
-    Discoverer,
-    discover,
-    pq_db_skyband,
-    rq_db_skyband,
-)
+from repro.core import Discoverer, discover
 from repro.core.dominance import (
     dominates,
     incremental_skyline_update,
@@ -203,7 +198,7 @@ distinct_matrices = st.integers(min_value=2, max_value=3).flatmap(
 @given(values=distinct_matrices, band=st.integers(1, 3), k=st.integers(1, 4))
 def test_rq_skyband_matches_ground_truth(values, band, k):
     table = make_table(values, kinds=K.RQ, domain=5)
-    result = rq_db_skyband(TopKInterface(table, k=k), band)
+    result = Discoverer().skyband(TopKInterface(table, k=k), band, "rq")
     assert result.skyband_values == truth_band_values(table, band)
 
 
@@ -211,5 +206,5 @@ def test_rq_skyband_matches_ground_truth(values, band, k):
 @given(values=distinct_matrices, band=st.integers(1, 3), k=st.integers(1, 4))
 def test_pq_skyband_matches_ground_truth(values, band, k):
     table = make_table(values, kinds=K.PQ, domain=5)
-    result = pq_db_skyband(TopKInterface(table, k=k), band)
+    result = Discoverer().skyband(TopKInterface(table, k=k), band, "pq")
     assert result.skyband_values == truth_band_values(table, band)

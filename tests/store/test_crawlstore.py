@@ -12,7 +12,6 @@ from repro.hiddendb import (
     Row,
     Schema,
     query_fingerprint,
-    query_key,
 )
 from repro.store import (
     CrawlStore,
@@ -43,7 +42,6 @@ class TestCanonicalKey:
         a = Query({0: Interval(1, 5), 2: Interval(3, 3)}, {"make": 2})
         b = Query({2: Interval(3, 3), 0: Interval(1, 5)}, {"make": 2})
         assert a.canonical_key() == b.canonical_key()
-        assert query_key(a) == query_key(b)
         assert query_fingerprint(a) == query_fingerprint(b)
 
     def test_numpy_and_float_normalisation(self):

@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import ExitStack
 from pathlib import Path
 
 import pytest
@@ -102,9 +103,11 @@ class TestCrashResumeParity:
         )
 
     def test_remote(self, algorithm, table, execution):
-        with HiddenDBServer(table, k=K, name=f"parity-{algorithm}") as server:
+        with HiddenDBServer(
+            table, k=K, name=f"parity-{algorithm}"
+        ) as server, ExitStack() as clients:
             _assert_crash_resume_parity(
-                lambda: _remote_for(server, execution),
+                lambda: clients.enter_context(_remote_for(server, execution)),
                 algorithm,
                 execution,
             )
@@ -240,8 +243,8 @@ class TestLedgerBilling:
         """A finished durable run must not leave its deterministic request
         ids on the shared client: later plain runs have to bill repeats."""
         table = diamonds_table(100, seed=2)
-        with HiddenDBServer(table, k=K, name="d100") as server:
-            client = RemoteTopKInterface(server.url, api_key="shared")
+        with HiddenDBServer(table, k=K, name="d100") as server, \
+                RemoteTopKInterface(server.url, api_key="shared") as client:
             Discoverer(DiscoveryConfig(store=CrawlStore.memory())).run(client)
             assert client._replay_nonce is None
             # A repeated query on the plain client is billed again (random
@@ -257,8 +260,8 @@ class TestLedgerBilling:
         """The nonce is dropped even when the run dies with an arbitrary
         exception (not just budget exhaustion)."""
         table = diamonds_table(100, seed=2)
-        with HiddenDBServer(table, k=K, name="d100") as server:
-            client = RemoteTopKInterface(server.url)
+        with HiddenDBServer(table, k=K, name="d100") as server, \
+                RemoteTopKInterface(server.url) as client:
             with pytest.raises(SimulatedCrash):
                 Discoverer(
                     _crash_config(CrawlStore.memory(), {"workers": 1}, 2)
@@ -273,10 +276,9 @@ class TestClientLedger:
         from repro.hiddendb import Query
 
         table = diamonds_table(100, seed=2)
-        with HiddenDBServer(table, k=K) as server:
-            client = RemoteTopKInterface(
-                server.url, api_key="nonced", replay_nonce="resume-nonce"
-            )
+        with HiddenDBServer(table, k=K) as server, RemoteTopKInterface(
+            server.url, api_key="nonced", replay_nonce="resume-nonce"
+        ) as client:
             first = client.query(Query.select_all())
             again = client.query(Query.select_all())
             assert again.rows == first.rows
@@ -336,11 +338,12 @@ class TestSigkillAcceptance:
             assert 0 < prefix < reference.total_cost
             assert store.sessions()[0].status == "running"
 
-            resumed = Discoverer(
-                DiscoveryConfig(
-                    store=store, resume=True, workers=4, batch_size=8
-                )
-            ).run(RemoteTopKInterface(server.url), "baseline")
+            with RemoteTopKInterface(server.url) as client:
+                resumed = Discoverer(
+                    DiscoveryConfig(
+                        store=store, resume=True, workers=4, batch_size=8
+                    )
+                ).run(client, "baseline")
 
             assert resumed.complete
             assert resumed.skyline_values == reference.skyline_values
@@ -355,9 +358,10 @@ class TestSigkillAcceptance:
 
             # Warm re-run over the unchanged endpoint: zero new billing.
             billed_before = server.stats().queries_total
-            warm = Discoverer(DiscoveryConfig(store=store, workers=4)).run(
-                RemoteTopKInterface(server.url), "baseline"
-            )
+            with RemoteTopKInterface(server.url) as client:
+                warm = Discoverer(
+                    DiscoveryConfig(store=store, workers=4)
+                ).run(client, "baseline")
             assert warm.total_cost == 0
             assert warm.skyline_values == reference.skyline_values
             assert server.stats().queries_total == billed_before
