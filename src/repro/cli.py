@@ -100,6 +100,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from typing import Callable
 
 from .core import (
@@ -166,22 +167,32 @@ def _dataset_label(args) -> str:
     return label
 
 
-def _build_interface(args):
-    if getattr(args, "url", None):
-        from .service import RemoteTopKInterface
+def _open_interface(args):
+    """The endpoint a discovery command crawls, to hold in a ``with`` block.
 
-        return RemoteTopKInterface(
+    A ``--url`` run gets the non-blocking
+    :class:`~repro.service.aclient.AsyncRemoteTopKInterface` under
+    ``--strategy async`` and the blocking client otherwise; the block
+    closes its sockets (and the asyncio client's event loop).  An
+    in-process ``TopKInterface`` holds nothing to close.
+    """
+    if getattr(args, "url", None):
+        if getattr(args, "strategy", None) == "async":
+            from .service import AsyncRemoteTopKInterface as client
+        else:
+            from .service import RemoteTopKInterface as client
+        return client(
             args.url,
             api_key=args.api_key,
             cache_size=args.cache or None,
         )
     table = _build_table(args)
-    return TopKInterface(
+    return nullcontext(TopKInterface(
         table,
         ranker=_build_ranker(args, table),
         k=args.k,
         name=_dataset_label(args),
-    )
+    ))
 
 
 def _source_label(args, interface) -> str:
@@ -233,24 +244,6 @@ def _print_result_details(args, interface, result) -> None:
             print(f"  {row.values}")
 
 
-def _build_interface_for(args, strategy: str | None):
-    """Build the endpoint, matching the client flavour to the strategy.
-
-    Remote crawls under ``--strategy async`` get the non-blocking
-    :class:`~repro.service.aclient.AsyncRemoteTopKInterface` (pooled
-    event-loop sockets); everything else keeps the blocking client.
-    """
-    if getattr(args, "url", None) and strategy == "async":
-        from .service import AsyncRemoteTopKInterface
-
-        return AsyncRemoteTopKInterface(
-            args.url,
-            api_key=args.api_key,
-            cache_size=args.cache or None,
-        )
-    return _build_interface(args)
-
-
 def _workers_arg(value: str) -> "int | str":
     """argparse type for ``--workers``: a positive int or ``auto``."""
     if value == "auto":
@@ -291,12 +284,13 @@ def _algorithm_arg(args) -> str | None:
 
 
 def _cmd_discover(args) -> int:
-    interface = _build_interface_for(args, getattr(args, "strategy", None))
-    result = _discoverer(args).run(interface, _algorithm_arg(args))
-    _print_result_header(args, interface, result)
-    if result.skyline_size:
-        print(f"cost/tuple : {result.total_cost / result.skyline_size:.2f}")
-    _print_result_details(args, interface, result)
+    with _open_interface(args) as interface:
+        result = _discoverer(args).run(interface, _algorithm_arg(args))
+        _print_result_header(args, interface, result)
+        if result.skyline_size:
+            print(f"cost/tuple : "
+                  f"{result.total_cost / result.skyline_size:.2f}")
+        _print_result_details(args, interface, result)
     if args.curve:
         print("\nanytime curve (cost, discovered):")
         for cost, count in result.discovery_curve():
@@ -305,12 +299,11 @@ def _cmd_discover(args) -> int:
 
 
 def _cmd_crawl(args) -> int:
-    with CrawlStore(args.store) as store:
-        return _run_crawl(args, store)
+    with CrawlStore(args.store) as store, _open_interface(args) as interface:
+        return _run_crawl(args, store, interface)
 
 
-def _run_crawl(args, store: CrawlStore) -> int:
-    interface = _build_interface_for(args, getattr(args, "strategy", None))
+def _run_crawl(args, store: CrawlStore, interface) -> int:
     extra = {}
     if args.delta or args.delta_strict:
         extra["mode"] = "delta"
@@ -364,24 +357,24 @@ def _run_crawl(args, store: CrawlStore) -> int:
 
 
 def _cmd_skyband(args) -> int:
-    interface = _build_interface_for(args, getattr(args, "strategy", None))
-    result = _discoverer(args).skyband(
-        interface, args.band, _algorithm_arg(args)
-    )
-    print(f"dataset  : {_source_label(args, interface)}")
-    print(f"algorithm: {result.algorithm} (K={args.band})")
-    print(f"queries  : {result.total_cost}")
-    print(f"band     : {len(result.skyband)} tuples")
-    print(f"complete : {result.complete}")
-    _print_result_details(args, interface, result)
+    with _open_interface(args) as interface:
+        result = _discoverer(args).skyband(
+            interface, args.band, _algorithm_arg(args)
+        )
+        print(f"dataset  : {_source_label(args, interface)}")
+        print(f"algorithm: {result.algorithm} (K={args.band})")
+        print(f"queries  : {result.total_cost}")
+        print(f"band     : {len(result.skyband)} tuples")
+        print(f"complete : {result.complete}")
+        _print_result_details(args, interface, result)
     return 0
 
 
 def _cmd_stats(args) -> int:
-    interface = _build_interface_for(args, getattr(args, "strategy", None))
-    result = _discoverer(args, record_log=True).run(
-        interface, _algorithm_arg(args)
-    )
+    with _open_interface(args) as interface:
+        result = _discoverer(args, record_log=True).run(
+            interface, _algorithm_arg(args)
+        )
     summary = summarize_log(result.query_log)
     print(f"algorithm: {result.algorithm}")
     print(format_table(summary.as_rows()))

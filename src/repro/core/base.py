@@ -7,7 +7,9 @@ bookkeeping the paper's evaluation needs:
 * the query cost (number of issued queries since the session began);
 * the first-retrieval cost of every distinct tuple, which yields the
   *anytime* discovery curve of Figures 20-24;
-* the full query/answer log, consumed by the PQ plane-pruning rules;
+* the query/answer log, kept only when the run asks for it
+  (``record_log``): a crawl otherwise lets each answer go once it is
+  recorded;
 * the skyline of everything retrieved so far, maintained by block folds
   (the BASELINE crawler's local skyline extraction, done as it crawls).
 
@@ -179,6 +181,11 @@ class DiscoverySession:
         billed twice.  Off by default so default runs keep the historical
         query counts; ``Discoverer.skyband`` turns it on (the overlapping
         subspace trees of the extensions re-issue many identical queries).
+    record_log:
+        Keep every recorded :class:`QueryResult` in :attr:`log`.  Off by
+        default: the session's bookkeeping needs only each answer's
+        first-seen rows, so an unlogged session drops an answer once it
+        has recorded it.
     """
 
     def __init__(
@@ -191,6 +198,7 @@ class DiscoverySession:
         on_tuple: Callable[[TraceEntry], None] | None = None,
         strategy: ExecutionStrategy | None = None,
         dedup: bool = False,
+        record_log: bool = False,
     ) -> None:
         if budget is not None and budget < 0:
             raise ValueError(f"budget must be >= 0, got {budget}")
@@ -202,7 +210,9 @@ class DiscoverySession:
         self._on_tuple = on_tuple
         self._incomplete = False
         self._first_seen: dict[int, TraceEntry] = {}
-        self._log: list[QueryResult] = []
+        self._log: list[QueryResult] | None = [] if record_log else None
+        #: Answers recorded so far (a checkpoint's ``answers`` counter).
+        self._answers = 0
         #: Skyline of the rows folded so far: each distinct vector with
         #: every row carrying it, the vectors as a matrix in coordinate-sum
         #: order, and the first-seen rows not folded yet.
@@ -265,7 +275,13 @@ class DiscoverySession:
 
     @property
     def log(self) -> tuple[QueryResult, ...]:
-        """All query results observed by this session, in issue order."""
+        """All query results recorded by this session, in merge order.
+
+        Empty unless the session was built with ``record_log=True``
+        (``DiscoveryConfig.record_log`` for a facade run).
+        """
+        if self._log is None:
+            return ()
         return tuple(self._log)
 
     @property
@@ -352,7 +368,9 @@ class DiscoverySession:
                     self._on_tuple(entry)
         if len(self._unfolded) >= FOLD_ROWS:
             self._fold()
-        self._log.append(result)
+        self._answers += 1
+        if self._log is not None:
+            self._log.append(result)
         if self._on_query is not None:
             self._on_query(result)
         if self._store is not None:
@@ -390,6 +408,7 @@ class DiscoverySession:
             on_tuple=config.on_tuple,
             strategy=config.execution_strategy(),
             dedup=dedup,
+            record_log=config.record_log,
         )
         if config.store is not None:
             session.attach_store(
@@ -470,15 +489,16 @@ class DiscoverySession:
         """Package the run of ``spec`` under ``config`` and file it.
 
         The result carries the config, the registry info, the query log
-        (when ``config.record_log`` is set) and the crawl-store session;
-        :meth:`finish_store` files it.  A run that raised never gets here,
-        so its durable session stays ``running``, i.e. resumable.
+        (empty unless ``config.record_log`` kept one) and the crawl-store
+        session; :meth:`finish_store` files it.  A run that raised never
+        gets here, so its durable session stays ``running``, i.e.
+        resumable.
         """
         result = _dc_replace(
             self.result(spec.display(self.schema), complete),
             config=config,
             info=spec.info(),
-            query_log=self.log if config.record_log else (),
+            query_log=self.log,
             store_session=self._store_session,
         )
         self.finish_store(result)
@@ -594,7 +614,7 @@ class DiscoverySession:
         counters = {
             "billed": self.cost,
             "retrieved": len(self._first_seen),
-            "answers": len(self._log),
+            "answers": self._answers,
             "skyline_size": len(self._skyline),
         }
         session_id = self._store_session.session_id

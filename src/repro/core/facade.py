@@ -197,7 +197,7 @@ class Discoverer:
             complete=complete and not session.marked_incomplete,
             config=cfg,
             info=spec.info(),
-            query_log=session.log if cfg.record_log else (),
+            query_log=session.log,
             stats=session.engine_stats,
         )
         session.finish_store(result)

@@ -86,8 +86,12 @@ class DiscoveryConfig:
         plus row).  Feeding these entries into a list reproduces the anytime
         discovery curve live, while the run is still going.
     record_log:
-        Attach the full query/answer log to the returned result
-        (``result.query_log``), for :func:`repro.core.stats.summarize_log`.
+        Keep the full query/answer log and attach it to the returned
+        result (``result.query_log``), for
+        :func:`repro.core.stats.summarize_log`.  Off by default: the
+        session then keeps no log, so each billed answer is dropped once
+        recorded and a run's memory grows with the tuples it retrieved,
+        not with the answers it paid for.
     strategy:
         Execution-strategy name: ``"serial"`` or ``"async"`` (see
         :data:`~repro.core.engine.STRATEGY_NAMES`; ``"pipelined"`` is

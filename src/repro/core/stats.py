@@ -3,9 +3,10 @@
 A real scraping campaign cares not only about the total query count but
 about *how* the budget was spent: how many queries came back empty, how
 deep the conjunctions went, how much of the answer stream was redundant.
-:func:`summarize_session` folds a session's query log into a
-:class:`QueryLogSummary`; the experiment front-ends and examples use it to
-explain cost differences between algorithms.
+:func:`summarize_session` folds the query log of a session built with
+``record_log=True`` into a :class:`QueryLogSummary`; the experiment
+front-ends and examples use it to explain cost differences between
+algorithms.
 """
 
 from __future__ import annotations
@@ -65,7 +66,11 @@ class QueryLogSummary:
 
 
 def summarize_session(session: DiscoverySession) -> QueryLogSummary:
-    """Fold ``session``'s query log into a :class:`QueryLogSummary`."""
+    """Fold ``session``'s query log into a :class:`QueryLogSummary`.
+
+    The session keeps a log only when built with ``record_log=True``; an
+    unlogged session has an empty log and summarizes as no queries.
+    """
     return summarize_log(session.log)
 
 

@@ -10,8 +10,10 @@ handlers and views.
 
 A route maps ``(method, path)`` to a handler that takes a
 :class:`Request` and returns ``(status, body, headers)``: a ``dict`` body
-is sent as JSON, a ``str`` body as text under the ``Content-Type`` its
-headers name.  A path ending in ``/:id`` matches one trailing segment.
+is sent as JSON (:func:`encode_json`), a ``bytes`` body as JSON the
+handler already encoded, and a ``str`` body as text under the
+``Content-Type`` its headers name.  A path ending in ``/:id`` matches
+one trailing segment.
 The front answers a POST body that is not a JSON object with 400
 ``bad_request``, an unknown route with 404 ``not_found``, and anything a
 handler raises with 500 ``internal_error``, logged once with its
@@ -80,8 +82,10 @@ MAX_HEADERS = 100
 #: thread never holds more than this much of a body in memory.
 MAX_BODY = 16 * 1024 * 1024
 
-#: What a handler returns: ``(status, body, headers)``.
-Reply = tuple[int, dict[str, Any] | str, Mapping[str, str]]
+#: What a handler returns: ``(status, body, headers)``.  A ``bytes`` body
+#: is JSON already encoded by :func:`encode_json` (the hidden-DB server
+#: encodes each billed answer once and replays those bytes).
+Reply = tuple[int, dict[str, Any] | bytes | str, Mapping[str, str]]
 
 _METHODS = frozenset({"GET", "POST", "DELETE"})
 _VERSIONS = frozenset({"HTTP/1.1", "HTTP/1.0"})
@@ -113,6 +117,11 @@ class Request(NamedTuple):
 
 #: A route handler.
 Handler = Callable[[Request], Reply]
+
+
+def encode_json(body: Mapping[str, Any]) -> bytes:
+    """A JSON reply body as the front sends it."""
+    return json.dumps(body).encode("utf-8")
 
 
 def error_reply(status: int, error: str, message: str | None = None) -> Reply:
@@ -535,7 +544,7 @@ class JsonHttpFront:
             payload = body.encode("utf-8")
             kind = ""
         else:
-            payload = json.dumps(body).encode("utf-8")
+            payload = body if isinstance(body, bytes) else encode_json(body)
             kind = "Content-Type: application/json\r\n"
         status_line = _STATUS_LINES.get(status) or f"HTTP/1.1 {status} \r\n"
         head = (
@@ -570,6 +579,7 @@ __all__ = [
     "Request",
     "ServiceStartupError",
     "UNMATCHED_ROUTE",
+    "encode_json",
     "error_reply",
     "read_request",
 ]

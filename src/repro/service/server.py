@@ -47,9 +47,10 @@ while ``budget_exceeded`` (HTTP 429) and ``unsupported_query`` (HTTP 400)
 are terminal and map back onto the simulator's exceptions client-side.
 
 Billing is retry-safe: a request carrying an ``X-Request-Id`` header that
-was already billed gets its answer *replayed* instead of re-executed, so a
-client whose response was lost in transit (timeout, connection reset after
-the server charged the query) can retry without being billed twice.
+was already billed gets its answer *replayed* -- the body and headers
+first sent, byte for byte -- instead of re-executed, so a client whose
+response was lost in transit (timeout, connection reset after the server
+charged the query) can retry without being billed twice.
 """
 
 from __future__ import annotations
@@ -72,12 +73,13 @@ from .front import (
     JsonHttpFront,
     Reply,
     ServiceStartupError,
+    encode_json,
     error_reply,
 )
 from .wire import (
     decode_query,
     encode_answer,
-    encode_batch_item,
+    encode_batch_answer,
     encode_schema,
     endpoint_fingerprint,
 )
@@ -334,7 +336,9 @@ class HiddenDBServer(JsonHttpFront):
         self._schema_payload = encode_schema(table.schema)
         # Answers already billed, keyed by (api key, client request id): a
         # client that lost the response retries the same id and gets the
-        # answer replayed instead of being billed twice.
+        # answer replayed instead of being billed twice.  Each entry holds
+        # the encoded body first sent, so a replay is the same bytes and
+        # an entry is one object for the collector, not a tree of them.
         self._replay: OrderedDict[tuple[str, str], Reply] = OrderedDict()
         # Request ids currently being processed: a duplicate (client retry
         # racing its own timed-out original) waits for the original instead
@@ -725,12 +729,13 @@ class HiddenDBServer(JsonHttpFront):
                 str(request_id) if request_id is not None else None,
                 inject=False,
             )
-        body = {
-            "items": [
-                encode_batch_item(status, item_body)
-                for status, item_body, _headers in outcomes
-            ]
-        }
+        # Answers arrive encoded (fresh or replayed alike); the envelope
+        # is spliced around them, so no answer is decoded to be re-sent.
+        body = encode_batch_answer(
+            (status, item_body if isinstance(item_body, bytes)
+             else encode_json(item_body))
+            for status, item_body, _headers in outcomes
+        )
         return 200, body, {}
 
     def _admit(self, api_key: str) -> Reply | None:
@@ -830,7 +835,9 @@ class HiddenDBServer(JsonHttpFront):
         self._m_scan.observe(
             time.perf_counter() - scan_started, engine=self._engine.label
         )
-        body = encode_answer(rows, overflow=len(rows) == self._k, sequence=sequence)
+        body = encode_json(encode_answer(
+            rows, overflow=len(rows) == self._k, sequence=sequence
+        ))
         budget = self._billing.budget_of(api_key)
         # The version the answer was computed against: replayed answers
         # keep the header they were billed with, so a replay after churn
@@ -841,12 +848,13 @@ class HiddenDBServer(JsonHttpFront):
         }
         if budget is not None:
             headers["X-Budget-Remaining"] = str(max(budget - sequence, 0))
+        reply = (200, body, headers)
         if replay_key is not None:
             with self._replay_lock:
-                self._replay[replay_key] = (200, body, headers)
+                self._replay[replay_key] = reply
                 while len(self._replay) > REPLAY_CAPACITY:
                     self._replay.popitem(last=False)
-        return 200, body, headers
+        return reply
 
     def __repr__(self) -> str:
         state = "running" if self._httpd is not None else "stopped"

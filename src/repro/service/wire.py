@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from ..hiddendb.attributes import Attribute, InterfaceKind, Schema
 from ..hiddendb.query import Interval, Query
@@ -314,9 +314,17 @@ def encode_batch_request(
     }
 
 
-def encode_batch_item(status: int, body: Mapping[str, Any]) -> dict[str, Any]:
-    """One per-item outcome of a batch answer."""
-    return {"status": int(status), "body": dict(body)}
+def encode_batch_answer(items: Iterable[tuple[int, bytes]]) -> bytes:
+    """Per-item ``(status, JSON-encoded body)`` -> the ``/api/batch`` answer.
+
+    The envelope ``{"items": [{"status", "body"}, ...]}`` is spliced
+    around bodies that are already JSON, in ``json.dumps``'s default
+    layout: the bytes ``json.dumps`` writes for the decoded items.
+    """
+    return b'{"items": [%s]}' % b", ".join(
+        b'{"status": %d, "body": %s}' % (int(status), body)
+        for status, body in items
+    )
 
 
 def decode_batch_answer(
@@ -343,7 +351,7 @@ __all__ = [
     "decode_row",
     "decode_schema",
     "encode_answer",
-    "encode_batch_item",
+    "encode_batch_answer",
     "encode_batch_request",
     "encode_job_spec",
     "encode_query",

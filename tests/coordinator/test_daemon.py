@@ -330,7 +330,8 @@ class TestRejections:
 
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 400
+        with excinfo.value as error:
+            assert error.code == 400
 
     def test_malformed_content_length_400_before_the_body(
         self, table, mirrors, tmp_path

@@ -13,10 +13,10 @@ single-process reference.
 """
 
 import os
-import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -31,8 +31,13 @@ K = 5
 N = 1000
 
 
-def _spawn_coordinator(store_path, backend_urls, *, resume=False):
-    """Start ``repro coordinate`` in a subprocess; returns (proc, base_url)."""
+@contextmanager
+def _coordinator(store_path, backend_urls, *, resume=False):
+    """Run ``repro coordinate`` in a subprocess; yields its base URL.
+
+    Leaving the block kills the daemon with SIGKILL (no atexit, no
+    cleanup), reaps it and closes its stdout pipe.
+    """
     repo_root = Path(__file__).resolve().parents[2]
     env = dict(os.environ)
     env["PYTHONPATH"] = (
@@ -46,24 +51,25 @@ def _spawn_coordinator(store_path, backend_urls, *, resume=False):
         argv += ["--backend", url]
     if resume:
         argv.append("--resume")
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         text=True,
-    )
-    port = None
-    deadline = time.time() + 30
-    while time.time() < deadline:
-        line = proc.stdout.readline()
-        if not line:
-            break
-        if line.startswith("port"):
-            port = int(line.split(":", 1)[1].strip())
-            break
-    if port is None:
-        proc.kill()
-        proc.wait(timeout=10)
-        pytest.fail("coordinator subprocess never reported its port")
-    return proc, f"http://127.0.0.1:{port}"
+    ) as proc:
+        try:
+            port = None
+            deadline = time.time() + 30
+            while time.time() < deadline:
+                line = proc.stdout.readline()
+                if not line:
+                    break
+                if line.startswith("port"):
+                    port = int(line.split(":", 1)[1].strip())
+                    break
+            if port is None:
+                pytest.fail("coordinator subprocess never reported its port")
+            yield f"http://127.0.0.1:{port}"
+        finally:
+            proc.kill()
 
 
 class TestKillAndResume:
@@ -80,8 +86,7 @@ class TestKillAndResume:
         ]
         urls = [server.url for server in servers]
         try:
-            proc, base = _spawn_coordinator(store_path, urls)
-            try:
+            with _coordinator(store_path, urls) as base:
                 status, body = post_json(
                     f"{base}/api/jobs",
                     {"tenant": "survivor", "checkpoint_every": 4},
@@ -99,9 +104,6 @@ class TestKillAndResume:
                         time.sleep(0.02)
                     else:
                         pytest.fail("coordinator made no ledger progress")
-            finally:
-                os.kill(proc.pid, signal.SIGKILL)
-                proc.wait(timeout=30)
 
             with CrawlStore(str(store_path)) as store:
                 prefix = store.ledger_size()
@@ -112,8 +114,7 @@ class TestKillAndResume:
                 assert record.status in ("queued", "running")
                 assert 0 < prefix < reference.total_cost
 
-            proc, base = _spawn_coordinator(store_path, urls, resume=True)
-            try:
+            with _coordinator(store_path, urls, resume=True) as base:
                 final = wait_for_job(base, job_id, timeout=120)
                 assert final["status"] == "finished", final.get("error")
                 result = final["result"]
@@ -137,9 +138,6 @@ class TestKillAndResume:
                     j for j in index["jobs"] if j["job_id"] == job_id
                 )
                 assert entry["status"] == "finished"
-            finally:
-                proc.kill()
-                proc.wait(timeout=30)
         finally:
             for server in servers:
                 server.stop()

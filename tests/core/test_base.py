@@ -1,5 +1,8 @@
 """Tests for the discovery session and result machinery."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import CrawlStore, Discoverer, DiscoveryConfig
@@ -64,9 +67,14 @@ class TestDiscoverySession:
             session.issue(Query.select_all().and_lower(0, 5, 10))
 
     def test_log_records_results(self):
-        session = DiscoverySession(_interface())
+        session = DiscoverySession(_interface(), record_log=True)
         session.issue(Query.select_all())
         assert len(session.log) == 1
+
+    def test_no_log_unless_asked(self):
+        session = DiscoverySession(_interface())
+        session.issue(Query.select_all())
+        assert session.log == ()
 
     def test_confirmed_skyline_filters_dominated(self):
         session = DiscoverySession(_interface(k=4))
@@ -93,6 +101,41 @@ def test_maintained_skyline_matches_one_pass(
         assert checkpoint["skyline"] == sorted(
             list(vector) for vector in result.skyline_values
         )
+
+
+@pytest.mark.parametrize(
+    "shape", [{}, {"workers": 4, "batch_size": 4}], ids=["serial", "4x4"]
+)
+def test_unlogged_run_keeps_no_merged_answer_alive(shape):
+    """Without ``record_log`` a crawl lets each answer go once it is
+    recorded: weak references to the answers merged a window or more
+    before a later one are all dead by then.  (A batch's transport holds
+    its answers until the last of them merges.)"""
+    table = make_table(
+        [(i % 13, (7 * i) % 11, (5 * i) % 17) for i in range(300)],
+        domain=17,
+    )
+    window = shape.get("workers", 1) * shape.get("batch_size", 1)
+    refs: list[weakref.ref] = []
+    alive: list[int] = []
+
+    def on_query(result):
+        if len(refs) > window and len(refs) % 16 == 0:
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs[:-window]))
+        refs.append(weakref.ref(result))
+
+    result = Discoverer(DiscoveryConfig(on_query=on_query, **shape)).run(
+        TopKInterface(table, k=4), "baseline"
+    )
+    assert len(alive) > 4
+    assert alive == [0] * len(alive)
+    assert result.query_log == ()
+
+    logged = Discoverer(
+        DiscoveryConfig(record_log=True, **shape)
+    ).run(TopKInterface(table, k=4), "baseline")
+    assert len(logged.query_log) == logged.total_cost == result.total_cost
 
 
 def test_fold_hands_the_kernel_each_new_vector_once(monkeypatch):

@@ -10,7 +10,9 @@ from ..conftest import make_table
 
 
 def _session(values=((0, 9), (5, 5), (9, 0), (6, 6)), k=2):
-    return DiscoverySession(TopKInterface(make_table(values, domain=10), k=k))
+    return DiscoverySession(
+        TopKInterface(make_table(values, domain=10), k=k), record_log=True
+    )
 
 
 class TestSummarize:
@@ -66,9 +68,13 @@ class TestAlgorithmSignatures:
         from repro.datagen.synthetic import correlated
 
         table = correlated(400, 3, domain=12, rho=-0.8, seed=2)
-        sq_session = DiscoverySession(TopKInterface(table, k=1))
+        sq_session = DiscoverySession(
+            TopKInterface(table, k=1), record_log=True
+        )
         sq_db_sky(sq_session)
-        rq_session = DiscoverySession(TopKInterface(table, k=1))
+        rq_session = DiscoverySession(
+            TopKInterface(table, k=1), record_log=True
+        )
         rq_db_sky(rq_session)
         sq_summary = summarize_session(sq_session)
         rq_summary = summarize_session(rq_session)

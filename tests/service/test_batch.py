@@ -8,6 +8,7 @@ pipelined parity satellite (every algorithm, workers in {1, 4}).
 
 import json
 import urllib.request
+from contextlib import ExitStack
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.service import FaultConfig, RemoteTopKInterface
 from repro.service.server import MAX_BATCH_ITEMS
 from repro.service.wire import (
     decode_batch_answer,
-    encode_batch_item,
+    encode_batch_answer,
     encode_batch_request,
 )
 
@@ -39,6 +40,15 @@ def post_json(url, payload, headers=None):
         return response.status, json.loads(response.read().decode("utf-8"))
 
 
+@pytest.fixture
+def connect():
+    """Build :class:`RemoteTopKInterface` clients closed on teardown."""
+    with ExitStack() as stack:
+        yield lambda *args, **kwargs: stack.enter_context(
+            RemoteTopKInterface(*args, **kwargs)
+        )
+
+
 def sample_queries(count=3):
     queries = [Query.select_all()]
     for value in range(count - 1):
@@ -51,10 +61,15 @@ class TestWireFormat:
         queries = sample_queries(3)
         body = encode_batch_request(queries, ["a", "b", "c"])
         assert [item["id"] for item in body["items"]] == ["a", "b", "c"]
-        answer = {
-            "items": [encode_batch_item(200, {"x": i}) for i in range(3)]
+        answer = encode_batch_answer(
+            (200, json.dumps({"x": i}).encode()) for i in range(3)
+        )
+        # The spliced envelope is the bytes json.dumps writes for it.
+        expected = {
+            "items": [{"status": 200, "body": {"x": i}} for i in range(3)]
         }
-        decoded = decode_batch_answer(answer, 3)
+        assert answer == json.dumps(expected).encode()
+        decoded = decode_batch_answer(json.loads(answer), 3)
         assert decoded == [(200, {"x": 0}), (200, {"x": 1}), (200, {"x": 2})]
 
     def test_mismatched_ids_rejected(self):
@@ -63,7 +78,7 @@ class TestWireFormat:
 
     def test_wrong_item_count_rejected(self):
         with pytest.raises(ValueError):
-            decode_batch_answer({"items": [encode_batch_item(200, {})]}, 2)
+            decode_batch_answer({"items": [{"status": 200, "body": {}}]}, 2)
 
 
 class TestServerBatchRoute:
@@ -94,13 +109,17 @@ class TestServerBatchRoute:
         table = TABLES["rq3"]
         server = serve(table, k=5)
         body = encode_batch_request(sample_queries(2), ["r0", "r1"])
-        post_json(f"{server.url}/api/batch", body, {"X-Api-Key": "replay"})
+        _, first = post_json(
+            f"{server.url}/api/batch", body, {"X-Api-Key": "replay"}
+        )
         status, payload = post_json(
             f"{server.url}/api/batch", body, {"X-Api-Key": "replay"}
         )
         assert status == 200
         outcomes = decode_batch_answer(payload, 2)
         assert all(item_status == 200 for item_status, _ in outcomes)
+        # Replayed items carry the answers first billed, sequence included.
+        assert outcomes == decode_batch_answer(first, 2)
         assert server.stats().usage("replay").issued == 2
 
     def test_oversized_batch_rejected(self, serve):
@@ -116,8 +135,9 @@ class TestServerBatchRoute:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
-        payload = json.loads(excinfo.value.read().decode("utf-8"))
+        with excinfo.value as error:
+            assert error.code == 400
+            payload = json.loads(error.read().decode("utf-8"))
         assert payload["error"] == "batch_too_large"
 
     def test_per_item_budget_enforcement(self, serve):
@@ -144,29 +164,27 @@ class TestServerBatchRoute:
 
 
 class TestClientBatchQuery:
-    def test_batch_results_match_per_query_dispatch(self, serve):
+    def test_batch_results_match_per_query_dispatch(self, serve, connect):
         table = TABLES["rq3"]
         server = serve(table, k=5)
-        remote = RemoteTopKInterface(server.url, api_key="client")
+        remote = connect(server.url, api_key="client")
         assert remote.supports_batch
         queries = sample_queries(4)
         batched = remote.batch_query(queries)
-        singles = [
-            RemoteTopKInterface(server.url, api_key="ref").query(query)
-            for query in queries
-        ]
+        reference = connect(server.url, api_key="ref")
+        singles = [reference.query(query) for query in queries]
         assert [r.rows for r in batched] == [r.rows for r in singles]
         assert [r.overflow for r in batched] == [r.overflow for r in singles]
         assert remote.queries_issued == len(queries)
 
     def test_batch_retries_faulted_items_without_double_billing(
-        self, serve, no_sleep
+        self, serve, no_sleep, connect
     ):
         table = TABLES["rq3"]
         server = serve(
             table, k=5, faults=FaultConfig(error_rate=0.4, seed=1)
         )
-        remote = RemoteTopKInterface(
+        remote = connect(
             server.url, api_key="flaky", max_retries=50, sleep=no_sleep
         )
         queries = sample_queries(4)
@@ -177,10 +195,10 @@ class TestClientBatchQuery:
         assert server.stats().usage("flaky").issued == 4
         assert server.stats().faults_injected > 0
 
-    def test_budget_exhaustion_raises_after_accounting(self, serve):
+    def test_budget_exhaustion_raises_after_accounting(self, serve, connect):
         table = TABLES["rq3"]
         server = serve(table, k=5, key_budget=2)
-        remote = RemoteTopKInterface(server.url, api_key="broke")
+        remote = connect(server.url, api_key="broke")
         with pytest.raises(QueryBudgetExceeded):
             remote.batch_query(sample_queries(4))
         # The two items answered before exhaustion were still billed and
@@ -188,10 +206,10 @@ class TestClientBatchQuery:
         assert remote.queries_issued == 2
         assert server.stats().usage("broke").issued == 2
 
-    def test_cache_hits_skip_the_wire(self, serve):
+    def test_cache_hits_skip_the_wire(self, serve, connect):
         table = TABLES["rq3"]
         server = serve(table, k=5)
-        remote = RemoteTopKInterface(
+        remote = connect(
             server.url, api_key="cached", cache_size=64
         )
         queries = sample_queries(3)
@@ -202,10 +220,10 @@ class TestClientBatchQuery:
         assert remote.cache_hits == 3
         assert server.stats().usage("cached").issued == 3
 
-    def test_fallback_to_per_query_dispatch(self, serve):
+    def test_fallback_to_per_query_dispatch(self, serve, connect):
         table = TABLES["rq3"]
         server = serve(table, k=5)
-        remote = RemoteTopKInterface(server.url, api_key="fallback")
+        remote = connect(server.url, api_key="fallback")
         remote._supports_batch = False  # as if the server were pre-batch
         queries = sample_queries(3)
         results = remote.batch_query(queries)
@@ -213,12 +231,12 @@ class TestClientBatchQuery:
         assert remote.queries_issued == 3
         assert server.stats().usage("fallback").issued == 3
 
-    def test_fallback_failure_attaches_partial_results(self, serve):
+    def test_fallback_failure_attaches_partial_results(self, serve, connect):
         # Regression: the per-query fallback must carry already-billed
         # answers on the raised exception, like the batched path does.
         table = TABLES["rq3"]
         server = serve(table, k=5, key_budget=2)
-        remote = RemoteTopKInterface(server.url, api_key="fb-broke")
+        remote = connect(server.url, api_key="fb-broke")
         remote._supports_batch = False
         with pytest.raises(QueryBudgetExceeded) as excinfo:
             remote.batch_query(sample_queries(4))
@@ -234,12 +252,12 @@ class TestRemotePipelinedParity:
 
     @pytest.mark.parametrize("algorithm,table", run_params())
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_remote_parity(self, serve, algorithm, table, workers):
+    def test_remote_parity(self, serve, algorithm, table, workers, connect):
         local = TopKInterface(table, k=5)
         reference = Discoverer().run(local, algorithm)
 
         server = serve(table, k=5)
-        remote = RemoteTopKInterface(
+        remote = connect(
             server.url, api_key=f"{algorithm}-w{workers}"
         )
         result = Discoverer(
@@ -254,13 +272,15 @@ class TestRemotePipelinedParity:
             == reference.total_cost
         )
 
-    def test_pipelined_run_survives_fault_injection(self, serve, no_sleep):
+    def test_pipelined_run_survives_fault_injection(
+        self, serve, no_sleep, connect
+    ):
         table = TABLES["rq3"]
         reference = Discoverer().run(TopKInterface(table, k=5), "baseline")
         server = serve(
             table, k=5, faults=FaultConfig(error_rate=0.2, seed=7)
         )
-        remote = RemoteTopKInterface(
+        remote = connect(
             server.url, api_key="faulted", max_retries=50, sleep=no_sleep
         )
         result = Discoverer(DiscoveryConfig(workers=4, batch_size=8)).run(
@@ -271,12 +291,14 @@ class TestRemotePipelinedParity:
         assert server.stats().faults_injected > 0
         assert server.stats().usage("faulted").issued == reference.total_cost
 
-    def test_remote_budget_exhaustion_keeps_billed_answers(self, serve):
+    def test_remote_budget_exhaustion_keeps_billed_answers(
+        self, serve, connect
+    ):
         # Regression: when the server-side key budget dies mid-batch, the
         # answers billed before exhaustion must still reach the session.
         table = TABLES["rq3"]
         server = serve(table, k=5, key_budget=30)
-        remote = RemoteTopKInterface(server.url, api_key="mid-batch")
+        remote = connect(server.url, api_key="mid-batch")
         result = Discoverer(DiscoveryConfig(workers=1, batch_size=8)).run(
             remote, "baseline"
         )
@@ -286,19 +308,19 @@ class TestRemotePipelinedParity:
         assert server.stats().usage("mid-batch").issued == 30
         assert len(result.retrieved) > 0
 
-    def test_cache_hits_do_not_consume_session_budget(self, serve):
+    def test_cache_hits_do_not_consume_session_budget(self, serve, connect):
         # Regression: the reservation-based budget must only charge
         # billable transports -- client-LRU cache hits stay free, exactly
         # like the pre-engine `cost >= budget` check treated them.
         table = diamonds_table(150, seed=3)
         server = serve(table, k=10)
-        probe = RemoteTopKInterface(
+        probe = connect(
             server.url, api_key="probe", cache_size=65_536
         )
         reference = Discoverer().run(probe, "sq")
         assert probe.cache_hits > 0  # SQ's tree repeats queries in-run
 
-        crawler = RemoteTopKInterface(
+        crawler = connect(
             server.url, api_key="budgeted", cache_size=65_536
         )
         result = Discoverer(
@@ -307,10 +329,10 @@ class TestRemotePipelinedParity:
         assert result.complete
         assert result.total_cost == reference.total_cost
 
-    def test_pipelined_batches_actually_travel_batched(self, serve):
+    def test_pipelined_batches_actually_travel_batched(self, serve, connect):
         table = TABLES["rq3"]
         server = serve(table, k=5)
-        remote = RemoteTopKInterface(server.url, api_key="batched")
+        remote = connect(server.url, api_key="batched")
         result = Discoverer(DiscoveryConfig(workers=4, batch_size=8)).run(
             remote, "baseline"
         )

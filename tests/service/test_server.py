@@ -13,7 +13,7 @@ from repro.service import FaultConfig, FaultInjector
 from repro.service.wire import encode_query
 from repro.hiddendb.query import Query
 
-from ..conftest import make_table, post_raw_content_length
+from ..conftest import make_table, post_raw_content_length, raw_exchange
 
 
 def get(url: str):
@@ -148,6 +148,33 @@ class TestQueryRoute:
         assert server.stats().usage("a").issued == 1
         # A fresh id is billed normally.
         post(url, payload, api_key="a", request_id="req-2")
+        assert server.stats().usage("a").issued == 2
+
+    def test_replay_is_the_reply_first_sent(self, serve, table):
+        # The replay cache keeps a billed reply as first sent: a retry
+        # gets the same status line, headers and body, byte for byte,
+        # after the key's counters moved on.  Only the Date line may
+        # differ.
+        server = serve(table, k=2, key_budget=10)
+        body = json.dumps(query_payload(Query.select_all())).encode()
+
+        def exchange(request_id: bytes) -> list[bytes]:
+            raw = raw_exchange(server.url, (
+                b"POST /api/query HTTP/1.1\r\nHost: db\r\n"
+                b"X-Api-Key: a\r\nX-Request-Id: %s\r\n"
+                b"Connection: close\r\nContent-Length: %d\r\n\r\n"
+                % (request_id, len(body))
+            ) + body)
+            return [
+                line for line in raw.split(b"\r\n")
+                if not line.startswith(b"Date: ")
+            ]
+
+        first = exchange(b"req-1")
+        assert first[0] == b"HTTP/1.1 200 OK"
+        assert b"X-Budget-Remaining: 9" in first
+        exchange(b"req-2")  # billed: the key's counters move on
+        assert exchange(b"req-1") == first
         assert server.stats().usage("a").issued == 2
 
     def test_replay_is_scoped_per_api_key(self, serve, table):

@@ -111,6 +111,8 @@ def _check_every_checkpoint(table, answers, every, fold_rows):
             checkpoint = store.session(session_id).checkpoint
             expected = _expected(session)
             assert list(checkpoint) == KEYS
+            # The session keeps no answer log; the counter needs none.
+            assert checkpoint["answers"] == sequence
             assert checkpoint["skyline"] == expected
             assert checkpoint["skyline_size"] == len(expected)
             now = {tuple(vector) for vector in expected}
@@ -123,6 +125,7 @@ def _check_every_checkpoint(table, answers, every, fold_rows):
                 assert sent["entered"] == now - stored
                 assert sent["left"] & stored == stored - now
             stored = now
+    assert session.log == ()
 
 
 @settings(
@@ -280,6 +283,7 @@ def test_a_failed_checkpoint_leaves_the_previous_one_whole(monkeypatch):
         [2, 6], [5, 5], [7, 3]
     ]
     assert checkpoint["answers"] == 4
+    assert session.log == ()
 
 
 def test_a_whole_mapping_replaces_the_stored_skyline():

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -338,6 +340,33 @@ class TestRemoteCommands:
         code = main(["stats", "--url", server.url])
         assert code == 0
         assert "total queries" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["discover"],
+            ["discover", "--strategy", "async", "--workers", "4"],
+            ["crawl", "--store", "{tmp}/crawl.db"],
+            ["skyband", "--band", "2"],
+            ["stats"],
+        ],
+        ids=["discover", "discover-async", "crawl", "skyband", "stats"],
+    )
+    def test_remote_command_closes_its_client(self, server, command, tmp_path):
+        # The client a --url command builds is closed when the command
+        # ends: no socket, transport or event loop is left for the
+        # collector to find.
+        argv = [arg.format(tmp=tmp_path) for arg in command]
+        gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main([*argv, "--url", server.url]) == 0
+            gc.collect()
+        leaks = [
+            str(warning.message) for warning in caught
+            if issubclass(warning.category, ResourceWarning)
+        ]
+        assert leaks == []
 
     def test_dataset_or_url_required(self, capsys):
         assert main(["discover"]) == 2
