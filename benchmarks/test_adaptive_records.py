@@ -88,7 +88,7 @@ def test_record_adaptive_window_vs_fixed_widths():
             fixed[width], walls, _ = _timed_run(
                 server,
                 DiscoveryConfig(
-                    strategy="pipelined", workers=width, batch_size=1
+                    strategy="async", workers=width, batch_size=1
                 ),
                 reference,
                 f"fixed{width}",
@@ -96,7 +96,7 @@ def test_record_adaptive_window_vs_fixed_widths():
         auto_wall, auto_walls, auto = _timed_run(
             server,
             DiscoveryConfig(
-                strategy="pipelined", workers="auto", batch_size=1,
+                strategy="async", workers="auto", batch_size=1,
                 **AUTO_BOUNDS,
             ),
             reference,

@@ -8,7 +8,7 @@ one at high worker counts and writes the numbers via :mod:`_record`:
   the one concurrent strategy on each of its transports: the blocking
   :class:`~repro.service.RemoteTopKInterface` called from the strategy's
   thread pool (one OS thread + one ``http.client`` connection per
-  worker; configured as ``"pipelined"``) vs the non-blocking
+  worker) vs the non-blocking
   :class:`~repro.service.aclient.AsyncRemoteTopKInterface` awaited on its
   own event loop (pooled connections, minimal HTTP parsing).  The acceptance bar:
   at ``WORKERS`` (>= 16) in-flight queries the async plane must beat the
@@ -84,7 +84,7 @@ def test_record_async_beats_thread_pool_at_wide_windows():
         piped_wall, piped_walls, piped = _timed_run(
             lambda t: RemoteTopKInterface(server.url, api_key=f"piped-{t}"),
             DiscoveryConfig(
-                strategy="pipelined", workers=WORKERS, batch_size=1
+                strategy="async", workers=WORKERS, batch_size=1
             ),
             reference,
         )

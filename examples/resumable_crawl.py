@@ -4,7 +4,7 @@
 The paper's cost model makes every answered top-k query precious: a real
 hidden-web crawl runs for hours against per-key budgets, and a crash used
 to throw away every answer already paid for.  This example stands a flaky
-diamond service up, starts a pipelined crawl against it *in a separate
+diamond service up, starts a concurrent crawl against it *in a separate
 process* with a durable crawl store mounted, SIGKILLs that process the
 moment the ledger shows real progress, and then resumes from the store:
 

@@ -49,14 +49,15 @@ the networked service layer in :mod:`repro.service` -- ``repro serve`` (or
 :class:`repro.service.HiddenDBServer`) exposes a table as a JSON top-k
 search API with per-API-key budgets and fault injection, and
 :class:`repro.service.RemoteTopKInterface` is the resilient HTTP client
-(retry/backoff, optional free-of-charge LRU query cache) that drops into
-``Discoverer`` unchanged::
+(retry/backoff) that drops into ``Discoverer`` unchanged; with
+``dedup=True`` a query the run already paid for is answered from the
+engine's memo instead of billed again::
 
     from repro.service import HiddenDBServer, RemoteTopKInterface
 
     with HiddenDBServer(table, k=10) as server:
-        remote = RemoteTopKInterface(server.url, cache_size=1024)
-        result = Discoverer().run(remote)
+        remote = RemoteTopKInterface(server.url)
+        result = Discoverer(DiscoveryConfig(dedup=True)).run(remote)
 
 Crawls become *durable* by mounting a :class:`CrawlStore`
 (:mod:`repro.store`): every billed answer lands in a persistent query

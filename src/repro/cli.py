@@ -127,10 +127,6 @@ from .service.client import RemoteServiceError
 from .service import ServiceStartupError
 from .store import CrawlStore, StoreError
 
-#: ``--strategy`` choices: the registered names plus the ``pipelined``
-#: alias of ``async`` that older scripts pass.
-STRATEGY_CHOICES = [*STRATEGY_NAMES, "pipelined"]
-
 DATASETS: dict[str, Callable[[int, int], Table]] = {
     "diamonds": lambda n, seed: diamonds_table(n, seed=seed),
     "autos": lambda n, seed: autos_table(n, seed=seed),
@@ -181,11 +177,7 @@ def _open_interface(args):
             from .service import AsyncRemoteTopKInterface as client
         else:
             from .service import RemoteTopKInterface as client
-        return client(
-            args.url,
-            api_key=args.api_key,
-            cache_size=args.cache or None,
-        )
+        return client(args.url, api_key=args.api_key)
     table = _build_table(args)
     return nullcontext(TopKInterface(
         table,
@@ -211,10 +203,8 @@ def _print_remote_telemetry(args, interface) -> None:
     if not getattr(args, "url", None):
         return
     issued = getattr(interface, "queries_issued", 0)
-    hits = getattr(interface, "cache_hits", 0)
     retries = getattr(interface, "retries", 0)
-    print(f"billable   : {issued} "
-          f"(cache hits {hits}, retries {retries})")
+    print(f"billable   : {issued} (retries {retries})")
     if getattr(args, "verbose", False):
         flavour = type(interface).__name__
         remaining = getattr(interface, "budget_remaining", None)
@@ -628,7 +618,7 @@ def _cmd_store_show(args) -> int:
             print(f"data epoch : {epoch}")
             print(f"epochs     : {spread}")
             print(f"stale      : {stale} ledger entries billed at an "
-                  f"older epoch or past their TTL")
+                  f"older epoch")
         if session.checkpoint:
             print("checkpoint :",
                   _json.dumps(dict(session.checkpoint), indent=2))
@@ -645,8 +635,8 @@ def _cmd_store_gc(args) -> int:
         print(f"store      : {store.path}")
         print(f"{verb:<11}: {report.endpoints_pruned} endpoints, "
               f"{report.ledger_pruned} orphaned + {report.stale_pruned} "
-              f"stale-epoch + {report.expired_pruned} expired ledger "
-              f"entries, {report.sessions_pruned} sessions, "
+              f"stale-epoch ledger entries, {report.sessions_pruned} "
+              f"sessions, "
               f"{report.jobs_pruned} jobs")
         if not report.total:
             print("(nothing stale)")
@@ -752,15 +742,12 @@ def build_parser() -> argparse.ArgumentParser:
                          "--dataset/--n/--k/--seed are ignored")
         sub.add_argument("--api-key", default="anonymous",
                          help="billing identity for --url runs")
-        sub.add_argument("--cache", type=int, default=0, metavar="SIZE",
-                         help="client-side LRU query cache for --url runs "
-                         "(cache hits are not billed; default off)")
-        sub.add_argument("--strategy", choices=STRATEGY_CHOICES,
+        sub.add_argument("--strategy", choices=STRATEGY_NAMES,
                          default=None,
                          help="execution strategy draining the query "
                          "frontier: 'serial' (one query at a time, the "
                          "parity reference) or 'async' (--workers queries "
-                         "in flight; 'pipelined' is an alias).  The "
+                         "in flight).  The "
                          "endpoint picks the transport: --url runs under "
                          "'async' get the asyncio client and keep the "
                          "window on its event loop, every other run calls "
@@ -973,8 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_store_path(action)
     action.add_argument("--dry-run", action="store_true",
                         help="report what a gc pass would remove (stale "
-                        "epochs, lapsed TTLs, orphans) without deleting "
-                        "anything")
+                        "epochs, orphans) without deleting anything")
     action.set_defaults(handler=_cmd_store_gc)
 
     sub = subparsers.add_parser(
@@ -1009,7 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "re-running a figure replays it free")
     sub.add_argument("--resume", action="store_true",
                      help="resume checkpointed figure runs from --store")
-    sub.add_argument("--strategy", choices=STRATEGY_CHOICES, default=None,
+    sub.add_argument("--strategy", choices=STRATEGY_NAMES, default=None,
                      help="execution strategy for the figure crawls "
                      "(default: async when --workers > 1, else serial)")
     sub.add_argument("--workers", type=int, default=1, metavar="N",

@@ -204,7 +204,7 @@ class CrawlCoordinator(JsonHttpFront):
         )
         self._m_stale = self._metrics.gauge(
             "freshness_ledger_stale_entries",
-            "Ledger entries billed at an older data version or expired "
+            "Ledger entries billed at an older data version "
             "(refreshed at scrape).",
         )
         self._m_delta_queries = self._metrics.counter(

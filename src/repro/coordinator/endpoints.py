@@ -101,7 +101,7 @@ class EndpointSet:
         telemetry stays separable); construction fetches every backend's
         free bootstrap metadata and refuses a pool whose members are not
         the same endpoint.
-    timeout / max_retries / cache_size:
+    timeout / max_retries:
         Forwarded to each backend client.
     client_factory:
         Test seam: a ``(url, **kwargs) -> client`` callable replacing
@@ -123,7 +123,6 @@ class EndpointSet:
         *,
         timeout: float = 30.0,
         max_retries: int = 8,
-        cache_size: int | None = None,
         client_factory: Callable[..., Any] | None = None,
         observer: Any | None = None,
     ) -> None:
@@ -140,7 +139,6 @@ class EndpointSet:
                 kwargs: dict[str, Any] = {
                     "timeout": timeout,
                     "max_retries": max_retries,
-                    "cache_size": cache_size,
                 }
                 if spec.api_key is not None:
                     kwargs["api_key"] = spec.api_key
@@ -263,11 +261,6 @@ class EndpointSet:
         return sum(b.client.queries_issued for b in self._backends)
 
     @property
-    def cache_hits(self) -> int:
-        """Free (client-cache) answers across the pool."""
-        return sum(b.client.cache_hits for b in self._backends)
-
-    @property
     def retries(self) -> int:
         """Transport retries across the pool (health, not cost)."""
         return sum(b.client.retries for b in self._backends)
@@ -379,7 +372,6 @@ class EndpointSet:
             {
                 "url": b.spec.url,
                 "issued": b.client.queries_issued,
-                "cache_hits": b.client.cache_hits,
                 "retries": b.client.retries,
                 "stolen": b.stolen,
                 "exhausted": b.exhausted,

@@ -175,7 +175,6 @@ class AdaptiveWindow:
         self._hold_completions = max(0, int(hold_completions))
         self._hold = 0
         self._at_ceiling = self._window >= self._max
-        self._increases = 0
         self._decreases = 0
 
     # ------------------------------------------------------------------
@@ -193,11 +192,6 @@ class AdaptiveWindow:
     @property
     def max_size(self) -> int:
         return self._max
-
-    @property
-    def increases(self) -> int:
-        """Integer width growths so far."""
-        return self._increases
 
     @property
     def decreases(self) -> int:
@@ -234,7 +228,6 @@ class AdaptiveWindow:
             limit = min(limit, max(self._window, self._knee - 1.0))
         self._window = min(limit, self._window + gain)
         if self.size > before:
-            self._increases += 1
             self._emit("increase")
         if self._window >= self._max and not self._at_ceiling:
             self._at_ceiling = True

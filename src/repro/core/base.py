@@ -340,10 +340,10 @@ class DiscoverySession:
 
         A one-entry frontier drained through the 1 x 1 inline window of
         :class:`~repro.core.engine.SerialStrategy`, whatever strategy
-        drains this session's frontiers: the consult chain (memo, ledger,
-        endpoint cache -- free answers reserve no budget), billing, the
-        merge and its trace spans are the drain core's, as for every other
-        query.
+        drains this session's frontiers: the consult chain (memo,
+        in-flight window, ledger -- free answers reserve no budget),
+        billing, the merge and its trace spans are the drain core's, as
+        for every other query.
         """
         answers: list[QueryResult] = []
         frontier = Frontier(self)

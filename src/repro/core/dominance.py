@@ -164,7 +164,8 @@ def dominator_counts(matrix: np.ndarray, cap: int | None = None) -> np.ndarray:
     Visits tuples in ascending coordinate-sum order: only earlier tuples can
     dominate a later one, so each row is compared against a growing prefix.
     Quadratic in the worst case -- intended for ground-truth verification and
-    moderate ``n``, not for the inner loop of an algorithm.
+    moderate ``n`` (one answer's ``k`` rows, as the skyband pivot passes),
+    not for every tuple a crawl retrieved.
     """
     matrix = np.asarray(matrix)
     n = matrix.shape[0]

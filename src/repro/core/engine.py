@@ -13,8 +13,8 @@ queries.  This module makes that structure explicit and pluggable:
   one-entry frontier through :class:`SerialStrategy`'s 1 x 1 inline window.
 * :class:`ExecutionStrategy` -- how a frontier is drained.  Every query,
   the sequential ones included, runs through the **same windowed drain
-  core** (:class:`_DrainCore`): query preparation, the memo / ledger /
-  endpoint-cache consult chain, in-flight duplicate suppression, budget
+  core** (:class:`_DrainCore`): query preparation, the memo / in-flight /
+  ledger consult chain (the one place a paid-for answer is reused), budget
   reservation, billing and the dispatch-order merge live in exactly one
   place, so determinism (identical skyline and billed cost at any
   concurrency) cannot drift between strategies or paths.  A strategy
@@ -26,8 +26,7 @@ queries.  This module makes that structure explicit and pluggable:
   - :class:`AsyncStrategy` keeps a bounded window of queries in flight,
     packing them into ``batch_query()`` / ``abatch_query()`` round trips
     when the endpoint supports it.  Its transports run on a
-    ``workers``-wide thread pool.  ``"pipelined"`` is accepted as an
-    alias of ``"async"``.
+    ``workers``-wide thread pool.
 
   An endpoint that owns an event loop (``aio_runner``, i.e. the asyncio
   remote client) overrides where transports run, under either strategy:
@@ -96,8 +95,7 @@ DEFAULT_BATCH_SIZE = 16
 DEFAULT_WORKERS = 4
 
 #: Registered execution-strategy names (the CLI / ``DiscoveryConfig``
-#: currency; resolve one with :func:`make_strategy`, which also accepts
-#: ``"pipelined"`` as an alias of ``"async"``).
+#: currency; resolve one with :func:`make_strategy`).
 STRATEGY_NAMES = ("serial", "async")
 
 
@@ -201,13 +199,8 @@ class QueryEngine:
         self.interface = interface
         self.strategy = strategy if strategy is not None else SerialStrategy()
         self.dedup = dedup
-        #: The endpoint's own free query cache (the remote client's LRU),
-        #: consulted before budget is reserved: cache hits bill nothing.
-        self.cached_answer = getattr(
-            interface, "cached_answer", lambda query: None
-        )
         # The memo is keyed by the canonical query key (the scheme shared
-        # with the remote cache and the crawl-store ledger), so layers can
+        # with the crawl-store ledger and the replay ids), so layers can
         # never disagree about query identity.
         self._memo: dict[str, QueryResult] = {}
         #: Optional persistent ledger (crawl store): answered queries are
@@ -415,7 +408,7 @@ class _Dispatched:
     task, or a ``(future, batch_index)`` pair into a batch task; see
     :func:`_spawn`), a memo key (dedup: the answer is -- or by this
     entry's merge turn will be -- memoized), or a direct ``result``
-    (endpoint-cache or ledger hit at dispatch time).
+    (ledger hit at dispatch time).
     """
 
     entry: _Entry
@@ -482,8 +475,9 @@ class _DrainCore:
       with the session base and run through the consult chain in the
       serial order -- memo (including queries still in the window, which
       will be memoized by their merge turn), in-flight-duplicate ledger
-      deferral, persistent ledger, endpoint cache -- and only genuinely
-      new queries become transport work;
+      deferral, persistent ledger -- and only genuinely new queries
+      become transport work.  This chain is the only place a paid-for
+      answer is reused: endpoints answer every query they are sent;
     * **billing and bookkeeping** (:meth:`merge_head`): answers are
       recorded into the session and billed (``note_answer``) strictly in
       dispatch order, and expansion callbacks run on the driver thread
@@ -580,7 +574,7 @@ class _DrainCore:
         answers, pops exactly as the run it resumes, and an answer lost in
         flight at a kill comes back within one window of its first
         billing.  Entries answered for free (memo, in-flight duplicate,
-        ledger, endpoint cache) are queued for their merge turn directly
+        ledger) are queued for their merge turn directly
         and never reach the returned chunk; the chunk holds only entries
         that must be transported.
         """
@@ -623,15 +617,6 @@ class _DrainCore:
                 self._waiting.append(_Dispatched(entry, result=ledgered))
                 if observer is not None:
                     observer.classified(merged, ckey, "ledger")
-                continue
-            cached = engine.cached_answer(merged)
-            if cached is not None:
-                # Endpoint-cache hit: free, no dispatch.
-                if engine.dedup:
-                    engine._memo[ckey] = cached
-                self._waiting.append(_Dispatched(entry, result=cached))
-                if observer is not None:
-                    observer.classified(merged, ckey, "cached")
                 continue
             item = _Dispatched(entry, query=merged, key=ckey)
             chunk.append(item)
@@ -691,7 +676,7 @@ class ExecutionStrategy:
     inline, or tasks on the endpoint's own event loop when it owns one.  The 1 x 1 window pops one entry, merges
     it, and only then pops the next, reproducing the pre-engine
     pop/issue/callback interleaving bit for bit even when free answers
-    (memo, ledger, endpoint cache) mix with transported ones.
+    (memo, ledger) mix with transported ones.
     """
 
     name = "abstract"
@@ -1030,10 +1015,10 @@ def make_strategy(
 
     ``None`` keeps the historical implicit switch: ``workers > 1`` (or
     ``"auto"``) means :class:`AsyncStrategy`, otherwise serial.  Explicit
-    names (:data:`STRATEGY_NAMES`, plus ``"pipelined"`` as an alias of
-    ``"async"``) pin the strategy regardless of the worker count, except
-    that ``"serial"`` with ``workers > 1`` or ``workers="auto"`` is
-    rejected as contradictory (its window is one by definition).  An
+    names (:data:`STRATEGY_NAMES`) pin the strategy regardless of the
+    worker count, except that ``"serial"`` with ``workers > 1`` or
+    ``workers="auto"`` is rejected as contradictory (its window is one
+    by definition).  An
     :class:`ExecutionStrategy` *instance* is returned as-is: it already
     carries its own worker/batch shape.
 
@@ -1055,7 +1040,7 @@ def make_strategy(
                 f"workers={workers!r} or pick 'async'"
             )
         return SerialStrategy()
-    if name in ("async", "pipelined"):
+    if name == "async":
         return AsyncStrategy(
             workers=workers, batch_size=batch_size,
             min_workers=min_workers, max_workers=max_workers,

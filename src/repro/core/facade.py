@@ -72,10 +72,6 @@ class Discoverer:
         """The default configuration of this facade."""
         return self._config
 
-    def with_config(self, **changes: Any) -> "Discoverer":
-        """A new facade with ``changes`` applied to the default config."""
-        return Discoverer(self._config.replace(**changes))
-
     # ------------------------------------------------------------------
     # registry views
     # ------------------------------------------------------------------

@@ -94,8 +94,7 @@ class DiscoveryConfig:
         not with the answers it paid for.
     strategy:
         Execution-strategy name: ``"serial"`` or ``"async"`` (see
-        :data:`~repro.core.engine.STRATEGY_NAMES`; ``"pipelined"`` is
-        accepted as an alias of ``"async"``).  ``None`` (the default)
+        :data:`~repro.core.engine.STRATEGY_NAMES`).  ``None`` (the default)
         keeps the historical implicit switch -- ``workers > 1`` means
         async, otherwise serial.  An
         :class:`~repro.core.engine.ExecutionStrategy` *instance* is also

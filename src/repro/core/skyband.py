@@ -38,7 +38,7 @@ from ..hiddendb.interface import QueryResult
 from ..hiddendb.query import Query
 from ..hiddendb.table import Row
 from .base import DiscoverySession
-from .dominance import skyband_of_rows
+from .dominance import dominator_counts, skyband_of_rows
 from .pq import pq_db_sky
 from .registry import attach_skyband
 from .rq import rq_db_sky
@@ -209,13 +209,11 @@ def _band_pivot(rows: tuple[Row, ...], band: int) -> Row | None:
     """First answer tuple dominated by >= band - 1 other answer tuples."""
     if band == 1:
         return rows[0]
-    values = np.array([row.values for row in rows], dtype=np.int64)
-    for position, row in enumerate(rows):
-        weakly = np.all(values <= values[position], axis=1)
-        strictly = np.any(values < values[position], axis=1)
-        if int(np.count_nonzero(weakly & strictly)) >= band - 1:
-            return row
-    return None
+    counts = dominator_counts(
+        np.array([row.values for row in rows], dtype=np.int64), cap=band - 1
+    )
+    hits = np.flatnonzero(counts >= band - 1)
+    return rows[hits[0]] if hits.size else None
 
 
 __all__ = ["SkybandResult"]

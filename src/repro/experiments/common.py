@@ -269,8 +269,3 @@ def run_pq(
 def skyline_count(table: Table) -> int:
     """Number of distinct skyline value vectors of ``table``."""
     return len(ground_truth_values(table))
-
-
-def as_int(value) -> int:
-    """Narrow numpy integers for clean report rows."""
-    return int(np.asarray(value).item())

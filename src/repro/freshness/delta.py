@@ -51,7 +51,6 @@ cost on sparse-frontier (small ``k``) workloads.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -79,7 +78,7 @@ class DeltaReport:
 
     #: Endpoint data version the ledger was repaired to.
     epoch: int
-    #: Stale (older-epoch, unexpired) ledger entries available for reuse.
+    #: Stale (older-epoch) ledger entries available for reuse.
     stale_entries: int
     #: Probe queries issued against the previous skyline and answer head.
     probes: int
@@ -405,12 +404,10 @@ class DeltaCrawl:
             # advertised data version, so the store's registered version
             # *is* the current epoch.
             self._epoch = self._store.endpoint_data_version(fingerprint)
-            now = time.time()
             stale = {
                 entry.qkey: entry
                 for entry in self._store.ledger_entries(fingerprint)
                 if entry.epoch != self._epoch
-                and (entry.expires_at is None or entry.expires_at > now)
             }
             fresh = self._store.ledger(
                 fingerprint, record.session_id, epoch=self._epoch

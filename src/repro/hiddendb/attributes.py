@@ -180,10 +180,6 @@ class Schema:
                 f"no ranking attribute named {name!r}"
             ) from None
 
-    def ranking_kind(self, index: int) -> InterfaceKind:
-        """Interface kind of the ranking attribute at ``index``."""
-        return self._ranking[index].kind
-
     def indices_of_kind(self, kind: InterfaceKind) -> tuple[int, ...]:
         """Ranking-attribute indices whose interface kind equals ``kind``."""
         return tuple(

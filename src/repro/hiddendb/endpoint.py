@@ -9,8 +9,8 @@ alternative backends can stand in for the in-process simulator:
 * :class:`~repro.hiddendb.interface.TopKInterface` -- the canonical
   in-process implementation over a :class:`~repro.hiddendb.table.Table`;
 * :class:`~repro.service.client.RemoteTopKInterface` -- the same surface
-  spoken over HTTP against a :mod:`repro.service.server`, with retry/backoff
-  and an optional client-side query cache.
+  spoken over HTTP against a :mod:`repro.service.server`, with
+  retry/backoff.
 
 The :class:`~repro.core.base.DiscoverySession` and the
 :class:`~repro.core.facade.Discoverer` facade are typed against this

@@ -73,10 +73,6 @@ class TopKInterface:
     validate:
         Whether to enforce the per-attribute interface taxonomy.  Leave on;
         turning it off is only useful for oracle-style test harnesses.
-    record_log:
-        Keep every :class:`QueryResult` in :attr:`log` (needed by the PQ
-        plane-pruning rules and by debugging tools; off by default to keep
-        large experiments lean).
     name:
         Optional label identifying the dataset behind this interface.  It
         feeds the crawl store's endpoint fingerprint, so two same-shaped
@@ -98,7 +94,6 @@ class TopKInterface:
         k: int = 1,
         budget: int | None = None,
         validate: bool = True,
-        record_log: bool = False,
         name: str = "",
         engine: str = "auto",
     ) -> None:
@@ -115,7 +110,6 @@ class TopKInterface:
         self._validate = validate
         self._name = name
         self._count = 0
-        self._log: list[QueryResult] | None = [] if record_log else None
         # Billing (check budget, then charge) must be atomic: the execution
         # engine's concurrent strategy issues queries from pool threads.
         self._lock = threading.Lock()
@@ -181,13 +175,6 @@ class TopKInterface:
             return None
         return max(self._budget - self._count, 0)
 
-    @property
-    def log(self) -> tuple[QueryResult, ...]:
-        """All recorded results (empty unless ``record_log=True``)."""
-        if self._log is None:
-            return ()
-        return tuple(self._log)
-
     # ------------------------------------------------------------------
     # the search endpoint
     # ------------------------------------------------------------------
@@ -209,16 +196,12 @@ class TopKInterface:
             self._count += 1
             sequence = self._count
         rows = self._engine.top_rows(query, self._k)
-        result = QueryResult(
+        return QueryResult(
             query=query,
             rows=rows,
             overflow=len(rows) == self._k,
             sequence=sequence,
         )
-        if self._log is not None:
-            with self._lock:
-                self._log.append(result)
-        return result
 
     def batch_query(self, queries: Sequence[Query]) -> tuple[QueryResult, ...]:
         """Answer several independent queries in one call.
@@ -272,9 +255,6 @@ class TopKInterface:
             for query, sequence in billed
             for rows in (self._engine.top_rows(query, self._k),)
         )
-        if self._log is not None:
-            with self._lock:
-                self._log.extend(answers)
         if error is not None:
             error.partial_results = answers
             raise error
@@ -301,15 +281,13 @@ class TopKInterface:
     # experiment plumbing
     # ------------------------------------------------------------------
     def reset(self, budget: int | None | object = KEEP_BUDGET) -> None:
-        """Clear the query counter and log; optionally change the budget.
+        """Clear the query counter; optionally change the budget.
 
         ``reset()`` keeps the current budget, ``reset(budget=n)`` installs a
         new one and ``reset(budget=None)`` removes the limit entirely (the
         :data:`KEEP_BUDGET` sentinel is what makes ``None`` expressible).
         """
         self._count = 0
-        if self._log is not None:
-            self._log = []
         if budget is not KEEP_BUDGET:
             if budget is not None and not isinstance(budget, int):
                 raise TypeError(f"budget must be an int or None, got {budget!r}")

@@ -291,9 +291,9 @@ class Query:
         scalars, integral floats and tuple-vs-list inputs all normalise
         away.  This is the *one* key scheme shared by every layer that
         identifies queries -- the execution engine's dedup memo, the
-        remote client's LRU cache, the crawl store's query ledger and the
-        billing-safe ``X-Request-Id`` replay ids -- so those layers can
-        never disagree about whether two queries are the same.
+        crawl store's query ledger and the billing-safe ``X-Request-Id``
+        replay ids -- so those layers can never disagree about whether two
+        queries are the same.
 
         Built once per instance (it sits on the per-query hot path: memo
         lookups, ledger gets and puts all key on it).

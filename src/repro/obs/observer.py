@@ -28,7 +28,7 @@ from .trace import TraceWriter
 __all__ = ["RunObserver"]
 
 #: Lifecycle phases emitted by the drain core's classification chain.
-CLASSIFY_PHASES = ("memo", "inflight", "ledger", "cached", "dispatched")
+CLASSIFY_PHASES = ("memo", "inflight", "ledger", "dispatched")
 
 #: AIMD window transitions emitted by the adaptive controller (kept in
 #: lockstep with ``repro.core.adaptive.WINDOW_EVENTS``; duplicated here
@@ -85,7 +85,7 @@ class RunObserver:
         )
         self._m_client = reg.counter(
             "repro_client_events_total",
-            "Remote-client transport events (attempt/retry/fault/hits).",
+            "Remote-client transport events (attempt/retry/fault/billed).",
             ("event",),
         )
         self._m_store = reg.counter(
@@ -129,10 +129,6 @@ class RunObserver:
         self.checkpoint_at: Dict[str, float] = {}
 
     # -- trace plumbing --------------------------------------------------
-
-    @property
-    def trace_writer(self) -> Optional[TraceWriter]:
-        return self._writer
 
     def trace_id(self, query: Query) -> str:
         """Deterministic per-query trace id: ``{run_id}-{fingerprint}``."""
@@ -190,7 +186,7 @@ class RunObserver:
         span: bool = True,
         **fields: object,
     ) -> None:
-        """Transport-side lifecycle event: attempt/retry/fault/hits.
+        """Transport-side lifecycle event: attempt/retry/fault/billed.
 
         ``trace_id`` lets the wire layer correlate events it emits below
         the per-query seam (it carries the id, not the query object).

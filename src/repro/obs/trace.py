@@ -2,8 +2,8 @@
 
 A *span* is one JSON object per line describing a single step of a query's
 life: classification inside the drain core (``memo`` / ``inflight`` /
-``ledger`` / ``cached`` / ``dispatched``), transport activity (``attempt``,
-``retry``, ``fault``, ``cache_hit``, ``ledger_hit``), and settlement
+``ledger`` / ``dispatched``), transport and store activity (``attempt``,
+``retry``, ``fault``, ``ledger_hit``), and settlement
 (``billed``, ``merged``).  Every span carries:
 
 ``seq``

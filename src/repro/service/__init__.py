@@ -11,8 +11,8 @@ for the in-process simulator so discovery can run over the wire:
   crawl coordinator (:mod:`repro.service.front`);
 * :mod:`repro.service.client` -- the one remote-client protocol,
   :class:`QueryClientCore` (billing-safe request ids, retry/backoff
-  against faults and throttles, batching with ``partial_results``,
-  never-billed caches), and its blocking transport
+  against faults and throttles, batching with ``partial_results``), and
+  its blocking transport
   :class:`RemoteTopKInterface` (keep-alive connections, one per thread);
 * :mod:`repro.service.aclient` -- the protocol's asyncio transport,
   :class:`AsyncRemoteTopKInterface` (pooled non-blocking connections on
@@ -26,12 +26,14 @@ Because every discovery algorithm is written against the
 :class:`~repro.hiddendb.endpoint.SearchEndpoint` protocol, a
 ``RemoteTopKInterface`` drops into :class:`repro.Discoverer` unchanged::
 
-    from repro import Discoverer
+    from repro import Discoverer, DiscoveryConfig
     from repro.service import HiddenDBServer, RemoteTopKInterface
 
     with HiddenDBServer(table, k=10) as server:
-        remote = RemoteTopKInterface(server.url, cache_size=1024)
-        result = Discoverer().run(remote)
+        remote = RemoteTopKInterface(server.url)
+        # dedup: a query the run already paid for is answered from the
+        # engine's memo instead of billed again.
+        result = Discoverer(DiscoveryConfig(dedup=True)).run(remote)
 
 The CLI mirrors this: ``repro serve --dataset diamonds`` in one terminal,
 ``repro discover --url http://127.0.0.1:8080`` in another.

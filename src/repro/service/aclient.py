@@ -202,7 +202,6 @@ class AsyncRemoteTopKInterface(QueryClientCore):
         max_retries: int = 8,
         backoff: float = 0.05,
         backoff_cap: float = 2.0,
-        cache_size: int | None = None,
         replay_nonce: str | None = None,
         pool_size: int = DEFAULT_POOL_SIZE,
         sleep: Callable[[float], Awaitable[None] | None] = asyncio.sleep,
@@ -214,7 +213,6 @@ class AsyncRemoteTopKInterface(QueryClientCore):
             max_retries=max_retries,
             backoff=backoff,
             backoff_cap=backoff_cap,
-            cache_size=cache_size,
             replay_nonce=replay_nonce,
             sleep=sleep,
         )
@@ -235,7 +233,7 @@ class AsyncRemoteTopKInterface(QueryClientCore):
     # AsyncSearchEndpoint surface
     # ------------------------------------------------------------------
     async def aquery(self, query: Query) -> QueryResult:
-        """Issue one query without blocking (or answer it from the cache).
+        """Issue one query without blocking.
 
         Runs on whichever event loop awaits it; the execution engine
         awaits it in a task on the client's own loop.  Semantics are the

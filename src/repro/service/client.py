@@ -18,11 +18,10 @@ as coroutines of :class:`QueryClientCore`, and never touches a socket:
   :class:`QueryBudgetExceeded`, ``unsupported_query`` ->
   :class:`UnsupportedQueryError`), so algorithm code cannot tell a remote
   run from a local one;
-* **never-billed cache** -- an LRU of answers serves repeated queries
-  client-side; hits advance neither
-  :attr:`~QueryClientCore.queries_issued` nor the server's billing
-  counter.  There is no ledger mount: a durable crawl's ledger is read by
-  the execution engine alone (``DiscoveryConfig(store=...)``);
+* **no answer reuse** -- every query goes over the wire.  Reusing a
+  paid-for answer is the execution engine's job: its memo within a run
+  (``DiscoveryConfig(dedup=True)``) and a crawl-store ledger across runs
+  (``DiscoveryConfig(store=...)``);
 * **batched round trips** -- ``batch_query()`` sends a frontier wave as
   one ``POST /api/batch`` with per-item billing and retries, and a
   terminal failure carries every paid-for answer as ``partial_results``.
@@ -34,9 +33,9 @@ connections, with coroutines run to completion in one ``send`` in the
 calling thread (:func:`~repro.hiddendb.endpoint.run_inline`) because its
 hooks never suspend.  The asyncio transport is
 :class:`~repro.service.aclient.AsyncRemoteTopKInterface`, whose event loop
-runs on the thread that waits on it.  Counters and the cache are
-lock-guarded, so a ``workers > 1`` strategy's thread pool may drive one
-blocking client from several threads.
+runs on the thread that waits on it.  Counters are lock-guarded, so a
+``workers > 1`` strategy's thread pool may drive one blocking client from
+several threads.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ import threading
 import time
 import urllib.parse
 import uuid
-from collections import OrderedDict
 from typing import Any, Awaitable, Callable, Coroutine, Mapping, Sequence
 
 from ..hiddendb.attributes import Schema
@@ -115,10 +113,9 @@ class QueryClientCore:
     lives here: the single-query path, the batch loop and its
     ``partial_results`` contract, the retry loop, the response tail
     (budget and data-version headers, error classification,
-    ``Retry-After``, JSON body), the operator calls, the never-billed LRU
-    query cache, deterministic ``X-Request-Id`` replay derivation and the
-    telemetry counters.  The protocol runs as coroutines that only ever
-    await the transport.
+    ``Retry-After``, JSON body), the operator calls, deterministic
+    ``X-Request-Id`` replay derivation and the telemetry counters.  The
+    protocol runs as coroutines that only ever await the transport.
 
     Subclasses contribute only transport: :meth:`_exchange` (one HTTP
     round trip), a ``sleep`` callable for backoff (awaited when it returns
@@ -135,14 +132,11 @@ class QueryClientCore:
         max_retries: int,
         backoff: float,
         backoff_cap: float,
-        cache_size: int | None,
         replay_nonce: str | None,
         sleep: Callable[[float], Awaitable[None] | None],
     ) -> None:
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if cache_size is not None and cache_size < 0:
-            raise ValueError(f"cache_size must be >= 0, got {cache_size}")
         self._url = url.rstrip("/")
         split = urllib.parse.urlsplit(self._url)
         if split.scheme not in ("http", "https") or not split.hostname:
@@ -151,7 +145,7 @@ class QueryClientCore:
         self._netloc = split.netloc
         self._host = split.hostname
         self._port = split.port or (443 if split.scheme == "https" else 80)
-        #: Guards the billable/cache/retry counters and the LRU cache.
+        #: Guards the billable/retry counters.
         self._lock = threading.Lock()
         self._api_key = api_key
         self._timeout = timeout
@@ -159,14 +153,8 @@ class QueryClientCore:
         self._backoff = backoff
         self._backoff_cap = backoff_cap
         self._sleep = sleep
-        self._cache_size = cache_size or 0
-        # Keyed by the canonical query key -- the same scheme as the
-        # engine memo and the crawl-store ledger, so the layers can never
-        # disagree about query identity.
-        self._cache: OrderedDict[str, QueryResult] = OrderedDict()
         self._replay_nonce = replay_nonce or None
         self._count = 0
-        self._cache_hits = 0
         self._retries = 0
         self._throttled = 0
         #: Pressure accumulator drained by ``take_throttle_signals()``:
@@ -215,21 +203,11 @@ class QueryClientCore:
 
     @property
     def queries_issued(self) -> int:
-        """Billable queries this client sent (cache hits are free)."""
+        """Billable queries this client sent."""
         return self._count
 
-    def cached_answer(self, query: Query) -> QueryResult | None:
-        """This client's cached answer for ``query``, or ``None``.
-
-        Consulted by the execution engine before it reserves session
-        budget: cache hits are free under the paper's cost metric (they
-        advance no billing counter), so they must not consume a run's
-        query allowance either.  A hit counts toward :attr:`cache_hits`.
-        """
-        return self._cache_lookup(query)
-
     # ------------------------------------------------------------------
-    # replay ids and cache plumbing (lock-guarded: workers share one client)
+    # replay ids and counters (lock-guarded: workers share one client)
     # ------------------------------------------------------------------
     def set_replay_nonce(self, nonce: str | None) -> None:
         """Derive ``X-Request-Id`` deterministically from ``nonce`` + query.
@@ -250,7 +228,7 @@ class QueryClientCore:
         Called -- duck-typed, like :meth:`set_replay_nonce` -- by a traced
         :class:`~repro.core.base.DiscoverySession`.  While bound, the
         client emits transport lifecycle events (attempt / retry / fault /
-        cache hits / billed) and stamps every wire request with
+        billed) and stamps every wire request with
         the observer's deterministic ``X-Trace-Id``, so server access logs
         correlate with the engine-side spans of the same logical query.
         """
@@ -269,27 +247,6 @@ class QueryClientCore:
         if nonce is None:
             return uuid.uuid4().hex
         return f"{nonce}-{query_fingerprint(query)}"
-
-    def _cache_lookup(self, query: Query) -> QueryResult | None:
-        if not self._cache_size:
-            return None
-        key = query.canonical_key()
-        with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self._cache_hits += 1
-        if cached is not None and self._observer is not None:
-            self._observer.client_event("cache_hit", query)
-        return cached
-
-    def _cache_store(self, query: Query, result: QueryResult) -> None:
-        if not self._cache_size:
-            return
-        with self._lock:
-            self._cache[query.canonical_key()] = result
-            if len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
 
     def _count_billed(self, query: Query | None = None) -> None:
         with self._lock:
@@ -377,11 +334,12 @@ class QueryClientCore:
         """Track the endpoint's ``X-Data-Version`` advertisement.
 
         A version ahead of the one we tracked means the hidden database
-        mutated under us: cached answers may be stale, so the LRU cache
-        is dropped (ledger views stay epoch-pinned and go stale-silent on
-        their own).  Detection is free -- the header rides on answers we
-        paid for anyway.  Replayed answers may carry the *older* version
-        they were billed under; those never roll the tracked version back.
+        mutated under us; a crawl store registers the endpoint at this
+        version (``attach_store``), and its ledger views stay epoch-pinned
+        and go stale-silent on their own.  Detection is free -- the header
+        rides on answers we paid for anyway.  Replayed answers may carry
+        the *older* version they were billed under; those never roll the
+        tracked version back.
         """
         if advertised is None:
             return
@@ -394,7 +352,6 @@ class QueryClientCore:
             if version > self._data_version:
                 self._data_version = version
                 self._version_skews += 1
-                self._cache.clear()
                 stale = True
         if stale and self._observer is not None:
             self._observer.client_event(
@@ -443,7 +400,7 @@ class QueryClientCore:
     # blocking surface (SearchEndpoint + operator calls)
     # ------------------------------------------------------------------
     def query(self, query: Query) -> QueryResult:
-        """Issue one query over the wire (or answer it from the cache).
+        """Issue one query over the wire.
 
         Raises
         ------
@@ -460,8 +417,8 @@ class QueryClientCore:
     def batch_query(self, queries: Sequence[Query]) -> tuple[QueryResult, ...]:
         """Answer several independent queries in one ``/api/batch`` trip.
 
-        Per-item semantics match :meth:`query` exactly: cache hits are
-        free, each billed item advances :attr:`queries_issued` by one, and
+        Per-item semantics match :meth:`query` exactly: each billed item
+        advances :attr:`queries_issued` by one, and
         items that draw injected faults are retried (in ever smaller
         follow-up batches) under stable request ids so the server never
         bills an item twice.  Against a server that does not advertise the
@@ -490,9 +447,9 @@ class QueryClientCore:
     def refresh_data_version(self) -> int:
         """Re-read the endpoint's data version over ``/healthz`` (free).
 
-        Folds the advertised version into the tracked one (dropping the
-        cache on skew) and returns it -- the cheap per-mount staleness
-        probe the coordinator and delta crawls use.
+        Folds the advertised version into the tracked one and returns it
+        -- the cheap per-mount staleness probe the coordinator and delta
+        crawls use.
         """
         self._note_data_version(self.healthz().get("data_version", 0))
         return self._data_version
@@ -509,7 +466,7 @@ class QueryClientCore:
         ``churn`` (``{"frac": F, "seed": S}``, drawn server-side) must be
         given.  Unbilled.  Returns the server's ``{"applied",
         "data_version"}`` payload after folding the new version into the
-        tracked one (which drops the local cache).
+        tracked one.
         """
         if (ops is None) == (churn is None):
             raise ValueError("exactly one of ops or churn is required")
@@ -530,9 +487,6 @@ class QueryClientCore:
     # protocol coroutines (await only the transport hooks)
     # ------------------------------------------------------------------
     async def _query(self, query: Query) -> QueryResult:
-        cached = self._cache_lookup(query)
-        if cached is not None:
-            return cached
         # One request id per *logical* query, reused across retries: the
         # server replays an already-billed answer for a seen id, so a
         # response lost after billing is never billed twice.  Durable
@@ -548,7 +502,7 @@ class QueryClientCore:
         return self._answer(query, payload)
 
     def _answer(self, query: Query, payload: Any) -> QueryResult:
-        """A billed answer body -> counted, cached :class:`QueryResult`."""
+        """A billed answer body -> counted :class:`QueryResult`."""
         try:
             rows, overflow, sequence = decode_answer(payload)
         except (KeyError, TypeError, ValueError) as exc:
@@ -556,30 +510,23 @@ class QueryClientCore:
                 f"malformed answer body: {exc!r}"
             ) from None
         self._count_billed(query)
-        result = QueryResult(
+        return QueryResult(
             query=query, rows=rows, overflow=overflow, sequence=sequence
         )
-        self._cache_store(query, result)
-        return result
 
     async def _batch_query(
         self, queries: list[Query]
     ) -> tuple[QueryResult, ...]:
         results: list[QueryResult | None] = [None] * len(queries)
-        pending: list[int] = []
-        for index, query in enumerate(queries):
-            cached = self._cache_lookup(query)
-            if cached is not None:
-                results[index] = cached
-            else:
-                pending.append(index)
         try:
-            if pending and not self._supports_batch:
+            if not self._supports_batch:
                 # Pre-batch server: per-query dispatch, same contract.
-                for index in pending:
-                    results[index] = await self._query(queries[index])
-            elif pending:
-                await self._batch_rounds(queries, pending, results)
+                for index, query in enumerate(queries):
+                    results[index] = await self._query(query)
+            elif queries:
+                await self._batch_rounds(
+                    queries, list(range(len(queries))), results
+                )
         except HiddenDBError as exc:
             # Aligned-with-holes: billed answers (including ones *after*
             # the first failing position) stay attached; failed or unsent
@@ -807,16 +754,6 @@ class QueryClientCore:
         )
 
     @property
-    def cache_hits(self) -> int:
-        """Queries answered from the local cache (never billed)."""
-        return self._cache_hits
-
-    @property
-    def cache_size(self) -> int:
-        """Configured cache capacity (0 = caching disabled)."""
-        return self._cache_size
-
-    @property
     def retries(self) -> int:
         """Transport retries performed so far (a health signal, not a cost)."""
         return self._retries
@@ -838,8 +775,7 @@ class QueryClientCore:
 
     @property
     def version_skews(self) -> int:
-        """Times the endpoint's data version moved ahead mid-session
-        (each one dropped the client-side cache)."""
+        """Times the endpoint's data version moved ahead mid-session."""
         return self._version_skews
 
     @property
@@ -847,15 +783,10 @@ class QueryClientCore:
         """Whether the service advertises the ``/api/batch`` capability."""
         return self._supports_batch
 
-    def clear_cache(self) -> None:
-        """Drop every cached answer (hit statistics are kept)."""
-        with self._lock:
-            self._cache.clear()
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}({self._url}, key={self._api_key!r}, "
-            f"issued={self._count}, cache_hits={self._cache_hits})"
+            f"issued={self._count})"
         )
 
 
@@ -879,12 +810,6 @@ class RemoteTopKInterface(QueryClientCore):
     backoff / backoff_cap:
         Exponential backoff: retry ``i`` sleeps ``min(backoff * 2**i,
         backoff_cap)`` seconds.
-    cache_size:
-        Capacity of the client-side LRU query cache; ``None`` or ``0``
-        disables caching (the default -- parity runs must bill every query).
-        The client mounts no crawl-store ledger: a durable crawl
-        (``DiscoveryConfig(store=...)``) has the execution engine read
-        and write it.
     replay_nonce:
         When set, ``X-Request-Id`` values are derived deterministically
         from this nonce plus the query's canonical key instead of drawn at
@@ -906,7 +831,6 @@ class RemoteTopKInterface(QueryClientCore):
         max_retries: int = 8,
         backoff: float = 0.05,
         backoff_cap: float = 2.0,
-        cache_size: int | None = None,
         replay_nonce: str | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
@@ -917,7 +841,6 @@ class RemoteTopKInterface(QueryClientCore):
             max_retries=max_retries,
             backoff=backoff,
             backoff_cap=backoff_cap,
-            cache_size=cache_size,
             replay_nonce=replay_nonce,
             sleep=sleep,
         )

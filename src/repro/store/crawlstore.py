@@ -59,9 +59,12 @@ answer, while the session row keeps only the counters, so the ``billed``
 update of each ledger write rewrites a small row.  A session's first checkpoint
 replaces its stored vectors; every later one writes the counters and only
 the vectors that entered or left the skyline since, in one transaction.
-Version 1, 2 and 3 files migrate in place when opened, in one
-transaction: v1 and v2 answers are wire-codec JSON, and v3 checkpoints
-hold their skyline as JSON on the session row.
+Layout version 5 drops the ledger's per-entry TTL column: a ledgered
+answer is served exactly when it was billed at the view's epoch.
+Version 1 to 4 files migrate in place when opened, in one transaction:
+v1 and v2 answers are wire-codec JSON, v3 checkpoints hold their skyline
+as JSON on the session row, and v3 and v4 ledgers carry the TTL
+column.
 
 The store is a single SQLite file in WAL mode (durable across ``kill -9``),
 or fully in-memory via :meth:`CrawlStore.memory` for tests.  All operations
@@ -99,13 +102,15 @@ from ..service.wire import (
 )
 
 #: Bump when the on-disk layout changes incompatibly.  Version 2 added
-#: the freshness plane: per-entry ledger epochs + TTLs, the endpoint
+#: the freshness plane: per-entry ledger epochs (and TTLs), the endpoint
 #: ``data_version`` column and the ``store_meta`` schema-version table.
 #: Version 3 stores each ledger answer as one packed integer array
 #: (:func:`pack_answer`) instead of JSON.  Version 4 moves checkpoint
 #: skylines off the session row into ``checkpoint_skyline``, one packed
 #: vector per row, so a checkpoint writes only the vectors that changed.
-STORE_VERSION = 4
+#: Version 5 drops the per-entry TTL column: the epoch alone decides
+#: whether a ledgered answer is served.
+STORE_VERSION = 5
 
 _LEDGER_DDL = """
 CREATE TABLE IF NOT EXISTS ledger (
@@ -115,7 +120,6 @@ CREATE TABLE IF NOT EXISTS ledger (
     answer       BLOB NOT NULL,
     billed_at    REAL NOT NULL,
     epoch        INTEGER NOT NULL DEFAULT 0,
-    expires_at   REAL,
     PRIMARY KEY (fingerprint, qkey)
 )"""
 
@@ -125,8 +129,8 @@ MAX_BUFFERED = 64
 
 _INSERT_ANSWER = (
     "INSERT OR REPLACE INTO ledger "
-    "(fingerprint, qkey, query_json, billed_at, answer, epoch, expires_at) "
-    "VALUES (?, ?, ?, ?, ?, ?, ?)"
+    "(fingerprint, qkey, query_json, billed_at, answer, epoch) "
+    "VALUES (?, ?, ?, ?, ?, ?)"
 )
 
 _CHECKPOINT_DDL = """
@@ -269,11 +273,11 @@ def unpack_answer(
 
 
 def _add_freshness_columns(conn: sqlite3.Connection) -> None:
-    """v1 -> v2: per-entry epochs and TTLs, endpoint data versions.
+    """v1 -> v2: per-entry epochs, endpoint data versions.
 
-    Pre-epoch rows get epoch 0 and no TTL, which is exactly the
-    pre-freshness behaviour (a version-0 endpoint serves them unchanged,
-    a bumped endpoint treats them stale).
+    Pre-epoch rows get epoch 0, which is exactly the pre-freshness
+    behaviour (a version-0 endpoint serves them unchanged, a bumped
+    endpoint treats them stale).
     """
     conn.execute(
         "ALTER TABLE endpoints ADD COLUMN data_version "
@@ -282,30 +286,30 @@ def _add_freshness_columns(conn: sqlite3.Connection) -> None:
     conn.execute(
         "ALTER TABLE ledger ADD COLUMN epoch INTEGER NOT NULL DEFAULT 0"
     )
-    conn.execute("ALTER TABLE ledger ADD COLUMN expires_at REAL")
 
 
 def _pack_json_answers(conn: sqlite3.Connection) -> None:
     """v2 -> v3: rebuild the ledger with every JSON answer packed.
 
     Old answers are decoded with the wire codec that wrote them; rowids
-    are kept, so ``ledger_entries`` lists entries in the same order.
+    are kept, so ``ledger_entries`` lists entries in the same order.  The
+    rebuilt ledger has the current columns, so the v4 -> v5 step finds
+    nothing to drop.
     """
     conn.execute("ALTER TABLE ledger RENAME TO ledger_v2")
     conn.execute(_LEDGER_DDL)
     conn.executemany(
         "INSERT INTO ledger (rowid, fingerprint, qkey, query_json, answer, "
-        " billed_at, epoch, expires_at) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+        " billed_at, epoch) VALUES (?, ?, ?, ?, ?, ?, ?)",
         (
             (rowid, fp, qkey, query_json,
              pack_answer(*decode_answer(json.loads(answer_json))),
-             billed_at, epoch, expires_at)
-            for rowid, fp, qkey, query_json, answer_json, billed_at, epoch,
-                expires_at in conn.execute(
-                    "SELECT rowid, fingerprint, qkey, query_json, "
-                    "answer_json, billed_at, epoch, expires_at "
-                    "FROM ledger_v2"
-                )
+             billed_at, epoch)
+            for rowid, fp, qkey, query_json, answer_json, billed_at, epoch
+            in conn.execute(
+                "SELECT rowid, fingerprint, qkey, query_json, "
+                "answer_json, billed_at, epoch FROM ledger_v2"
+            )
         ),
     )
     conn.execute("DROP TABLE ledger_v2")
@@ -342,12 +346,24 @@ def _move_checkpoint_skylines(conn: sqlite3.Connection) -> None:
         )
 
 
+def _drop_entry_ttls(conn: sqlite3.Connection) -> None:
+    """v4 -> v5: drop the ledger's per-entry TTL column, ``expires_at``.
+
+    An entry whose TTL had lapsed is served again: its epoch still vouches
+    for it.  Ledgers rebuilt by the v2 -> v3 step never had the column.
+    """
+    columns = {row[1] for row in conn.execute("PRAGMA table_info(ledger)")}
+    if "expires_at" in columns:
+        conn.execute("ALTER TABLE ledger DROP COLUMN expires_at")
+
+
 #: In-place migrations, keyed by the on-disk version they upgrade *from*.
 #: Applied in sequence inside the one transaction that opens the store.
 _MIGRATIONS = {
     1: _add_freshness_columns,
     2: _pack_json_answers,
     3: _move_checkpoint_skylines,
+    4: _drop_entry_ttls,
 }
 
 
@@ -435,8 +451,6 @@ class GcReport:
     #: Ledger entries evicted for carrying a stale epoch (an older data
     #: version than their endpoint's current one).
     stale_pruned: int = 0
-    #: Ledger entries evicted because their TTL lapsed.
-    expired_pruned: int = 0
     #: ``True`` when this report describes a ``--dry-run`` (nothing was
     #: actually deleted).
     dry_run: bool = False
@@ -445,8 +459,7 @@ class GcReport:
     def total(self) -> int:
         return (
             self.endpoints_pruned + self.ledger_pruned
-            + self.sessions_pruned + self.jobs_pruned
-            + self.stale_pruned + self.expired_pruned
+            + self.sessions_pruned + self.jobs_pruned + self.stale_pruned
         )
 
 
@@ -459,7 +472,6 @@ class LedgerEntry:
     result: QueryResult
     epoch: int
     billed_at: float
-    expires_at: float | None = None
 
 
 class QueryLedger:
@@ -473,9 +485,9 @@ class QueryLedger:
     accounting exact.
 
     The view is pinned to an **epoch** -- the endpoint's data version at
-    mount time.  ``get`` serves only entries written at that epoch (and
-    not TTL-expired), so answers billed against an older state of a live
-    endpoint are never replayed; ``put`` stamps the epoch on every write.
+    mount time.  ``get`` serves only entries written at that epoch, so
+    answers billed against an older state of a live endpoint are never
+    replayed; ``put`` stamps the epoch on every write.
 
     Rows decoded through one view are interned (:func:`unpack_answer`):
     a tuple returned by many answers is one ``Row`` object.
@@ -488,13 +500,11 @@ class QueryLedger:
         session_id: str | None = None,
         *,
         epoch: int = 0,
-        ttl_s: float | None = None,
     ) -> None:
         self._store = store
         self._fingerprint = fingerprint
         self._session_id = session_id
         self._epoch = int(epoch)
-        self._ttl_s = ttl_s
         self._rows: dict[int, dict[bytes, Row]] = {}
 
     @property
@@ -519,7 +529,6 @@ class QueryLedger:
             self._fingerprint, query, result,
             session_id=self._session_id,
             epoch=self._epoch,
-            ttl_s=self._ttl_s,
         )
 
     def __len__(self) -> int:
@@ -770,7 +779,6 @@ class CrawlStore:
         session_id: str | None = None,
         *,
         epoch: int | None = None,
-        ttl_s: float | None = None,
     ) -> QueryLedger:
         """A :class:`QueryLedger` view over one endpoint's entries.
 
@@ -782,9 +790,7 @@ class CrawlStore:
         """
         if epoch is None:
             epoch = self.endpoint_data_version(fingerprint)
-        return QueryLedger(
-            self, fingerprint, session_id, epoch=epoch, ttl_s=ttl_s
-        )
+        return QueryLedger(self, fingerprint, session_id, epoch=epoch)
 
     def ledger_get(
         self,
@@ -797,8 +803,8 @@ class CrawlStore:
         """The persisted answer for ``query`` under ``fingerprint``.
 
         With ``epoch`` given, only an entry written at exactly that data
-        version (and not TTL-expired) is served -- stale answers from an
-        earlier state of the endpoint read as misses, never as hits.
+        version is served -- stale answers from an earlier state of the
+        endpoint read as misses, never as hits.
         ``interned`` is the row table of :func:`unpack_answer`; a
         :class:`QueryLedger` view passes its own.
         """
@@ -811,16 +817,14 @@ class CrawlStore:
                 row = row[4:]
             else:
                 row = self._conn.execute(
-                    "SELECT answer, epoch, expires_at FROM ledger "
+                    "SELECT answer, epoch FROM ledger "
                     "WHERE fingerprint=? AND qkey=?",
                     (fingerprint, qkey),
                 ).fetchone()
                 if row is None:
                     return None
-            answer, entry_epoch, expires_at = row
+            answer, entry_epoch = row
             if epoch is not None and int(entry_epoch) != int(epoch):
-                return None
-            if expires_at is not None and expires_at <= time.time():
                 return None
             # Decoded under the lock: pool threads reading one view
             # intern each packed row exactly once.
@@ -839,7 +843,6 @@ class CrawlStore:
         session_id: str | None = None,
         *,
         epoch: int = 0,
-        ttl_s: float | None = None,
     ) -> None:
         """Record one billed answer; with ``session_id``, also owe that
         session one billed count.
@@ -861,14 +864,12 @@ class CrawlStore:
         answer = pack_answer(result.rows, result.overflow, result.sequence)
         query_json = json.dumps(encode_query(query), separators=(",", ":"))
         now = time.time()
-        expires_at = None if ttl_s is None else now + float(ttl_s)
         with self._lock:
             key = (fingerprint, qkey)
             # A re-put of a key moves to the end, as its new rowid would.
             self._buffer.pop(key, None)
             self._buffer[key] = (
-                fingerprint, qkey, query_json, now,
-                answer, int(epoch), expires_at,
+                fingerprint, qkey, query_json, now, answer, int(epoch),
             )
             if session_id is not None:
                 self._owed[session_id] = self._owed.get(session_id, 0) + 1
@@ -943,14 +944,13 @@ class CrawlStore:
         with self._lock:
             self._flush()
             rows = self._conn.execute(
-                "SELECT qkey, query_json, answer, epoch, billed_at, "
-                f"       expires_at FROM ledger WHERE {where} "
-                "ORDER BY billed_at, rowid",
+                "SELECT qkey, query_json, answer, epoch, billed_at "
+                f"FROM ledger WHERE {where} ORDER BY billed_at, rowid",
                 params,
             ).fetchall()
         entries = []
         interned: dict[int, dict[bytes, Row]] = {}
-        for qkey, query_json, answer, entry_epoch, billed, expires in rows:
+        for qkey, query_json, answer, entry_epoch, billed in rows:
             query = decode_query(json.loads(query_json))
             answer_rows, overflow, sequence = unpack_answer(answer, interned)
             entries.append(
@@ -963,7 +963,6 @@ class CrawlStore:
                     ),
                     epoch=int(entry_epoch),
                     billed_at=billed,
-                    expires_at=expires,
                 )
             )
         return tuple(entries)
@@ -982,7 +981,7 @@ class CrawlStore:
     def ledger_stale_count(
         self, fingerprint: str, *, epoch: int | None = None
     ) -> int:
-        """Entries no longer servable: wrong epoch or TTL-expired.
+        """Entries no longer servable: billed at another epoch.
 
         ``epoch`` defaults to the endpoint's registered data version.
         """
@@ -991,9 +990,9 @@ class CrawlStore:
         with self._lock:
             self._flush()
             row = self._conn.execute(
-                "SELECT COUNT(*) FROM ledger WHERE fingerprint=? AND "
-                "(epoch != ? OR (expires_at IS NOT NULL AND expires_at <= ?))",
-                (fingerprint, int(epoch), time.time()),
+                "SELECT COUNT(*) FROM ledger "
+                "WHERE fingerprint=? AND epoch != ?",
+                (fingerprint, int(epoch)),
             ).fetchone()
         return int(row[0])
 
@@ -1451,117 +1450,81 @@ class CrawlStore:
     def gc(self, *, dry_run: bool = False) -> GcReport:
         """Prune stale state; returns what was (or would be) removed.
 
-        Five sweeps: (1) endpoint registrations whose stored descriptor
+        Four sweeps: (1) endpoint registrations whose stored descriptor
         no longer hashes to their fingerprint (tampered or written by an
         incompatible version) are dropped; (2) *named* registrations
         superseded by a newer registration of the same name -- the served
         dataset or ``k`` changed -- are dropped; (3) ledger entries,
-        sessions and catalogued jobs whose endpoint registration is gone
-        (including ones orphaned by sweeps 1-2) are dropped; (4) ledger
-        entries stamped with a **stale epoch** -- an older data version
-        than their endpoint's current one -- are dropped (a delta crawl
-        re-stamps the ones it revalidates, so only genuinely dead
-        answers remain at old epochs); (5) **TTL-expired** entries are
-        dropped.
+        sessions (with their checkpoint vectors) and catalogued jobs whose
+        endpoint registration is gone (including ones orphaned by sweeps
+        1-2) are dropped; (4) ledger entries stamped with a **stale
+        epoch** -- an older data version than their endpoint's current
+        one -- are dropped (a delta crawl re-stamps the ones it
+        revalidates, so only genuinely dead answers remain at old epochs).
 
-        With ``dry_run=True`` nothing is deleted: the report carries the
-        counts every sweep *would* remove (``repro store gc --dry-run``).
+        The sweeps run in one ``BEGIN IMMEDIATE`` transaction.  With
+        ``dry_run=True`` (``repro store gc --dry-run``) that same
+        transaction is rolled back instead of committed: the report counts
+        exactly what a real pass would remove and nothing changes, but the
+        dry run holds the store's write lock while it sweeps.
         """
-        now = time.time()
         with self._lock:
             self._flush()
-            rows = self._conn.execute(
-                "SELECT fingerprint, name, descriptor, last_seen FROM endpoints"
-            ).fetchall()
-            prune: set[str] = {
-                fp
-                for fp, _name, descriptor, _seen in rows
-                if _fingerprint_of(descriptor) != fp
-            }
-            newest_by_name: dict[str, tuple[float, str]] = {}
-            for fp, name, _descriptor, seen in rows:
-                if not name or fp in prune:
-                    continue
-                best = newest_by_name.get(name)
-                if best is None or seen > best[0]:
-                    newest_by_name[name] = (seen, fp)
-            for fp, name, _descriptor, _seen in rows:
-                if name and fp not in prune and newest_by_name[name][1] != fp:
-                    prune.add(fp)
-            kept = [fp for fp, _n, _d, _s in rows if fp not in prune]
-            marks = ", ".join("?" for _ in kept)
-            in_kept = f"({marks})" if kept else "(SELECT NULL WHERE 0)"
-            orphan = f"fingerprint NOT IN {in_kept}"
-            # Stale-epoch / expired sweeps apply only to surviving
-            # endpoints (orphans are already counted by sweep 3) and are
-            # mutually exclusive by construction: an entry at a stale
-            # epoch counts stale whether or not its TTL also lapsed.
-            stale = (
-                f"fingerprint IN {in_kept} AND epoch != "
-                "(SELECT data_version FROM endpoints e "
-                " WHERE e.fingerprint = ledger.fingerprint)"
-            )
-            expired = (
-                f"fingerprint IN {in_kept} AND epoch = "
-                "(SELECT data_version FROM endpoints e "
-                " WHERE e.fingerprint = ledger.fingerprint) "
-                "AND expires_at IS NOT NULL AND expires_at <= ?"
-            )
-            if dry_run:
-                def count(table: str, where: str, params: tuple) -> int:
-                    return int(self._conn.execute(
-                        f"SELECT COUNT(*) FROM {table} WHERE {where}", params
-                    ).fetchone()[0])
+            self._conn.execute("BEGIN IMMEDIATE")
+            try:
+                report = self._sweep(dry_run)
+                self._conn.execute("ROLLBACK" if dry_run else "COMMIT")
+            except BaseException:
+                self._conn.execute("ROLLBACK")
+                raise
+        return report
 
-                kept_params = tuple(kept)
-                return GcReport(
-                    endpoints_pruned=len(prune),
-                    ledger_pruned=count("ledger", orphan, kept_params),
-                    sessions_pruned=count("sessions", orphan, kept_params),
-                    jobs_pruned=count("jobs", orphan, kept_params),
-                    stale_pruned=count("ledger", stale, kept_params),
-                    expired_pruned=count(
-                        "ledger", expired, kept_params + (now,)
-                    ),
-                    dry_run=True,
-                )
-            for fp in prune:
-                self._conn.execute(
-                    "DELETE FROM endpoints WHERE fingerprint=?", (fp,)
-                )
-            ledger_pruned = self._conn.execute(
-                "DELETE FROM ledger WHERE fingerprint NOT IN "
-                "(SELECT fingerprint FROM endpoints)"
-            ).rowcount
-            sessions_pruned = self._conn.execute(
-                "DELETE FROM sessions WHERE fingerprint NOT IN "
-                "(SELECT fingerprint FROM endpoints)"
-            ).rowcount
-            self._conn.execute(
-                "DELETE FROM checkpoint_skyline WHERE session_id NOT IN "
-                "(SELECT session_id FROM sessions)"
-            )
-            jobs_pruned = self._conn.execute(
-                "DELETE FROM jobs WHERE fingerprint NOT IN "
-                "(SELECT fingerprint FROM endpoints)"
-            ).rowcount
-            stale_pruned = self._conn.execute(
+    def _sweep(self, dry_run: bool) -> GcReport:
+        """:meth:`gc`'s deletes, inside its transaction."""
+        rows = self._conn.execute(
+            "SELECT fingerprint, name, descriptor, last_seen FROM endpoints"
+        ).fetchall()
+        prune: set[str] = {
+            fp
+            for fp, _name, descriptor, _seen in rows
+            if _fingerprint_of(descriptor) != fp
+        }
+        newest_by_name: dict[str, tuple[float, str]] = {}
+        for fp, name, _descriptor, seen in rows:
+            if not name or fp in prune:
+                continue
+            best = newest_by_name.get(name)
+            if best is None or seen > best[0]:
+                newest_by_name[name] = (seen, fp)
+        for fp, name, _descriptor, _seen in rows:
+            if name and fp not in prune and newest_by_name[name][1] != fp:
+                prune.add(fp)
+        self._conn.executemany(
+            "DELETE FROM endpoints WHERE fingerprint=?",
+            [(fp,) for fp in prune],
+        )
+
+        def delete(statement: str) -> int:
+            return int(self._conn.execute(statement).rowcount)
+
+        orphan = "fingerprint NOT IN (SELECT fingerprint FROM endpoints)"
+        ledger_pruned = delete(f"DELETE FROM ledger WHERE {orphan}")
+        sessions_pruned = delete(f"DELETE FROM sessions WHERE {orphan}")
+        delete(
+            "DELETE FROM checkpoint_skyline WHERE session_id NOT IN "
+            "(SELECT session_id FROM sessions)"
+        )
+        return GcReport(
+            endpoints_pruned=len(prune),
+            ledger_pruned=ledger_pruned,
+            sessions_pruned=sessions_pruned,
+            jobs_pruned=delete(f"DELETE FROM jobs WHERE {orphan}"),
+            stale_pruned=delete(
                 "DELETE FROM ledger WHERE epoch != "
                 "(SELECT data_version FROM endpoints e "
                 " WHERE e.fingerprint = ledger.fingerprint)"
-            ).rowcount
-            expired_pruned = self._conn.execute(
-                "DELETE FROM ledger WHERE expires_at IS NOT NULL "
-                "AND expires_at <= ?",
-                (now,),
-            ).rowcount
-        return GcReport(
-            endpoints_pruned=len(prune),
-            ledger_pruned=int(ledger_pruned),
-            sessions_pruned=int(sessions_pruned),
-            jobs_pruned=int(jobs_pruned),
-            stale_pruned=int(stale_pruned),
-            expired_pruned=int(expired_pruned),
+            ),
+            dry_run=dry_run,
         )
 
     def __repr__(self) -> str:

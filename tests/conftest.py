@@ -395,9 +395,10 @@ def post_raw_content_length(
             f"Content-Length: {content_length}\r\n\r\n".encode()
             + body
         )
-        response = http.client.HTTPResponse(sock)
-        response.begin()
-        return response.status, json.loads(response.read())
+        # The response's file holds the socket open: close it too.
+        with http.client.HTTPResponse(sock) as response:
+            response.begin()
+            return response.status, json.loads(response.read())
 
 
 def raw_exchange(

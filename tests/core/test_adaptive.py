@@ -216,9 +216,8 @@ class TestResolveWorkers:
 
 
 class TestStrategyWiring:
-    @pytest.mark.parametrize("name", ["pipelined", "async"])
-    def test_auto_builds_adaptive_strategy(self, name):
-        strategy = make_strategy(name, workers="auto", max_workers=8)
+    def test_auto_builds_adaptive_strategy(self):
+        strategy = make_strategy("async", workers="auto", max_workers=8)
         assert isinstance(strategy, AsyncStrategy)
         assert strategy.adaptive
         assert strategy.min_workers == 1

@@ -354,15 +354,14 @@ class TestStrategyValidation:
         with pytest.raises(ValueError):
             make_strategy("nope")
 
-    def test_pipelined_is_an_alias_of_async(self):
-        piped = make_strategy("pipelined", workers=1, batch_size=4)
-        assert type(piped) is AsyncStrategy
-        assert piped.name == "async"
-        assert piped.workers == 1 and piped.batch_size == 4
-        config = DiscoveryConfig(strategy="pipelined", workers=3)
-        assert type(config.execution_strategy()) is AsyncStrategy
+    def test_pipelined_is_an_unknown_name(self):
+        # The old alias of "async" is refused like any other unknown name.
+        with pytest.raises(ValueError, match="unknown execution strategy"):
+            make_strategy("pipelined", workers=3)
+        with pytest.raises(ValueError, match="unknown execution strategy"):
+            DiscoveryConfig(strategy="pipelined", workers=3)
 
-    @pytest.mark.parametrize("name", [None, "serial", "async", "pipelined"])
+    @pytest.mark.parametrize("name", [None, "serial", "async"])
     def test_make_strategy_validates_every_name(self, name):
         # make_strategy is the one validator of the engine knobs: a bad
         # width or batch size is refused whichever strategy is named,

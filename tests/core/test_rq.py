@@ -23,9 +23,12 @@ class TestPaperExample:
     def test_each_skyline_tuple_retrieved_once_with_k1(self, simple_table):
         """With mutually exclusive branches every skyline tuple is returned
         by exactly one issued query (§4.1)."""
-        interface = TopKInterface(simple_table, k=1, record_log=True)
-        result = Discoverer().run(interface, "rq")
-        returned = [row.rid for answer in interface.log for row in answer.rows]
+        result = Discoverer().run(
+            TopKInterface(simple_table, k=1), "rq", record_log=True
+        )
+        returned = [
+            row.rid for answer in result.query_log for row in answer.rows
+        ]
         skyline_rids = {row.rid for row in result.skyline}
         for rid in skyline_rids:
             assert returned.count(rid) == 1

@@ -274,11 +274,16 @@ class TestBatchSemantics:
         assert len(info.value.partial_results) == 1
         assert interface.queries_issued == 2
 
-    def test_batch_results_are_logged(self, tmp_path):
+    def test_batched_answers_reach_the_query_log(self, tmp_path):
+        # Every answer of a batching run is in the run's log, in merge
+        # order, and each is the scan engine's answer to its query.
         table = PARITY_TABLES["rq3"]
-        interface = build_engine_interface(
-            table, "rank", tmp_path, k=3, record_log=True
+        result = Discoverer().run(
+            build_engine_interface(table, "rank", tmp_path, k=3),
+            "baseline", workers=2, batch_size=4, record_log=True,
         )
-        queries = [Query(ranges={0: Interval(0, hi)}) for hi in range(4)]
-        results = interface.batch_query(queries)
-        assert interface.log == results
+        assert result.stats.batched > 0
+        assert len(result.query_log) == result.total_cost
+        scan = build_engine_interface(table, "scan", tmp_path, k=3)
+        for answer in result.query_log:
+            assert answer.rows == scan.query(answer.query).rows

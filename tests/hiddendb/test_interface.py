@@ -156,25 +156,6 @@ class TestValidation:
         assert len(result.rows) == 1
 
 
-class TestLogging:
-    def test_log_disabled_by_default(self):
-        interface = TopKInterface(make_table([(1,)]), k=1)
-        interface.query(Query.select_all())
-        assert interface.log == ()
-
-    def test_log_records_results(self):
-        interface = TopKInterface(make_table([(1,)]), k=1, record_log=True)
-        interface.query(Query.select_all())
-        assert len(interface.log) == 1
-        assert interface.log[0].rows[0].values == (1,)
-
-    def test_reset_clears_log(self):
-        interface = TopKInterface(make_table([(1,)]), k=1, record_log=True)
-        interface.query(Query.select_all())
-        interface.reset()
-        assert interface.log == ()
-
-
 class TestRankerIntegration:
     def test_default_ranker_is_sum(self):
         table = make_table([(9, 0), (1, 1)], domain=10)

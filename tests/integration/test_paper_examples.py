@@ -42,9 +42,12 @@ class TestFigure2RunningExample:
         """§4.1: with mutually exclusive branches 'every skyline tuple is
         returned by exactly one node in the tree'."""
         table = make_table(self.DATA, kinds=K.RQ, domain=10)
-        interface = TopKInterface(table, k=1, record_log=True)
-        result = Discoverer().run(interface, "rq")
-        returns = [row.rid for answer in interface.log for row in answer.rows]
+        result = Discoverer().run(
+            TopKInterface(table, k=1), "rq", record_log=True
+        )
+        returns = [
+            row.rid for answer in result.query_log for row in answer.rows
+        ]
         for row in result.skyline:
             assert returns.count(row.rid) == 1
 
@@ -57,9 +60,9 @@ class TestSection3TreeExpansion:
                            kinds=K.SQ, domain=10)
         # Force t1 = (5, 1, 9) to be the root answer via a matching ranker.
         ranker = LinearRanker([0.1, 10.0, 0.1])
-        interface = TopKInterface(table, ranker=ranker, k=1, record_log=True)
-        Discoverer().run(interface, "sq")
-        log = interface.log
+        log = Discoverer().run(
+            TopKInterface(table, ranker=ranker, k=1), "sq", record_log=True
+        ).query_log
         assert log[0].query == Query.select_all()
         assert log[0].top.values == (5, 1, 9)
         # The next three queries are exactly q2, q3, q4 of §3.1.

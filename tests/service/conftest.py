@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import ExitStack
+
 import pytest
 
 from repro.service import (
@@ -9,6 +11,15 @@ from repro.service import (
     HiddenDBServer,
     RemoteTopKInterface,
 )
+
+
+#: The client axis of the wire grids.  The concurrent strategy calls the
+#: blocking client from its thread pool and awaits the asyncio client on
+#: the client's own event loop, so each client pins one transport.
+CLIENTS = {
+    "blocking": RemoteTopKInterface,
+    "asyncio": AsyncRemoteTopKInterface,
+}
 
 
 @pytest.fixture
@@ -27,6 +38,20 @@ def serve():
     yield _serve
     for server in started:
         server.stop()
+
+
+@pytest.fixture
+def connect():
+    """Build remote clients that are closed on teardown.
+
+    Usage: ``remote = connect(server.url, api_key="crawler")``; pass
+    ``client=AsyncRemoteTopKInterface`` for the asyncio client.
+    """
+    with ExitStack() as stack:
+        def _connect(*args, client=RemoteTopKInterface, **kwargs):
+            return stack.enter_context(client(*args, **kwargs))
+
+        yield _connect
 
 
 @pytest.fixture

@@ -5,8 +5,8 @@ queries are issued or how answers merge -- so for every registered
 algorithm, an adaptive drain against a fault- and rate-limit-injected
 server must reproduce the serial in-process skyline and billed cost
 exactly, on every transport of the concurrent strategy: the thread pool
-over the blocking client (named "pipelined"), the asyncio client's own
-loop (named "async"), and the thread pool over two mirrors.
+over the blocking client, the asyncio client's own loop, and the thread
+pool over two mirrors.
 """
 
 import pytest
@@ -14,13 +14,10 @@ import pytest
 from repro import Discoverer, TopKInterface
 from repro.core import DiscoveryConfig
 from repro.coordinator import EndpointSet
-from repro.service import (
-    AsyncRemoteTopKInterface,
-    FaultConfig,
-    RemoteTopKInterface,
-)
+from repro.service import FaultConfig
 
 from ..conftest import parity_run_params as run_params
+from .conftest import CLIENTS
 
 #: Generous-but-real shaping: wide enough that crawls stay fast, tight
 #: enough that bursts genuinely harvest 429s and exercise the AIMD path.
@@ -34,26 +31,23 @@ SHAPING = dict(
 #: Throttled runs retry more: every 429 is eventually absorbed.
 CLIENT = dict(max_retries=50)
 
-AUTO = dict(workers="auto", min_workers=1, max_workers=12)
+AUTO = dict(strategy="async", workers="auto", min_workers=1, max_workers=12)
 
 
 class TestAdaptiveParity:
     @pytest.mark.parametrize("algorithm,table", run_params())
-    @pytest.mark.parametrize("strategy", ["pipelined", "async"])
+    @pytest.mark.parametrize("client", CLIENTS)
     def test_algorithm_grid_matches_serial(
-        self, serve, algorithm, table, strategy
+        self, serve, connect, algorithm, table, client
     ):
         reference = Discoverer().run(TopKInterface(table, k=5), algorithm)
 
         server = serve(table, k=5, **SHAPING)
-        key = f"{algorithm}-{strategy}-auto"
-        if strategy == "async":
-            remote = AsyncRemoteTopKInterface(server.url, api_key=key,
-                                              **CLIENT)
-        else:
-            remote = RemoteTopKInterface(server.url, api_key=key, **CLIENT)
-        config = DiscoveryConfig(strategy=strategy, **AUTO)
-        result = Discoverer(config).run(remote, algorithm)
+        key = f"{algorithm}-{client}-auto"
+        remote = connect(
+            server.url, api_key=key, client=CLIENTS[client], **CLIENT
+        )
+        result = Discoverer(DiscoveryConfig(**AUTO)).run(remote, algorithm)
 
         assert result.stats.strategy == "async"
         assert result.skyline_values == reference.skyline_values
@@ -61,9 +55,6 @@ class TestAdaptiveParity:
         assert result.total_cost == reference.total_cost
         # Throttled/faulted attempts were retried, never billed.
         assert server.stats().queries_total == reference.total_cost
-        close = getattr(remote, "close", None)
-        if close is not None:
-            close()
 
     @pytest.mark.parametrize("algorithm,table", run_params())
     def test_sharded_grid_matches_serial(self, serve, algorithm, table):
@@ -87,17 +78,15 @@ class TestAdaptiveParity:
             # the mirrors.
             assert pool.queries_issued == reference.total_cost
 
-    def test_adaptive_run_reports_window_stats(self, serve):
+    def test_adaptive_run_reports_window_stats(self, serve, connect):
         from ..conftest import PARITY_TABLES
 
         table = PARITY_TABLES["rq3"]
         server = serve(table, k=5, rate_limit=200.0, burst=10)
-        remote = RemoteTopKInterface(server.url, api_key="stats", **CLIENT)
+        remote = connect(server.url, api_key="stats", **CLIENT)
         # The crawling baseline drains a wide frontier, so the window is
         # actually exercised (sequential algorithms never open it).
-        result = Discoverer(
-            DiscoveryConfig(strategy="pipelined", **AUTO)
-        ).run(remote, "baseline")
+        result = Discoverer(DiscoveryConfig(**AUTO)).run(remote, "baseline")
         stats = result.stats
         assert stats.mean_window >= 1.0
         payload = stats.as_dict()

@@ -8,14 +8,13 @@ pipelined parity satellite (every algorithm, workers in {1, 4}).
 
 import json
 import urllib.request
-from contextlib import ExitStack
 
 import pytest
 
 from repro import Discoverer, DiscoveryConfig, TopKInterface
 from repro.datagen import diamonds_table
 from repro.hiddendb import Query, QueryBudgetExceeded
-from repro.service import FaultConfig, RemoteTopKInterface
+from repro.service import FaultConfig
 from repro.service.server import MAX_BATCH_ITEMS
 from repro.service.wire import (
     decode_batch_answer,
@@ -38,15 +37,6 @@ def post_json(url, payload, headers=None):
     )
     with urllib.request.urlopen(request) as response:
         return response.status, json.loads(response.read().decode("utf-8"))
-
-
-@pytest.fixture
-def connect():
-    """Build :class:`RemoteTopKInterface` clients closed on teardown."""
-    with ExitStack() as stack:
-        yield lambda *args, **kwargs: stack.enter_context(
-            RemoteTopKInterface(*args, **kwargs)
-        )
 
 
 def sample_queries(count=3):
@@ -206,20 +196,6 @@ class TestClientBatchQuery:
         assert remote.queries_issued == 2
         assert server.stats().usage("broke").issued == 2
 
-    def test_cache_hits_skip_the_wire(self, serve, connect):
-        table = TABLES["rq3"]
-        server = serve(table, k=5)
-        remote = connect(
-            server.url, api_key="cached", cache_size=64
-        )
-        queries = sample_queries(3)
-        remote.batch_query(queries)
-        again = remote.batch_query(queries)
-        assert len(again) == 3
-        assert remote.queries_issued == 3
-        assert remote.cache_hits == 3
-        assert server.stats().usage("cached").issued == 3
-
     def test_fallback_to_per_query_dispatch(self, serve, connect):
         table = TABLES["rq3"]
         server = serve(table, k=5)
@@ -308,23 +284,19 @@ class TestRemotePipelinedParity:
         assert server.stats().usage("mid-batch").issued == 30
         assert len(result.retrieved) > 0
 
-    def test_cache_hits_do_not_consume_session_budget(self, serve, connect):
+    def test_memo_hits_do_not_consume_session_budget(self, serve, connect):
         # Regression: the reservation-based budget must only charge
-        # billable transports -- client-LRU cache hits stay free, exactly
-        # like the pre-engine `cost >= budget` check treated them.
+        # billable transports -- memo hits stay free, exactly like the
+        # pre-engine `cost >= budget` check treated them.
         table = diamonds_table(150, seed=3)
         server = serve(table, k=10)
-        probe = connect(
-            server.url, api_key="probe", cache_size=65_536
-        )
-        reference = Discoverer().run(probe, "sq")
-        assert probe.cache_hits > 0  # SQ's tree repeats queries in-run
+        probe = connect(server.url, api_key="probe")
+        reference = Discoverer(DiscoveryConfig(dedup=True)).run(probe, "sq")
+        assert reference.stats.deduped > 0  # SQ's tree repeats queries
 
-        crawler = connect(
-            server.url, api_key="budgeted", cache_size=65_536
-        )
+        crawler = connect(server.url, api_key="budgeted")
         result = Discoverer(
-            DiscoveryConfig(budget=reference.total_cost)
+            DiscoveryConfig(dedup=True, budget=reference.total_cost)
         ).run(crawler, "sq")
         assert result.complete
         assert result.total_cost == reference.total_cost

@@ -258,55 +258,20 @@ class TestRetries:
                 remote.query(Query.select_all())
 
 
-class TestQueryCache:
-    def test_cache_hits_are_free(self, serve, table, client_cls):
-        server = serve(table, k=2)
-        remote = client_cls(server.url, cache_size=16)
-        query = Query.select_all().and_upper(0, 5)
-        first = remote.query(query)
-        second = remote.query(query)
-        assert second is first
-        assert remote.queries_issued == 1
-        assert remote.cache_hits == 1
-        assert remote.cached_answer(query) is first
-        assert server.stats().queries_total == 1
-
-    def test_distinct_queries_are_billed(self, serve, table, client_cls):
-        server = serve(table, k=2)
-        remote = client_cls(server.url, cache_size=16)
-        remote.query(Query.select_all())
-        remote.query(Query.select_all().and_upper(0, 5))
-        assert remote.queries_issued == 2
-        assert remote.cache_hits == 0
-
-    def test_lru_eviction(self, serve, table, client_cls):
-        server = serve(table, k=2)
-        remote = client_cls(server.url, cache_size=1)
-        a = Query.select_all()
-        b = Query.select_all().and_upper(0, 5)
-        remote.query(a)
-        remote.query(b)  # evicts a
-        remote.query(a)  # miss: billed again
-        assert remote.queries_issued == 3
-        assert remote.cache_hits == 0
-        remote.query(a)  # hit
-        assert remote.cache_hits == 1
-
-    def test_clear_cache(self, serve, table, client_cls):
-        server = serve(table, k=2)
-        remote = client_cls(server.url, cache_size=16)
-        remote.query(Query.select_all())
-        remote.clear_cache()
-        remote.query(Query.select_all())
-        assert remote.queries_issued == 2
-
-    def test_cache_disabled_by_default(self, serve, table, client_cls):
+class TestNoAnswerReuse:
+    def test_a_repeated_query_is_billed_again(
+        self, serve, table, client_cls
+    ):
+        # The client reuses no answer: the engine's memo and a crawl
+        # store's ledger are the only places a paid-for answer is reused.
         server = serve(table, k=2)
         remote = client_cls(server.url)
-        remote.query(Query.select_all())
-        remote.query(Query.select_all())
+        first = remote.query(Query.select_all())
+        second = remote.query(Query.select_all())
+        assert second.rows == first.rows
+        assert (first.sequence, second.sequence) == (1, 2)
         assert remote.queries_issued == 2
-        assert remote.cache_hits == 0
+        assert server.stats().queries_total == 2
 
 
 class TestTelemetry:

@@ -39,7 +39,8 @@ def post_mutate(url, payload):
         with urllib.request.urlopen(request, timeout=30) as response:
             return response.status, json.loads(response.read().decode())
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read().decode())
+        with error:
+            return error.code, json.loads(error.read().decode())
 
 
 class TestMutateEndpoint:
@@ -67,9 +68,9 @@ class TestMutateEndpoint:
         twin.apply_mutations(expected)
         assert table.matrix.tolist() == twin.matrix.tolist()
 
-    def test_mutations_are_never_billed(self, serve, table):
+    def test_mutations_are_never_billed(self, serve, connect, table):
         server = serve(table, k=2, key_budget=5)
-        client = RemoteTopKInterface(server.url)
+        client = connect(server.url)
         client.query(Query.select_all())
         billed_before = client.queries_issued
         status, _ = post_mutate(server.url, {"ops": [
@@ -103,9 +104,11 @@ class TestMutateEndpoint:
         # A rejected batch applied nothing.
         assert table.data_version == 0
 
-    def test_served_answers_reflect_the_mutation(self, serve, table):
+    def test_served_answers_reflect_the_mutation(
+        self, serve, connect, table
+    ):
         server = serve(table, k=3)
-        client = RemoteTopKInterface(server.url)
+        client = connect(server.url)
         before = client.query(Query.select_all())
         post_mutate(server.url, {"ops": [
             {"op": "insert", "values": [0, 0]},
@@ -144,29 +147,29 @@ class TestClientMutate:
                     [{"op": "delete", "rid": 0}], churn={"frac": 0.1}
                 )
 
-    def test_skew_detection_drops_the_cache(self, serve, table):
+    def test_skew_detection_tracks_the_new_version(
+        self, serve, connect, table
+    ):
         server = serve(table, k=2)
-        client = RemoteTopKInterface(server.url, cache_size=32)
+        client = connect(server.url)
         query = Query.select_all()
         client.query(query)
-        client.query(query)
-        assert client.cache_hits == 1
+        assert (client.version_skews, client.data_version) == (0, 0)
         # Another operator mutates behind our back.  Detection rides on
-        # billed answers only -- the next *wire* round-trip advertises
-        # the new version and invalidates the whole cache, so the
-        # original query is re-billed and comes back fresh.
+        # billed answers only: the next wire round trip advertises the
+        # new version, and the answer itself is fresh.
         post_mutate(server.url, {"ops": [{"op": "insert",
                                           "values": [0, 0]}]})
-        client.query(Query.select_all().and_upper(0, 5))
+        fresh = client.query(query)
         assert client.version_skews == 1
         assert client.data_version == 1
-        fresh = client.query(query)
-        assert client.cache_hits == 1  # dropped: no stale hit
         assert (0, 0) in {row.values for row in fresh.rows}
 
-    def test_refresh_data_version_is_a_free_probe(self, serve, table):
+    def test_refresh_data_version_is_a_free_probe(
+        self, serve, connect, table
+    ):
         server = serve(table, k=2)
-        client = RemoteTopKInterface(server.url)
+        client = connect(server.url)
         post_mutate(server.url, {"ops": [{"op": "delete", "rid": 0}]})
         assert client.refresh_data_version() == 1
         assert client.queries_issued == 0

@@ -174,7 +174,6 @@ class TestTracePropagation:
         server = serve(table, k=3)
         client = RemoteTopKInterface(server.url, api_key="alice")
         plain = Discoverer().run(client, "baseline")
-        client.clear_cache()
         buffer = io.StringIO()
         client2 = RemoteTopKInterface(server.url, api_key="alice2")
         traced = Discoverer(DiscoveryConfig(trace=buffer)).run(

@@ -5,18 +5,14 @@ For every algorithm in the registry, a run through
 query-for-query identical to the in-process run: same discovered skyline
 (rids *and* values), same client-side cost, same server-side billing.
 With fault injection enabled the client must still converge, and a warm
-client cache must make a repeated crawl strictly cheaper.
+crawl-store ledger must make a repeated crawl free.
 """
 
 import pytest
 
-from repro import Discoverer, TopKInterface
+from repro import CrawlStore, Discoverer, DiscoveryConfig, TopKInterface
 from repro.core import all_algorithms
-from repro.service import (
-    AsyncRemoteTopKInterface,
-    FaultConfig,
-    RemoteTopKInterface,
-)
+from repro.service import FaultConfig, RemoteTopKInterface
 
 from ..conftest import (
     PARITY_TABLES as TABLES,
@@ -24,14 +20,7 @@ from ..conftest import (
     parity_run_params as run_params,
     strategy_configs,
 )
-
-#: The client axis of the wire grid.  The concurrent strategy calls the
-#: blocking client from its thread pool and awaits the asyncio client on
-#: the client's own event loop, so each client pins one transport.
-CLIENTS = {
-    "blocking": RemoteTopKInterface,
-    "asyncio": AsyncRemoteTopKInterface,
-}
+from .conftest import CLIENTS
 
 
 def wire_grid_params():
@@ -66,13 +55,13 @@ def skyband_params():
 class TestRemoteParity:
     @pytest.mark.parametrize("algorithm,table", run_params())
     def test_every_algorithm_matches_in_process(
-        self, serve, algorithm, table
+        self, serve, connect, algorithm, table
     ):
         local = TopKInterface(table, k=5)
         local_result = Discoverer().run(local, algorithm)
 
         server = serve(table, k=5)
-        remote = RemoteTopKInterface(server.url, api_key=algorithm)
+        remote = connect(server.url, api_key=algorithm)
         remote_result = Discoverer().run(remote, algorithm)
 
         # Byte-identical skylines: same rids, same values, same order.
@@ -91,7 +80,7 @@ class TestRemoteParity:
         "algorithm,table,config,client_cls", wire_grid_params()
     )
     def test_every_algorithm_matches_under_every_strategy(
-        self, serve, algorithm, table, config, client_cls
+        self, serve, connect, algorithm, table, config, client_cls
     ):
         """The full parity grid: algorithm x strategy x client, over the wire.
 
@@ -105,7 +94,7 @@ class TestRemoteParity:
 
         server = serve(table, k=5)
         key = f"{algorithm}-{config.strategy}-{client_cls.__name__}"
-        remote = client_cls(server.url, api_key=key)
+        remote = connect(server.url, api_key=key, client=client_cls)
         remote_result = Discoverer(config).run(remote, algorithm)
 
         assert remote_result.stats.strategy == config.strategy
@@ -114,17 +103,16 @@ class TestRemoteParity:
         assert remote_result.total_cost == local_result.total_cost
         assert remote.queries_issued == local.queries_issued
         assert server.stats().usage(key).issued == local.queries_issued
-        remote.close()
 
     @pytest.mark.parametrize("algorithm,table", skyband_params())
     def test_skyband_extensions_match_in_process(
-        self, serve, algorithm, table
+        self, serve, connect, algorithm, table
     ):
         local = TopKInterface(table, k=5)
         local_result = Discoverer().skyband(local, 2, algorithm)
 
         server = serve(table, k=5)
-        remote = RemoteTopKInterface(server.url, api_key=algorithm)
+        remote = connect(server.url, api_key=algorithm)
         remote_result = Discoverer().skyband(remote, 2, algorithm)
 
         assert remote_result.skyband == local_result.skyband
@@ -136,16 +124,16 @@ class TestRemoteParity:
 
 
 class TestFaultedConvergence:
-    def test_flaky_service_still_yields_exact_skyline(self, serve, no_sleep):
+    def test_flaky_service_still_yields_exact_skyline(
+        self, serve, connect, no_sleep
+    ):
         table = TABLES["rq3"]
         local_result = Discoverer().run(TopKInterface(table, k=5))
 
         server = serve(
             table, k=5, faults=FaultConfig(error_rate=0.2, seed=7)
         )
-        remote = RemoteTopKInterface(
-            server.url, max_retries=50, sleep=no_sleep
-        )
+        remote = connect(server.url, max_retries=50, sleep=no_sleep)
         remote_result = Discoverer().run(remote)
 
         assert remote_result.skyline == local_result.skyline
@@ -156,33 +144,38 @@ class TestFaultedConvergence:
         assert server.stats().queries_total == local_result.total_cost
 
 
-class TestWarmCacheEconomy:
-    def test_recrawl_with_warm_cache_bills_strictly_less(self, serve):
+class TestWarmLedgerEconomy:
+    def test_recrawl_through_a_memory_ledger_bills_nothing(
+        self, serve, connect
+    ):
         table = TABLES["mixed"]
         server = serve(table, k=5)
-        remote = RemoteTopKInterface(server.url, cache_size=4096)
+        remote = connect(server.url)
+        config = DiscoveryConfig(store=CrawlStore.memory())
 
-        first = Discoverer().run(remote)
+        first = Discoverer(config).run(remote)
         cold_billed = remote.queries_issued
-        second = Discoverer().run(remote)
-        warm_billed = remote.queries_issued - cold_billed
+        second = Discoverer(config).run(remote)
+        config.store.close()
 
         assert second.skyline == first.skyline
-        assert warm_billed < cold_billed
-        assert remote.cache_hits > 0
+        assert second.total_cost == 0
+        assert remote.queries_issued == cold_billed == first.total_cost
+        assert second.stats.ledger_hits == (
+            first.stats.issued + first.stats.ledger_hits
+        )
         # Server-side billing agrees with the client's billable count.
         assert server.stats().queries_total == remote.queries_issued
 
-    def test_cache_does_not_change_discovery_cost_semantics(self, serve):
-        # A cached run reports the *billable* cost, which the anytime
-        # trace is keyed on -- cache hits appear at the cost level of the
-        # last billed query, never inflating it.
+    def test_dedup_run_reports_the_billable_cost(self, serve, connect):
+        # Memo hits are free: a dedup run's cost, and the anytime trace
+        # keyed on it, count billed queries only.
         table = TABLES["rq3"]
         server = serve(table, k=5)
         local_result = Discoverer().run(TopKInterface(table, k=5))
-        remote = RemoteTopKInterface(server.url, cache_size=4096)
-        result = Discoverer().run(remote)
-        # First crawl has no repeated queries answered differently: the
-        # discovered skyline matches the reference exactly.
+        remote = connect(server.url)
+        result = Discoverer(DiscoveryConfig(dedup=True)).run(remote)
         assert result.skyline == local_result.skyline
+        assert result.total_cost == remote.queries_issued
         assert result.total_cost <= local_result.total_cost
+        assert all(entry.cost <= result.total_cost for entry in result.trace)

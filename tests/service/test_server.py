@@ -64,6 +64,7 @@ class TestMetadataRoutes:
         server = serve(table)
         with pytest.raises(urllib.error.HTTPError) as err:
             get(server.url + "/nope")
+        err.value.close()
         assert err.value.code == 404
 
 
@@ -97,7 +98,8 @@ class TestQueryRoute:
         with pytest.raises(urllib.error.HTTPError) as err:
             post(url, query_payload(Query.select_all()), api_key="a")
         assert err.value.code == 429
-        body = json.loads(err.value.read())
+        with err.value as error:
+            body = json.loads(error.read())
         assert body["error"] == "budget_exceeded"
         assert body["limit"] == 1
         assert body["retriable"] is False
@@ -110,7 +112,8 @@ class TestQueryRoute:
             post(server.url + "/api/query",
                  query_payload(Query.select_all().and_upper(0, 5)))
         assert err.value.code == 400
-        assert json.loads(err.value.read())["error"] == "unsupported_query"
+        with err.value as error:
+            assert json.loads(error.read())["error"] == "unsupported_query"
         assert server.stats().queries_total == 0
 
     def test_invalid_json_is_400(self, serve, table):
@@ -120,6 +123,7 @@ class TestQueryRoute:
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=10)
+        err.value.close()
         assert err.value.code == 400
 
     def test_malformed_content_length_is_400_before_the_body(
@@ -273,7 +277,8 @@ class TestMalformedInput:
         with pytest.raises(urllib.error.HTTPError) as err:
             post(server.url + "/api/query", {"query": query}, api_key="a")
         assert err.value.code == 400
-        body = json.loads(err.value.read())
+        with err.value as error:
+            body = json.loads(error.read())
         assert body["error"] == "bad_request"
         assert body["retriable"] is False
         assert server.stats().queries_total == 0
@@ -311,7 +316,8 @@ class TestMalformedInput:
         with pytest.raises(urllib.error.HTTPError) as err:
             post(server.url + "/api/reset", {"api_key": api_key})
         assert err.value.code == 400
-        assert json.loads(err.value.read())["error"] == "bad_request"
+        with err.value as error:
+            assert json.loads(error.read())["error"] == "bad_request"
         assert server.stats().usage("a").issued == 1
 
 
@@ -332,11 +338,12 @@ class TestMissingQuery:
         with pytest.raises(urllib.error.HTTPError) as err:
             post(server.url + "/api/query", payload, api_key="a")
         assert err.value.code == 400
-        assert json.loads(err.value.read()) == {
-            "error": "bad_request",
-            "message": "query must be a JSON object",
-            "retriable": False,
-        }
+        with err.value as error:
+            assert json.loads(error.read()) == {
+                "error": "bad_request",
+                "message": "query must be a JSON object",
+                "retriable": False,
+            }
         assert server.stats().queries_total == 0
 
     @pytest.mark.parametrize(

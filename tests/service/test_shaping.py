@@ -14,7 +14,7 @@ import pytest
 
 from repro import Discoverer, TopKInterface
 from repro.hiddendb import Query
-from repro.service import FaultConfig, RemoteTopKInterface
+from repro.service import FaultConfig
 from repro.service.client import (
     RETRY_AFTER_CAP,
     RemoteServiceError,
@@ -59,12 +59,11 @@ class TestTokenBucket:
 
 
 class TestServerThrottling:
-    def test_rate_limited_429_names_honest_retry_after(self, serve):
+    def test_rate_limited_429_names_honest_retry_after(self, serve, connect):
         table = TABLES["rq3"]
         server = serve(table, k=5, rate_limit=10.0, burst=2)
         query = Query.select_all()
-        client = RemoteTopKInterface(server.url, api_key="hot",
-                                     max_retries=0)
+        client = connect(server.url, api_key="hot", max_retries=0)
         # Burst exhausted after two queries; the third is throttled.
         client.query(query)
         client.query(query)
@@ -76,11 +75,10 @@ class TestServerThrottling:
         assert count == 1
         assert 0.0 < retry_after <= 0.1 + 1e-6
 
-    def test_throttled_queries_are_not_billed(self, serve):
+    def test_throttled_queries_are_not_billed(self, serve, connect):
         table = TABLES["rq3"]
         server = serve(table, k=5, rate_limit=5.0, burst=1)
-        client = RemoteTopKInterface(server.url, api_key="meter",
-                                     max_retries=0)
+        client = connect(server.url, api_key="meter", max_retries=0)
         client.query(Query.select_all())
         from repro.service.client import RemoteServiceError
 
@@ -88,7 +86,7 @@ class TestServerThrottling:
             client.query(Query.select_all())
         assert server.stats().queries_total == 1
 
-    def test_load_shed_503_when_inflight_exceeds_cap(self, serve):
+    def test_load_shed_503_when_inflight_exceeds_cap(self, serve, connect):
         # One query parked in injected latency holds the single slot; a
         # concurrent one must be shed with a retriable 503.
         table = TABLES["rq3"]
@@ -96,9 +94,8 @@ class TestServerThrottling:
             table, k=5, max_inflight=1,
             faults=FaultConfig(latency=(0.3, 0.3), seed=1),
         )
-        slow = RemoteTopKInterface(server.url, api_key="slow")
-        fast = RemoteTopKInterface(server.url, api_key="fast",
-                                   max_retries=0)
+        slow = connect(server.url, api_key="slow")
+        fast = connect(server.url, api_key="fast", max_retries=0)
         started = threading.Event()
 
         def occupy():
@@ -123,30 +120,33 @@ class TestServerThrottling:
         # the per-request retry sleep, never the whole dispatch window.
         assert retry_after == 0.0
 
-    def test_throttle_metric_exposed(self, serve):
+    def test_throttle_metric_exposed(self, serve, connect):
         table = TABLES["rq3"]
         server = serve(table, k=5, rate_limit=5.0, burst=1)
-        client = RemoteTopKInterface(server.url, api_key="scrape",
-                                     max_retries=0)
+        client = connect(server.url, api_key="scrape", max_retries=0)
         client.query(Query.select_all())
         from repro.service.client import RemoteServiceError
 
         with pytest.raises(RemoteServiceError):
             client.query(Query.select_all())
-        text = urllib.request.urlopen(server.url + "/metrics").read().decode()
+        with urllib.request.urlopen(server.url + "/metrics") as response:
+            text = response.read().decode()
         families = parse_prometheus(text)
         samples = families["hiddendb_server_throttled_total"]["samples"]
         key = ("hiddendb_server_throttled_total", (("key", "scrape"),))
         assert samples[key] >= 1.0
 
-    def test_retrying_client_converges_under_throttling(self, serve, no_sleep):
+    def test_retrying_client_converges_under_throttling(
+        self, serve, connect, no_sleep
+    ):
         # With retries enabled the crawl completes at the exact reference
         # cost: throttled attempts are retried, never billed.
         table = TABLES["rq3"]
         reference = Discoverer().run(TopKInterface(table, k=5))
         server = serve(table, k=5, rate_limit=200.0, burst=5)
-        client = RemoteTopKInterface(server.url, api_key="patient",
-                                     max_retries=50, sleep=no_sleep)
+        client = connect(
+            server.url, api_key="patient", max_retries=50, sleep=no_sleep
+        )
         result = Discoverer().run(client)
         assert result.skyline_values == reference.skyline_values
         assert result.total_cost == reference.total_cost
@@ -193,11 +193,10 @@ class TestClientRetryAfter:
         assert count == 1
         assert 0.0 < retry_after <= RETRY_AFTER_CAP
 
-    def test_hint_floors_the_backoff(self, serve):
+    def test_hint_floors_the_backoff(self, serve, connect):
         table = TABLES["rq3"]
         server = serve(table, k=5)
-        client = RemoteTopKInterface(server.url, backoff=0.01,
-                                     backoff_cap=1.0)
+        client = connect(server.url, backoff=0.01, backoff_cap=1.0)
         # No hint: pure exponential backoff.
         assert client._retry_delay(1, None) == pytest.approx(0.01)
         assert client._retry_delay(3, None) == pytest.approx(0.04)
@@ -208,7 +207,7 @@ class TestClientRetryAfter:
         # Hostile hints are capped.
         assert client._retry_delay(1, 3600.0) == pytest.approx(RETRY_AFTER_CAP)
 
-    def test_throttled_retry_sleeps_at_least_the_hint(self, serve):
+    def test_throttled_retry_sleeps_at_least_the_hint(self, serve, connect):
         table = TABLES["rq3"]
         server = serve(table, k=5, rate_limit=10.0, burst=1)
         import time as _time
@@ -220,7 +219,7 @@ class TestClientRetryAfter:
             sleeps.append(seconds)
             _time.sleep(seconds)
 
-        client = RemoteTopKInterface(
+        client = connect(
             server.url, api_key="timed", max_retries=8,
             backoff=0.001, backoff_cap=0.002,
             sleep=recording_sleep,

@@ -1,12 +1,14 @@
-"""Store files as the layout-1, layout-2 and layout-3 builds wrote them.
+"""Store files as the layout-1 to layout-4 builds wrote them.
 
 The DDL is copied verbatim from the builds that wrote each layout.
 Layout 1 and 2 answers are wire-codec JSON exactly as those builds'
-``ledger_put`` encoded them; layout 3 answers are packed
-(``pack_answer``), and its checkpoints carry their skyline in the
-session row's JSON.  The migration tests open these files with the
-current build; a fixture made by downgrading a current store would hold
-the current layout's data instead.
+``ledger_put`` encoded them; layout 3 and 4 answers are packed
+(``pack_answer``).  Layout 3 checkpoints carry their skyline in the
+session row's JSON, layout 4 ones in ``checkpoint_skyline``, one packed
+vector per row; both ledgers carry the per-entry TTL column
+``expires_at`` that layout 5 drops.  The migration tests open these
+files with the current build; a fixture made by downgrading a current
+store would hold the current layout's data instead.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.service.wire import (
     endpoint_descriptor,
     fingerprint_of,
 )
-from repro.store.crawlstore import pack_answer
+from repro.store.crawlstore import pack_answer, _pack_vector
 
 V1_DDL = """
 CREATE TABLE IF NOT EXISTS endpoints (
@@ -187,6 +189,14 @@ CREATE INDEX IF NOT EXISTS jobs_by_status ON jobs (status, updated_at);
 """
 
 
+V4_DDL = V3_DDL + """
+CREATE TABLE IF NOT EXISTS checkpoint_skyline (
+    session_id  TEXT NOT NULL,
+    vector      BLOB NOT NULL,
+    PRIMARY KEY (session_id, vector)
+) WITHOUT ROWID;
+"""
+
 def write_old_store(
     path,
     version: int,
@@ -316,6 +326,86 @@ def write_v3_store(
                 json.dumps(encode_query(query), separators=(",", ":")),
                 pack_answer(result.rows, result.overflow, result.sequence),
                 now,
+            ),
+        )
+    conn.commit()
+    conn.close()
+    return fingerprint
+
+
+def write_v4_store(
+    path,
+    schema: Schema,
+    k: int,
+    answers: Iterable[tuple[Query, QueryResult]],
+    sessions: Iterable[
+        tuple[str, str, Mapping[str, Any], Mapping[str, Any] | None]
+    ],
+    *,
+    name: str = "",
+    ranking: str = "",
+    algorithm: str = "",
+    expires_at: float | None = None,
+) -> str:
+    """Write a layout-4 store holding packed ``answers`` and ``sessions``.
+
+    Sessions are given as for :func:`write_v3_store`.  Each checkpoint's
+    skyline vectors go to ``checkpoint_skyline`` and its JSON keeps the
+    ``skyline`` key as ``null``, as the layout-4 build's
+    ``save_checkpoint`` left them.  Every answer gets the TTL deadline
+    ``expires_at``.  Returns the endpoint fingerprint.
+    """
+    descriptor = endpoint_descriptor(schema, k, name, ranking)
+    fingerprint = fingerprint_of(descriptor)
+    now = time.time()
+    conn = sqlite3.connect(path)
+    conn.executescript(V4_DDL)
+    conn.execute("PRAGMA user_version=4")
+    conn.execute(
+        "INSERT OR REPLACE INTO store_meta (key, value) VALUES "
+        "('schema_version', '4')"
+    )
+    conn.execute(
+        "INSERT INTO endpoints (fingerprint, name, k, descriptor, "
+        "data_version, created_at, last_seen) VALUES (?, ?, ?, ?, 0, ?, ?)",
+        (fingerprint, name, int(k), descriptor, now, now),
+    )
+    for offset, (session_id, status, checkpoint, result) in enumerate(
+        sessions
+    ):
+        row = dict(checkpoint)
+        for vector in row.get("skyline") or ():
+            conn.execute(
+                "INSERT OR IGNORE INTO checkpoint_skyline "
+                "(session_id, vector) VALUES (?, ?)",
+                (session_id, _pack_vector(vector)),
+            )
+        if "skyline" in row:
+            row["skyline"] = None
+        conn.execute(
+            "INSERT INTO sessions (session_id, fingerprint, algorithm, "
+            "status, nonce, billed, checkpoint_json, result_json, "
+            "created_at, updated_at) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            (
+                session_id, fingerprint, algorithm, status,
+                f"nonce-{session_id}", int(checkpoint.get("billed", 0)),
+                json.dumps(row),
+                json.dumps(dict(result)) if result is not None else None,
+                now + offset, now + offset,
+            ),
+        )
+    for query, result in answers:
+        conn.execute(
+            "INSERT OR REPLACE INTO ledger "
+            "(fingerprint, qkey, query_json, answer, billed_at, expires_at) "
+            "VALUES (?, ?, ?, ?, ?, ?)",
+            (
+                fingerprint,
+                query.canonical_key(),
+                json.dumps(encode_query(query), separators=(",", ":")),
+                pack_answer(result.rows, result.overflow, result.sequence),
+                now,
+                expires_at,
             ),
         )
     conn.commit()

@@ -5,7 +5,9 @@ sends the counters and only the vectors that entered or left the skyline
 since the previous checkpoint.  Readers still get the whole checkpoint:
 ``billed``, ``retrieved``, ``answers``, ``skyline_size`` and the sorted
 distinct ``skyline``, in that order.  Layout 3 files, whose checkpoints
-hold the skyline as JSON on the session row, migrate in place.
+hold the skyline as JSON on the session row, migrate in place, and so do
+layout 4 files, whose ledgers carry the per-entry TTL column that layout
+5 drops.
 """
 
 import json
@@ -25,7 +27,7 @@ from repro.hiddendb import Query, QueryResult, Row
 from repro.store import STORE_VERSION, crawlstore
 
 from ..conftest import make_table
-from .old_layouts import write_v3_store
+from .old_layouts import write_v3_store, write_v4_store
 
 KEYS = ["billed", "retrieved", "answers", "skyline_size", "skyline"]
 
@@ -387,10 +389,13 @@ class TestMigrationFromV3:
         path = tmp_path / "v3.db"
         _write_v3(path, crawls)
         with CrawlStore(path) as store:
-            assert store.schema_version() == STORE_VERSION == 4
+            assert store.schema_version() == STORE_VERSION == 5
             assert store._conn.execute(
                 "SELECT value FROM store_meta WHERE key='migrated_from'"
             ).fetchone() == ("3",)
+            assert _ledger_columns(store._conn) == LEDGER_COLUMNS
+            (fp,) = {entry.fingerprint for entry in store.endpoints()}
+            assert _decoded(store.ledger_entries(fp)) == _decoded(entries)
             assert store._conn.execute(
                 "PRAGMA integrity_check"
             ).fetchone() == ("ok",)
@@ -455,7 +460,109 @@ class TestMigrationFromV3:
         }
         monkeypatch.undo()
         with CrawlStore(path) as store:
-            assert store.schema_version() == 4
+            assert store.schema_version() == 5
             for session_id, _status, checkpoint, _filed in sessions:
                 assert list(store.session(session_id).checkpoint.items()) \
                     == list(checkpoint.items())
+
+
+#: The ledger's columns at layout 5.
+LEDGER_COLUMNS = [
+    "fingerprint", "qkey", "query_json", "answer", "billed_at", "epoch",
+]
+
+
+def _ledger_columns(conn) -> list[str]:
+    return [row[1] for row in conn.execute("PRAGMA table_info(ledger)")]
+
+
+def _decoded(entries):
+    return [
+        (e.qkey, e.query, e.result.rows, e.result.overflow,
+         e.result.sequence, e.epoch)
+        for e in entries
+    ]
+
+
+def _write_v4(path, crawls, expires_at=None):
+    iface, _result, entries, sessions = crawls
+    return write_v4_store(
+        path, iface.schema, iface.k,
+        [(entry.query, entry.result) for entry in entries],
+        sessions,
+        name=iface.name, ranking=iface.ranking_label, algorithm="baseline",
+        expires_at=expires_at,
+    )
+
+
+class TestMigrationFromV4:
+    def test_v4_file_opens_as_v5_and_serves_every_answer(
+        self, tmp_path, crawls
+    ):
+        # Every answer's TTL lapsed long ago: layout 5 drops the column,
+        # and each answer is served again on its epoch alone.
+        iface, result, entries, sessions = crawls
+        path = tmp_path / "v4.db"
+        fp = _write_v4(path, crawls, expires_at=1.0)
+        with CrawlStore(path) as store:
+            assert store.schema_version() == STORE_VERSION == 5
+            assert store._conn.execute(
+                "SELECT value FROM store_meta WHERE key='migrated_from'"
+            ).fetchone() == ("4",)
+            assert store._conn.execute(
+                "PRAGMA integrity_check"
+            ).fetchone() == ("ok",)
+            assert _ledger_columns(store._conn) == LEDGER_COLUMNS
+            assert _decoded(store.ledger_entries(fp)) == _decoded(entries)
+            assert store.ledger_stale_count(fp) == 0
+            for session_id, status, checkpoint, filed in sessions:
+                record = store.session(session_id)
+                assert record.status == status
+                assert list(record.checkpoint.items()) == list(
+                    checkpoint.items()
+                )
+                assert record.result == filed
+            iface.reset()
+            warm = Discoverer(DiscoveryConfig(store=store)).run(
+                iface, "baseline"
+            )
+        assert warm.total_cost == 0 and iface.queries_issued == 0
+        assert warm.stats.ledger_hits == len(entries)
+        assert warm.skyline == result.skyline
+        with CrawlStore(path) as reopened:
+            assert reopened.schema_version() == 5
+            assert reopened.ledger_size(fp) == len(entries)
+
+    def test_failed_v5_step_leaves_a_readable_v4_file(
+        self, tmp_path, crawls, monkeypatch
+    ):
+        _iface, _result, entries, _sessions = crawls
+        path = tmp_path / "v4.db"
+        _write_v4(path, crawls)
+        step = crawlstore._MIGRATIONS[4]
+
+        def drop_then_fail(conn):
+            step(conn)
+            assert "expires_at" not in _ledger_columns(conn)
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setitem(crawlstore._MIGRATIONS, 4, drop_then_fail)
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            CrawlStore(path)
+        conn = sqlite3.connect(path)
+        try:
+            assert conn.execute("PRAGMA user_version").fetchone() == (4,)
+            assert _ledger_columns(conn) == LEDGER_COLUMNS + ["expires_at"]
+            stored = dict(conn.execute("SELECT qkey, answer FROM ledger"))
+        finally:
+            conn.close()
+        assert stored == {
+            e.qkey: crawlstore.pack_answer(
+                e.result.rows, e.result.overflow, e.result.sequence
+            )
+            for e in entries
+        }
+        monkeypatch.undo()
+        with CrawlStore(path) as store:
+            assert store.schema_version() == 5
+            assert store.ledger_size() == len(entries)

@@ -1,5 +1,7 @@
 """Unit tests for the durable crawl store (repro.store.crawlstore)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -318,3 +320,62 @@ class TestGc:
         report = store.gc()
         assert report.ledger_pruned == 1
         assert store.ledger_size(fp) == 0
+
+    def test_dry_run_reports_exactly_what_gc_prunes(self):
+        store = CrawlStore.memory()
+
+        def q(hi: int) -> Query:
+            return Query({0: Interval(0, hi)})
+
+        # A name superseded by a newer registration of it (another k).
+        old = store.register_endpoint(_schema(), 5, "d")
+        store._conn.execute(
+            "UPDATE endpoints SET last_seen=0 WHERE fingerprint=?", (old,)
+        )
+        live = store.register_endpoint(_schema(), 9, "d", allow_new=True)
+        # A descriptor that no longer hashes to its fingerprint.
+        tampered = store.register_endpoint(_schema(3), 5, "t", allow_new=True)
+        store._conn.execute(
+            "UPDATE endpoints SET descriptor='{\"k\":99}' "
+            "WHERE fingerprint=?",
+            (tampered,),
+        )
+        # Orphaned ledger, session (with a checkpoint vector) and job rows.
+        store.ledger("deadbeef").put(q(1), _answer(q(1)))
+        orphan = store.begin_session("deadbeef", "rq")
+        store.save_checkpoint(
+            orphan.session_id, {"billed": 0, "skyline": [(1, 2)]}
+        )
+        store.create_job("deadbeef", algorithm="rq")
+        # A stale-epoch entry beside a current one.
+        store.ledger(live, epoch=0).put(q(2), _answer(q(2)))
+        store.set_endpoint_data_version(live, 1)
+        store.ledger(live, epoch=1).put(q(3), _answer(q(3)))
+
+        before = _rows_of_every_table(store)
+        dry = store.gc(dry_run=True)
+        assert _rows_of_every_table(store) == before
+        real = store.gc()
+        assert dry.dry_run and not real.dry_run
+        assert dataclasses.replace(dry, dry_run=False) == real
+        assert (
+            real.endpoints_pruned, real.ledger_pruned, real.sessions_pruned,
+            real.jobs_pruned, real.stale_pruned,
+        ) == (2, 1, 1, 1, 1)
+        after = _rows_of_every_table(store)
+        assert after["checkpoint_skyline"] == []
+        assert [row[1] for row in after["ledger"]] == [q(3).canonical_key()]
+        assert store.gc().total == 0
+
+
+def _rows_of_every_table(store: CrawlStore) -> dict[str, list]:
+    """Every row of every table of ``store``, in a comparable order."""
+    tables = [name for (name,) in store._conn.execute(
+        "SELECT name FROM sqlite_master WHERE type='table' ORDER BY name"
+    )]
+    return {
+        name: sorted(
+            store._conn.execute(f"SELECT * FROM {name}").fetchall(), key=repr
+        )
+        for name in tables
+    }

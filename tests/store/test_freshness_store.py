@@ -1,7 +1,7 @@
 """Versioned-ledger semantics of the durable crawl store.
 
 The freshness plane stamps every ledger entry with the endpoint data
-version (epoch) it was billed at, plus an optional TTL.  These tests pin
+version (epoch) it was billed at.  These tests pin
 the store-level contract: epoch-pinned reads miss on stale entries,
 revalidation re-stamps without re-billing, the stale accounting that
 ``repro store show`` surfaces, the gc sweeps (and their ``--dry-run``),
@@ -9,7 +9,6 @@ and the in-place migration of a version-1 store file.
 """
 
 import sqlite3
-import time
 
 import pytest
 
@@ -116,57 +115,31 @@ class TestEpochStamps:
         assert [e.qkey for e in only] == [_q(2).canonical_key()]
 
 
-class TestTtl:
-    def test_expired_entry_reads_as_a_miss(self):
-        store = CrawlStore.memory()
-        fp = store.register_endpoint(_schema(), 5, "d")
-        store.ledger(fp, ttl_s=1000.0).put(_q(3), _answer(_q(3)))
-        assert store.ledger_get(fp, _q(3)) is not None
-        store._conn.execute(
-            "UPDATE ledger SET expires_at=?", (time.time() - 1,)
-        )
-        assert store.ledger_get(fp, _q(3)) is None
-        assert store.ledger_stale_count(fp) == 1
-
-    def test_no_ttl_never_expires(self):
-        store = CrawlStore.memory()
-        fp = store.register_endpoint(_schema(), 5, "d")
-        store.ledger(fp).put(_q(3), _answer(_q(3)))
-        entry = store.ledger_entries(fp)[0]
-        assert entry.expires_at is None
-        assert store.ledger_stale_count(fp) == 0
-
-
 class TestGcFreshnessSweeps:
     def seeded(self):
         store = CrawlStore.memory()
         fp = store.register_endpoint(_schema(), 5, "d")
         store.ledger(fp, epoch=0).put(_q(1), _answer(_q(1)))
         store.ledger(fp, epoch=1).put(_q(2), _answer(_q(2)))
-        store.ledger(fp, epoch=1, ttl_s=1000.0).put(_q(3), _answer(_q(3)))
-        store._conn.execute(
-            "UPDATE ledger SET expires_at=? WHERE qkey=?",
-            (time.time() - 1, _q(3).canonical_key()),
-        )
+        store.ledger(fp, epoch=1).put(_q(3), _answer(_q(3)))
         store.set_endpoint_data_version(fp, 1)
         return store, fp
 
-    def test_gc_splits_stale_and_expired(self):
+    def test_gc_prunes_stale_epochs(self):
         store, fp = self.seeded()
         report = store.gc()
         assert report.stale_pruned == 1
-        assert report.expired_pruned == 1
         assert report.ledger_pruned == 0  # no orphans involved
-        assert report.total == 2
+        assert report.total == 1
         assert not report.dry_run
-        assert store.ledger_size(fp) == 1
+        assert store.ledger_size(fp) == 2
         assert store.ledger_stale_count(fp) == 0
 
     def test_dry_run_reports_without_deleting(self):
         store, fp = self.seeded()
         report = store.gc(dry_run=True)
         assert report.dry_run
-        assert report.stale_pruned == 1 and report.expired_pruned == 1
+        assert report.stale_pruned == 1
         assert store.ledger_size(fp) == 3
         # The real sweep afterwards removes exactly what was predicted.
         assert store.gc().total == report.total
@@ -175,8 +148,10 @@ class TestGcFreshnessSweeps:
         store, fp = self.seeded()
         store.gc()
         kept = store.ledger_entries(fp)
-        assert [e.qkey for e in kept] == [_q(2).canonical_key()]
-        assert kept[0].epoch == 1
+        assert [e.qkey for e in kept] == [
+            _q(2).canonical_key(), _q(3).canonical_key(),
+        ]
+        assert {e.epoch for e in kept} == {1}
 
 
 class TestMigration:
@@ -192,15 +167,15 @@ class TestMigration:
     def test_v1_store_migrates_in_place(self, tmp_path):
         path, fp = self.v1_file(tmp_path)
         with CrawlStore(path) as store:
-            assert store.schema_version() == 4
+            assert store.schema_version() == 5
             row = store._conn.execute(
                 "SELECT value FROM store_meta WHERE key='migrated_from'"
             ).fetchone()
             assert row == ("1",)
-            # Old entries surface at epoch 0 with no TTL: servable, and
-            # counted stale as soon as the endpoint reports a version.
+            # Old entries surface at epoch 0: servable, and counted stale
+            # as soon as the endpoint reports a version.
             entry = store.ledger_entries(fp)[0]
-            assert entry.epoch == 0 and entry.expires_at is None
+            assert entry.epoch == 0
             assert store.ledger_get(fp, _q(3)).rows[0].values == (1, 1)
             assert store.endpoint_data_version(fp) == 0
 
@@ -208,7 +183,7 @@ class TestMigration:
         path, fp = self.v1_file(tmp_path)
         CrawlStore(path).close()
         with CrawlStore(path) as store:
-            assert store.schema_version() == 4
+            assert store.schema_version() == 5
             assert store.ledger_size(fp) == 1
 
     def test_future_version_still_refused(self, tmp_path):

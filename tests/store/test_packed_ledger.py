@@ -229,7 +229,7 @@ def _write_old(path, version, iface, entries):
 def _decoded(entries):
     return [
         (e.qkey, e.query, e.result.rows, e.result.overflow,
-         e.result.sequence, e.epoch, e.expires_at)
+         e.result.sequence, e.epoch)
         for e in entries
     ]
 
@@ -241,7 +241,7 @@ class TestMigrationFromOldFiles:
         path = tmp_path / f"v{version}.db"
         fp = _write_old(path, version, iface, entries)
         with CrawlStore(path) as store:
-            assert store.schema_version() == STORE_VERSION == 4
+            assert store.schema_version() == STORE_VERSION == 5
             assert store._conn.execute(
                 "SELECT value FROM store_meta WHERE key='migrated_from'"
             ).fetchone() == (str(version),)
@@ -249,6 +249,11 @@ class TestMigrationFromOldFiles:
                 "PRAGMA integrity_check"
             ).fetchone() == ("ok",)
             assert _decoded(store.ledger_entries(fp)) == _decoded(entries)
+            assert "expires_at" not in {
+                row[1] for row in store._conn.execute(
+                    "PRAGMA table_info(ledger)"
+                )
+            }
             assert store.session("old").billed == len(entries)
             iface.reset()
             warm = Discoverer(DiscoveryConfig(store=store)).run(
@@ -258,7 +263,7 @@ class TestMigrationFromOldFiles:
         assert warm.stats.ledger_hits == len(entries)
         assert warm.skyline == result.skyline
         with CrawlStore(path) as reopened:
-            assert reopened.schema_version() == 4
+            assert reopened.schema_version() == 5
             assert reopened.ledger_size(fp) == len(entries)
 
     @pytest.mark.parametrize("version", [1, 2])
@@ -309,5 +314,5 @@ class TestMigrationFromOldFiles:
         }
         monkeypatch.undo()
         with CrawlStore(path) as store:
-            assert store.schema_version() == 4
+            assert store.schema_version() == 5
             assert _decoded(store.ledger_entries(fp)) == _decoded(entries)

@@ -19,7 +19,12 @@ import pytest
 
 from repro import CrawlStore, Discoverer, DiscoveryConfig, TopKInterface
 from repro.datagen import diamonds_table
-from repro.service import FaultConfig, HiddenDBServer, RemoteTopKInterface
+from repro.service import (
+    AsyncRemoteTopKInterface,
+    FaultConfig,
+    HiddenDBServer,
+    RemoteTopKInterface,
+)
 
 from ..conftest import parity_run_params
 
@@ -30,13 +35,19 @@ K = 5
 ALGORITHM_PARAMS = list(parity_run_params())
 
 #: Execution shapes the crash/resume contract is pinned under: the serial
-#: reference and the concurrent strategy under both of its names.  Over
-#: the wire, "pipelined" drives the blocking client (the strategy's thread
-#: pool) and "async" the asyncio client (its own event loop).
+#: reference and the concurrent strategy.
+SERIAL = dict(strategy="serial", workers=1)
+ASYNC = dict(strategy="async", workers=4)
 EXECUTION_PARAMS = [
-    pytest.param(dict(strategy="serial", workers=1), id="serial"),
-    pytest.param(dict(strategy="pipelined", workers=4), id="pipelined"),
-    pytest.param(dict(strategy="async", workers=4), id="async"),
+    pytest.param(SERIAL, id="serial"),
+    pytest.param(ASYNC, id="async"),
+]
+#: Over the wire the concurrent strategy drives either client: the
+#: blocking one from its thread pool, the asyncio one on its own loop.
+REMOTE_PARAMS = [
+    pytest.param(SERIAL, RemoteTopKInterface, id="serial"),
+    pytest.param(ASYNC, RemoteTopKInterface, id="async-blocking"),
+    pytest.param(ASYNC, AsyncRemoteTopKInterface, id="async-asyncio"),
 ]
 
 
@@ -92,9 +103,9 @@ def _assert_crash_resume_parity(make_interface, algorithm, execution):
     assert warm.skyline_values == reference.skyline_values
 
 
-@pytest.mark.parametrize("execution", EXECUTION_PARAMS)
 @pytest.mark.parametrize("algorithm,table", ALGORITHM_PARAMS)
 class TestCrashResumeParity:
+    @pytest.mark.parametrize("execution", EXECUTION_PARAMS)
     def test_in_process(self, algorithm, table, execution):
         _assert_crash_resume_parity(
             lambda: TopKInterface(table, k=K, name=f"parity-{algorithm}"),
@@ -102,24 +113,16 @@ class TestCrashResumeParity:
             execution,
         )
 
-    def test_remote(self, algorithm, table, execution):
+    @pytest.mark.parametrize("execution,client", REMOTE_PARAMS)
+    def test_remote(self, algorithm, table, execution, client):
         with HiddenDBServer(
             table, k=K, name=f"parity-{algorithm}"
         ) as server, ExitStack() as clients:
             _assert_crash_resume_parity(
-                lambda: clients.enter_context(_remote_for(server, execution)),
+                lambda: clients.enter_context(client(server.url)),
                 algorithm,
                 execution,
             )
-
-
-def _remote_for(server, execution: dict):
-    """The client flavour each execution shape is meant to drive."""
-    if execution.get("strategy") == "async":
-        from repro.service import AsyncRemoteTopKInterface
-
-        return AsyncRemoteTopKInterface(server.url)
-    return RemoteTopKInterface(server.url)
 
 
 class TestSkybandResume:
@@ -288,7 +291,7 @@ class TestClientLedger:
 
 
 class TestSigkillAcceptance:
-    """Acceptance: SIGKILL a pipelined remote crawl, resume, pay <= once."""
+    """Acceptance: SIGKILL a concurrent remote crawl, resume, pay <= once."""
 
     def test_sigkill_mid_crawl_then_resume(self, tmp_path):
         table = diamonds_table(1200, seed=2)

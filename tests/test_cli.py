@@ -88,7 +88,7 @@ class TestDiscoverCommand:
         assert "deduped=" in out
         assert "deduped=0 " not in out
 
-    @pytest.mark.parametrize("strategy", ["serial", "pipelined", "async"])
+    @pytest.mark.parametrize("strategy", ["serial", "async"])
     def test_strategy_flag_reports_same_cost(self, strategy, capsys):
         base = ["discover", "--dataset", "diamonds", "--n", "500", "--k",
                 "10", "--algorithm", "baseline"]
@@ -104,8 +104,8 @@ class TestDiscoverCommand:
         ]
         assert pick(reference, "queries") == pick(out, "queries")
         assert pick(reference, "skyline") == pick(out, "skyline")
-        # --verbose names the strategy ("pipelined" is an alias of async)
-        assert ("async" if strategy == "pipelined" else strategy) in out
+        # --verbose names the strategy ...
+        assert strategy in out
         assert "wall=" in out  # ... and the wall-time/throughput counters
 
     def test_serial_strategy_with_workers_is_rejected(self, capsys):
@@ -310,7 +310,7 @@ class TestRemoteCommands:
             yield srv
 
     def test_discover_url(self, server, capsys):
-        code = main(["discover", "--url", server.url, "--cache", "256"])
+        code = main(["discover", "--url", server.url, "--dedup"])
         assert code == 0
         out = capsys.readouterr().out
         assert "remote, k=5" in out
