@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import Discoverer, DiscoveryConfig, TopKInterface
+from repro.cli import DATASETS
 from repro.core import all_algorithms
 from repro.core.base import DiscoverySession
 from repro.core.engine import (
@@ -31,6 +32,18 @@ from ..conftest import (
 SQ = InterfaceKind.SQ
 RQ = InterfaceKind.RQ
 PQ = InterfaceKind.PQ
+
+
+def dataset_grid_params(n: int = 200):
+    """``(algorithm, table)`` params: every CLI dataset (seed 0, ``n``
+    rows) x every algorithm that supports it."""
+    for dataset, make in sorted(DATASETS.items()):
+        table = make(n, 0)
+        for spec in all_algorithms():
+            if spec.supports(table.schema):
+                yield pytest.param(
+                    spec.name, table, id=f"{dataset}-{spec.name}"
+                )
 
 
 class TestEngineStats:
@@ -141,6 +154,25 @@ class TestDedup:
         assert (
             deduped.total_cost + deduped.stats.deduped == plain.total_cost
         )
+
+    @pytest.mark.parametrize("algorithm,table", dataset_grid_params())
+    def test_dedup_bills_each_distinct_query_once(self, algorithm, table):
+        # The memo catches every repeat: a dedup run asks the plain run's
+        # queries in the same order and bills each distinct one once.
+        plain = Discoverer(DiscoveryConfig(record_log=True)).run(
+            TopKInterface(table, k=10), algorithm
+        )
+        deduped = Discoverer(
+            DiscoveryConfig(dedup=True, record_log=True)
+        ).run(TopKInterface(table, k=10), algorithm)
+        asked = [answer.query.canonical_key() for answer in plain.query_log]
+        assert len(asked) == plain.total_cost
+        assert [
+            answer.query.canonical_key() for answer in deduped.query_log
+        ] == asked
+        assert deduped.total_cost == len(set(asked))
+        assert deduped.stats.deduped == len(asked) - len(set(asked))
+        assert deduped.skyline_values == plain.skyline_values
 
     def test_dedup_off_by_default_for_discovery(self):
         table = TABLES["sq3"]

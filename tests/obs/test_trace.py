@@ -14,6 +14,7 @@ from repro.core import DiscoveryConfig, all_algorithms
 from repro.hiddendb import InterfaceKind, TopKInterface
 from repro.hiddendb.query import Query, query_fingerprint
 from repro.obs import MetricsRegistry, RunObserver, TraceWriter
+from repro.obs.observer import CLASSIFY_PHASES
 from repro.store import CrawlStore
 
 from ..conftest import (
@@ -238,6 +239,61 @@ def test_every_billed_query_is_dispatched_billed_and_merged_once(
             keys[span["phase"]][span["key"]] += 1
     assert sum(keys["billed"].values()) == result.total_cost
     assert keys["dispatched"] == keys["billed"] == keys["merged"]
+
+
+@pytest.mark.parametrize("shape", COVERAGE_SHAPES.values(), ids=COVERAGE_SHAPES)
+@pytest.mark.parametrize("algorithm", sorted(COVERAGE_TABLES))
+def test_every_query_is_classified_once_by_the_step_that_answered_it(
+    algorithm, shape
+):
+    """The consult chain (memo, in-flight window, ledger, dispatch) is the
+    one place a paid-for answer is reused.  Each query an algorithm asks
+    settles in exactly one of its phases, each phase's count is the
+    engine counter it feeds, and the memo and a ledger each bill every
+    distinct query once."""
+    make, k = COVERAGE_TABLES[algorithm]
+    table = make()
+
+    def traced(**options):
+        buffer = io.StringIO()
+        result = Discoverer(
+            DiscoveryConfig(trace=buffer, **shape, **options)
+        ).run(TopKInterface(table, k=k), algorithm)
+        phases = Counter(
+            span["phase"] for span in spans_of(buffer)
+            if span["phase"] in CLASSIFY_PHASES
+        )
+        stats = result.stats
+        assert phases["dispatched"] == stats.issued == result.total_cost
+        assert phases["memo"] == stats.deduped
+        assert phases["ledger"] + phases["inflight"] == stats.ledger_hits
+        return result, phases
+
+    plain, plain_phases = traced()
+    asked = plain.total_cost
+    assert sum(plain_phases.values()) == plain_phases["dispatched"] == asked
+
+    store = CrawlStore.memory()
+    memo, memo_phases = traced(dedup=True, store=store)
+    warm, warm_phases = traced(dedup=True, store=store)
+    ledgered, ledger_phases = traced(store=CrawlStore.memory())
+    distinct = memo.total_cost
+    for phases in (memo_phases, warm_phases, ledger_phases):
+        assert sum(phases.values()) == asked
+    # Within a run the memo catches every repeat before the ledger sees it.
+    assert memo_phases["ledger"] == memo_phases["inflight"] == 0
+    # A warm re-run reads each distinct answer from the ledger once; the
+    # memo answers its repeats, as in the cold run.
+    assert warm.total_cost == 0
+    assert warm_phases["ledger"] == distinct
+    assert warm_phases["memo"] == memo_phases["memo"] == asked - distinct
+    # Without dedup a mounted ledger catches the repeats: one bill each.
+    assert ledgered.total_cost == distinct
+    assert ledger_phases["memo"] == 0
+    if shape["strategy"] == "serial":
+        assert ledger_phases["inflight"] == 0
+    for result in (memo, warm, ledgered):
+        assert result.skyline_values == plain.skyline_values
 
 
 def test_traced_run_matches_ground_truth_on_auto_dispatch():

@@ -465,6 +465,61 @@ class TestMigrationFromV3:
                 assert list(store.session(session_id).checkpoint.items()) \
                     == list(checkpoint.items())
 
+    def test_failed_v5_step_leaves_a_readable_v3_file(
+        self, tmp_path, crawls, monkeypatch
+    ):
+        # The checkpoint move has run when the TTL drop fails: the opening
+        # transaction rolls both back.
+        _iface, _result, entries, sessions = crawls
+        path = tmp_path / "v3.db"
+        _write_v3(path, crawls)
+        step = crawlstore._MIGRATIONS[4]
+
+        def drop_then_fail(conn):
+            step(conn)
+            assert "expires_at" not in _ledger_columns(conn)
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setitem(crawlstore._MIGRATIONS, 4, drop_then_fail)
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            CrawlStore(path)
+        conn = sqlite3.connect(path)
+        try:
+            assert conn.execute("PRAGMA user_version").fetchone() == (3,)
+            tables = {name for (name,) in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type='table'"
+            )}
+            assert "checkpoint_skyline" not in tables
+            assert _ledger_columns(conn) == LEDGER_COLUMNS + ["expires_at"]
+            stored_answers = dict(
+                conn.execute("SELECT qkey, answer FROM ledger")
+            )
+            stored_checkpoints = {
+                session_id: json.loads(checkpoint_json)
+                for session_id, checkpoint_json in conn.execute(
+                    "SELECT session_id, checkpoint_json FROM sessions"
+                )
+            }
+        finally:
+            conn.close()
+        assert stored_answers == {
+            e.qkey: crawlstore.pack_answer(
+                e.result.rows, e.result.overflow, e.result.sequence
+            )
+            for e in entries
+        }
+        assert stored_checkpoints == {
+            session_id: checkpoint
+            for session_id, _status, checkpoint, _filed in sessions
+        }
+        monkeypatch.undo()
+        with CrawlStore(path) as store:
+            assert store.schema_version() == 5
+            assert store.ledger_size() == len(entries)
+            for session_id, _status, checkpoint, _filed in sessions:
+                assert list(store.session(session_id).checkpoint.items()) \
+                    == list(checkpoint.items())
+
 
 #: The ledger's columns at layout 5.
 LEDGER_COLUMNS = [

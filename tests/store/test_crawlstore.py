@@ -1,6 +1,7 @@
 """Unit tests for the durable crawl store (repro.store.crawlstore)."""
 
 import dataclasses
+import sqlite3
 
 import numpy as np
 import pytest
@@ -323,35 +324,7 @@ class TestGc:
 
     def test_dry_run_reports_exactly_what_gc_prunes(self):
         store = CrawlStore.memory()
-
-        def q(hi: int) -> Query:
-            return Query({0: Interval(0, hi)})
-
-        # A name superseded by a newer registration of it (another k).
-        old = store.register_endpoint(_schema(), 5, "d")
-        store._conn.execute(
-            "UPDATE endpoints SET last_seen=0 WHERE fingerprint=?", (old,)
-        )
-        live = store.register_endpoint(_schema(), 9, "d", allow_new=True)
-        # A descriptor that no longer hashes to its fingerprint.
-        tampered = store.register_endpoint(_schema(3), 5, "t", allow_new=True)
-        store._conn.execute(
-            "UPDATE endpoints SET descriptor='{\"k\":99}' "
-            "WHERE fingerprint=?",
-            (tampered,),
-        )
-        # Orphaned ledger, session (with a checkpoint vector) and job rows.
-        store.ledger("deadbeef").put(q(1), _answer(q(1)))
-        orphan = store.begin_session("deadbeef", "rq")
-        store.save_checkpoint(
-            orphan.session_id, {"billed": 0, "skyline": [(1, 2)]}
-        )
-        store.create_job("deadbeef", algorithm="rq")
-        # A stale-epoch entry beside a current one.
-        store.ledger(live, epoch=0).put(q(2), _answer(q(2)))
-        store.set_endpoint_data_version(live, 1)
-        store.ledger(live, epoch=1).put(q(3), _answer(q(3)))
-
+        _seed_one_of_each_prunable(store)
         before = _rows_of_every_table(store)
         dry = store.gc(dry_run=True)
         assert _rows_of_every_table(store) == before
@@ -364,8 +337,116 @@ class TestGc:
         ) == (2, 1, 1, 1, 1)
         after = _rows_of_every_table(store)
         assert after["checkpoint_skyline"] == []
-        assert [row[1] for row in after["ledger"]] == [q(3).canonical_key()]
+        assert [row[1] for row in after["ledger"]] == [
+            _upper(3).canonical_key()
+        ]
         assert store.gc().total == 0
+
+    def test_a_failed_sweep_rolls_every_sweep_back(self, monkeypatch):
+        # The sweeps share one transaction: when the last one fails, what
+        # the earlier ones deleted is all still there.
+        store = CrawlStore.memory()
+        _seed_one_of_each_prunable(store)
+        before = _rows_of_every_table(store)
+
+        def fail():
+            raise sqlite3.OperationalError("disk I/O error")
+
+        monkeypatch.setattr(
+            store, "_conn", _HookedConnection(store._conn, _STALE_SWEEP, fail)
+        )
+        with pytest.raises(sqlite3.OperationalError, match="disk I/O"):
+            store.gc()
+        monkeypatch.undo()
+        assert _rows_of_every_table(store) == before
+        assert store.gc().total == 6
+
+    def test_a_dry_run_holds_the_write_lock_while_it_sweeps(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "crawl.db"
+        store = CrawlStore(path)
+        _seed_one_of_each_prunable(store)
+        other = sqlite3.connect(path, timeout=0, isolation_level=None)
+        refused = []
+
+        def write_from_another_connection():
+            try:
+                other.execute("UPDATE endpoints SET last_seen=last_seen")
+            except sqlite3.OperationalError as exc:
+                refused.append(str(exc))
+
+        monkeypatch.setattr(
+            store, "_conn",
+            _HookedConnection(
+                store._conn, _STALE_SWEEP, write_from_another_connection
+            ),
+        )
+        try:
+            report = store.gc(dry_run=True)
+            assert refused == ["database is locked"]
+            # The rollback released the lock.
+            other.execute("UPDATE endpoints SET last_seen=last_seen")
+        finally:
+            monkeypatch.undo()
+            other.close()
+            store.close()
+        assert report.dry_run and report.total == 6
+
+
+#: A fragment of gc's last sweep, the stale-epoch ``DELETE``.
+_STALE_SWEEP = "DELETE FROM ledger WHERE epoch !="
+
+
+class _HookedConnection:
+    """A store connection that calls ``hook`` before running any statement
+    containing ``marker``; everything else goes to ``conn``."""
+
+    def __init__(self, conn, marker: str, hook) -> None:
+        self._conn = conn
+        self._marker = marker
+        self._hook = hook
+
+    def execute(self, sql: str, *args):
+        if self._marker in sql:
+            self._hook()
+        return self._conn.execute(sql, *args)
+
+    def __getattr__(self, name: str):
+        return getattr(self._conn, name)
+
+
+def _upper(hi: int) -> Query:
+    return Query({0: Interval(0, hi)})
+
+
+def _seed_one_of_each_prunable(store: CrawlStore) -> None:
+    """Give ``store`` one of each thing gc prunes, beside live state: six
+    prunable rows in all."""
+    # A name superseded by a newer registration of it (another k).
+    old = store.register_endpoint(_schema(), 5, "d")
+    store._conn.execute(
+        "UPDATE endpoints SET last_seen=0 WHERE fingerprint=?", (old,)
+    )
+    live = store.register_endpoint(_schema(), 9, "d", allow_new=True)
+    # A descriptor that no longer hashes to its fingerprint.
+    tampered = store.register_endpoint(_schema(3), 5, "t", allow_new=True)
+    store._conn.execute(
+        "UPDATE endpoints SET descriptor='{\"k\":99}' "
+        "WHERE fingerprint=?",
+        (tampered,),
+    )
+    # Orphaned ledger, session (with a checkpoint vector) and job rows.
+    store.ledger("deadbeef").put(_upper(1), _answer(_upper(1)))
+    orphan = store.begin_session("deadbeef", "rq")
+    store.save_checkpoint(
+        orphan.session_id, {"billed": 0, "skyline": [(1, 2)]}
+    )
+    store.create_job("deadbeef", algorithm="rq")
+    # A stale-epoch entry beside a current one.
+    store.ledger(live, epoch=0).put(_upper(2), _answer(_upper(2)))
+    store.set_endpoint_data_version(live, 1)
+    store.ledger(live, epoch=1).put(_upper(3), _answer(_upper(3)))
 
 
 def _rows_of_every_table(store: CrawlStore) -> dict[str, list]:

@@ -285,34 +285,65 @@ class TestMigrationFromOldFiles:
         with pytest.raises(RuntimeError, match="disk on fire"):
             CrawlStore(path)
         assert len(packed) == 10
-        # Every step rolled back: the file is the old layout, readable
-        # with that layout's JSON codec.
-        conn = sqlite3.connect(path)
-        try:
-            assert conn.execute("PRAGMA user_version").fetchone() == (version,)
-            tables = {name for (name,) in conn.execute(
-                "SELECT name FROM sqlite_master WHERE type='table'"
-            )}
-            assert "ledger_v2" not in tables
-            assert ("store_meta" in tables) == (version == 2)
-            columns = {row[1] for row in conn.execute(
-                "PRAGMA table_info(ledger)"
-            )}
-            assert "answer_json" in columns and "answer" not in columns
-            assert ("epoch" in columns) == (version == 2)
-            stored = dict(conn.execute(
-                "SELECT qkey, answer_json FROM ledger"
-            ).fetchall())
-        finally:
-            conn.close()
-        assert {
-            qkey: decode_answer(json.loads(answer))
-            for qkey, answer in stored.items()
-        } == {
-            e.qkey: (e.result.rows, e.result.overflow, e.result.sequence)
-            for e in entries
-        }
+        _assert_old_layout_intact(path, version, entries)
         monkeypatch.undo()
         with CrawlStore(path) as store:
             assert store.schema_version() == 5
             assert _decoded(store.ledger_entries(fp)) == _decoded(entries)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_failed_last_step_leaves_the_old_file(
+        self, tmp_path, crawl, monkeypatch, version
+    ):
+        # Every earlier step has run when the last one fails: the opening
+        # transaction rolls them all back.
+        iface, _result, entries = crawl
+        path = tmp_path / f"v{version}.db"
+        fp = _write_old(path, version, iface, entries)
+        last = crawlstore._MIGRATIONS[STORE_VERSION - 1]
+
+        def run_then_fail(conn):
+            last(conn)
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setitem(
+            crawlstore._MIGRATIONS, STORE_VERSION - 1, run_then_fail
+        )
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            CrawlStore(path)
+        _assert_old_layout_intact(path, version, entries)
+        monkeypatch.undo()
+        with CrawlStore(path) as store:
+            assert store.schema_version() == 5
+            assert _decoded(store.ledger_entries(fp)) == _decoded(entries)
+
+
+def _assert_old_layout_intact(path, version, entries) -> None:
+    """The file at ``path`` is still the layout-``version`` file that holds
+    ``entries``, readable with that layout's JSON codec."""
+    conn = sqlite3.connect(path)
+    try:
+        assert conn.execute("PRAGMA user_version").fetchone() == (version,)
+        tables = {name for (name,) in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type='table'"
+        )}
+        assert "ledger_v2" not in tables
+        assert "checkpoint_skyline" not in tables
+        assert ("store_meta" in tables) == (version == 2)
+        columns = {row[1] for row in conn.execute(
+            "PRAGMA table_info(ledger)"
+        )}
+        assert "answer_json" in columns and "answer" not in columns
+        assert ("epoch" in columns) == (version == 2)
+        stored = dict(conn.execute(
+            "SELECT qkey, answer_json FROM ledger"
+        ).fetchall())
+    finally:
+        conn.close()
+    assert {
+        qkey: decode_answer(json.loads(answer))
+        for qkey, answer in stored.items()
+    } == {
+        e.qkey: (e.result.rows, e.result.overflow, e.result.sequence)
+        for e in entries
+    }

@@ -26,6 +26,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["discover", "--dataset", "nope"])
 
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["discover", "--dataset", "uniform", "--strategy", "pipelined"],
+             "pipelined"),
+            (["figures", "fig04", "--strategy", "pipelined"], "pipelined"),
+            (["discover", "--dataset", "uniform", "--cache", "64"],
+             "--cache"),
+        ],
+        ids=["discover-pipelined", "figures-pipelined", "discover-cache"],
+    )
+    def test_removed_options_are_refused(self, argv, named, capsys):
+        # "pipelined" was an alias of "async" and --cache sized a client
+        # answer cache; the parser refuses both by name.
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(argv)
+        assert exited.value.code == 2
+        assert named in capsys.readouterr().err
+
 
 class TestDiscoverCommand:
     def test_small_run(self, capsys):
