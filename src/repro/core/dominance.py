@@ -11,10 +11,19 @@ used in two roles:
 One sort-filter kernel (SFS, Chomicki et al., ICDE 2003) computes every
 skyline.  Vectors in ascending coordinate-sum order can only be dominated
 by earlier ones; each chunk is tested against the kept skyline, strongest
-vectors first, then against its own survivors, on column-wise 2-D masks.
+vectors first, then against its own survivors, on 2-D masks.
 :func:`skyline_indices` runs it once over the distinct vectors of a
 matrix, and :func:`incremental_skyline_update` folds blocks of new vectors
 into a maintained skyline with the same chunk step.
+
+The masks compare each column once, with ``<=``, and settle strictness
+with one ``<`` on coordinate sums: an integer vector weakly better than
+another on every column is strictly better on one exactly when its sum is
+smaller.  The rule is exact for integers only, so the kernel takes integer
+vectors whose sums fit int64 and raises :class:`ValueError` on any other
+matrix.  It compares column-major operands, built once per skyline or
+fold, in the narrowest of int16, int32 and int64 that holds every value
+and every sum of the vectors at hand (int16 for the diamonds domains).
 
 All values are in preference space: smaller is better on every attribute.
 A tuple ``t`` dominates ``u`` iff ``t <= u`` component-wise and ``t < u`` on
@@ -59,40 +68,99 @@ _CHUNK = 256
 #: Kept vectors a chunk meets first: in coordinate-sum order the strongest,
 #: which dominate most candidates.
 _STRONGEST = 192
+#: Types the masks compare in, narrowest first.
+_COMPARE_TYPES = (np.int16, np.int32, np.int64)
 
 
-def _dominated_by_block(chunk: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Mask of ``chunk`` rows dominated by at least one row of ``kept``.
+class _Columns:
+    """Vectors as mask operands: ``values`` holds ``m + 1`` rows, the
+    coordinate sums and then the ``m`` columns, one entry per vector.
+    ``len`` counts vectors; indexing picks vectors."""
 
-    Compares column by column on 2-D ``kept x chunk`` masks (weakly better
-    on every column, strictly better on one), in sub-blocks of ``kept``
-    sized to :data:`_MASK_CELLS`.  Identical vectors do not dominate each
-    other, so a row never dominates itself.
+    __slots__ = ("values",)
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = values
+
+    def __len__(self) -> int:
+        return self.values.shape[1]
+
+    def __getitem__(self, index: slice | np.ndarray) -> "_Columns":
+        if isinstance(index, slice):
+            return _Columns(self.values[:, index])
+        # Unlike fancy indexing on the second axis, ``take`` keeps each
+        # row of the copy contiguous.
+        return _Columns(self.values.take(index, axis=1))
+
+    def join(self, other: "_Columns") -> "_Columns":
+        """These vectors followed by ``other``'s."""
+        return _Columns(np.concatenate([self.values, other.values], axis=1))
+
+
+def _operands(matrix: np.ndarray) -> _Columns:
+    """The rows of the ``n x m`` integer ``matrix`` as :class:`_Columns`,
+    in the narrowest of :data:`_COMPARE_TYPES` that holds every value and
+    every coordinate sum.
+
+    Sums are exact int64 sums, so vectors must keep them in int64 range;
+    :class:`ValueError` if ``matrix`` holds anything but integers.
     """
-    mask = np.zeros(chunk.shape[0], dtype=bool)
-    columns = np.ascontiguousarray(chunk.T)
-    block = max(1, _MASK_CELLS // max(chunk.shape[0], 1))
-    for start in range(0, kept.shape[0], block):
-        piece = np.ascontiguousarray(kept[start : start + block].T)[:, :, None]
-        weakly = piece[0] <= columns[0]
-        strictly = piece[0] < columns[0]
-        for column in range(1, columns.shape[0]):
-            weakly &= piece[column] <= columns[column]
-            strictly |= piece[column] < columns[column]
-        mask |= (weakly & strictly).any(axis=0)
+    if matrix.size and not np.can_cast(matrix.dtype, np.int64):
+        raise ValueError(
+            "matrix must hold int64 integers: the sum rule is exact only "
+            "for integers"
+        )
+    rows = np.empty((matrix.shape[1] + 1, matrix.shape[0]), dtype=np.int64)
+    rows[1:] = matrix.T
+    rows[1:].sum(axis=0, out=rows[0])
+    low, high = (int(rows.min()), int(rows.max())) if rows.size else (0, 0)
+    for dtype in _COMPARE_TYPES:
+        info = np.iinfo(dtype)
+        if info.min <= low and high <= info.max:
+            break
+    return _Columns(rows.astype(dtype))
+
+
+def _dominated_by_block(chunk: _Columns, kept: _Columns) -> np.ndarray:
+    """Mask of ``chunk`` vectors dominated by at least one ``kept`` vector.
+
+    Builds 2-D masks of ``kept x chunk`` pairs, in sub-blocks of ``kept``
+    sized to :data:`_MASK_CELLS`; the longer side runs along the mask rows,
+    so each comparison sweeps long contiguous runs.  One ``<=`` per column
+    finds the kept vectors weakly better on every column, and one ``<`` on
+    coordinate sums settles strictness: for integer vectors a weakly better
+    vector is strictly better on some column exactly when its sum is
+    smaller.  So identical vectors do not dominate each other and a vector
+    never dominates itself.
+    """
+    mask = np.zeros(len(chunk), dtype=bool)
+    block = max(1, _MASK_CELLS // max(len(chunk), 1))
+    for start in range(0, len(kept), block):
+        piece = kept.values[:, start : start + block]
+        if piece.shape[1] > len(chunk):
+            left, right, axis = piece[:, None, :], chunk.values[:, :, None], 1
+        else:
+            left, right, axis = piece[:, :, None], chunk.values[:, None, :], 0
+        dominated = np.less(left[0], right[0])
+        weakly = np.empty_like(dominated)
+        for kept_column, column in zip(left[1:], right[1:]):
+            np.less_equal(kept_column, column, out=weakly)
+            dominated &= weakly
+        mask |= dominated.any(axis=axis)
     return mask
 
 
-def _filter_chunk(chunk: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Positions of the ``chunk`` rows that neither a ``kept`` row nor
-    another ``chunk`` row dominates.
+def _filter_chunk(chunk: _Columns, kept: _Columns) -> np.ndarray:
+    """Positions of the ``chunk`` vectors that neither a ``kept`` vector
+    nor another ``chunk`` vector dominates.
 
     ``kept`` is a skyline in coordinate-sum order, so its strongest vectors
-    go first.  Survivors are compared with each other only: a row dominated
-    by a filtered-out row is dominated by whatever filtered that row out.
+    go first.  Survivors are compared with each other only: a vector
+    dominated by a filtered-out one is dominated by whatever filtered that
+    one out.
     """
     alive = np.flatnonzero(~_dominated_by_block(chunk, kept[:_STRONGEST]))
-    if kept.shape[0] > _STRONGEST and alive.size:
+    if len(kept) > _STRONGEST and alive.size:
         alive = alive[~_dominated_by_block(chunk[alive], kept[_STRONGEST:])]
     if alive.size > 1:
         survivors = chunk[alive]
@@ -101,7 +169,8 @@ def _filter_chunk(chunk: np.ndarray, kept: np.ndarray) -> np.ndarray:
 
 
 def skyline_indices(matrix: np.ndarray) -> np.ndarray:
-    """Row positions of the skyline of ``matrix``, sorted ascending.
+    """Row positions of the skyline of the integer ``matrix``, sorted
+    ascending.
 
     One sort-filter pass (SFS, Chomicki et al., ICDE 2003) over the
     *distinct* vectors in ascending coordinate-sum order, in which no vector
@@ -110,21 +179,23 @@ def skyline_indices(matrix: np.ndarray) -> np.ndarray:
     join it.  The one sort also makes identical vectors adjacent, so tied
     data costs what its distinct vectors cost; since identical vectors never
     dominate each other, every row carrying a skyline vector is kept.
+    :class:`ValueError` unless ``matrix`` is 2-D and holds integers.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError("matrix must be 2-D")
-    order = np.lexsort((*matrix.T, matrix.sum(axis=1)))
-    ordered = matrix[order]
-    first = np.ones(ordered.shape[0], dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    distinct = ordered[first]
-    on_skyline = np.zeros(distinct.shape[0], dtype=bool)
+    operands = _operands(matrix)
+    order = np.lexsort((*operands.values[1:], operands.values[0]))
+    ordered = operands[order].values
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    distinct = operands[order[first]]
+    on_skyline = np.zeros(len(distinct), dtype=bool)
     kept = distinct[:0]
-    for start in range(0, distinct.shape[0], _CHUNK):
+    for start in range(0, len(distinct), _CHUNK):
         chunk = distinct[start : start + _CHUNK]
         fresh = _filter_chunk(chunk, kept)
-        kept = np.concatenate([kept, chunk[fresh]])
+        kept = kept.join(chunk[fresh])
         on_skyline[start + fresh] = True
     return np.sort(order[on_skyline[np.cumsum(first) - 1]])
 
@@ -135,19 +206,21 @@ def incremental_skyline_update(
     """Fold a block of new vectors into a maintained skyline.
 
     ``skyline`` is ``(s, m)`` in coordinate-sum order; ``block`` is
-    ``(b, m)``.  Returns the positions in ``np.concatenate((skyline,
-    block))`` of the union's skyline, again in coordinate-sum order.  The
-    block takes the chunk step of :func:`skyline_indices`, then kept vectors
-    its survivors dominate drop.  Identical vectors never dominate each
-    other, so every copy of a skyline vector is kept; callers pass each
-    distinct vector once to keep the masks small.
+    ``(b, m)``; both hold integers.  Returns the positions in
+    ``np.concatenate((skyline, block))`` of the union's skyline, again in
+    coordinate-sum order.  The union becomes mask operands once, in the
+    narrowest type that holds it (:func:`_operands`); the block takes the
+    chunk step of :func:`skyline_indices`, then kept vectors its survivors
+    dominate drop.  Identical vectors never dominate each other, so every
+    copy of a skyline vector is kept; callers pass each distinct vector
+    once to keep the masks small.
     """
-    fresh = _filter_chunk(block, skyline)
-    survivors = block[fresh]
-    kept = np.flatnonzero(~_dominated_by_block(skyline, survivors))
-    positions = np.concatenate([kept, skyline.shape[0] + fresh])
-    sums = np.concatenate([skyline[kept], survivors]).sum(axis=1)
-    return positions[np.argsort(sums, kind="stable")]
+    union = _operands(np.concatenate([skyline, block]))
+    old, new = union[: len(skyline)], union[len(skyline) :]
+    fresh = _filter_chunk(new, old)
+    kept = np.flatnonzero(~_dominated_by_block(old, new[fresh]))
+    positions = np.concatenate([kept, len(old) + fresh])
+    return positions[np.argsort(union.values[0, positions], kind="stable")]
 
 
 def skyline_of_rows(rows: Sequence[Row]) -> list[Row]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 import threading
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -74,6 +75,8 @@ class MetricFamily:
 
     def _labelvalues(self, labels: Dict[str, object]) -> Tuple[str, ...]:
         names = self.labelnames
+        if len(names) == 1 == len(labels) and names[0] in labels:
+            return (str(labels[names[0]]),)
         if len(labels) != len(names) or any(
             name not in labels for name in names
         ):
@@ -220,10 +223,11 @@ class HistogramFamily(MetricFamily):
                     child = family._children[key] = _HistogramChild(
                         len(family.buckets)
                     )
-                for i, bound in enumerate(family.buckets):
-                    if value <= bound:
-                        child.counts[i] += 1
-                        break
+                # The first bucket whose bound is >= value; none past the
+                # last bound (only the implicit +Inf bucket counts it).
+                index = bisect_left(family.buckets, value)
+                if index < len(family.buckets):
+                    child.counts[index] += 1
                 child.total += value
                 child.count += 1
             family = family._parent

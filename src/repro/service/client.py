@@ -44,11 +44,11 @@ import http.client
 import inspect
 import json
 import math
+import os
 import socket
 import threading
 import time
 import urllib.parse
-import uuid
 from typing import Any, Awaitable, Callable, Coroutine, Mapping, Sequence
 
 from ..hiddendb.attributes import Schema
@@ -245,7 +245,7 @@ class QueryClientCore:
     def _request_id(self, query: Query) -> str:
         nonce = self._replay_nonce
         if nonce is None:
-            return uuid.uuid4().hex
+            return os.urandom(16).hex()
         return f"{nonce}-{query_fingerprint(query)}"
 
     def _count_billed(self, query: Query | None = None) -> None:

@@ -342,8 +342,9 @@ class HiddenDBServer(JsonHttpFront):
         self._replay: OrderedDict[tuple[str, str], Reply] = OrderedDict()
         # Request ids currently being processed: a duplicate (client retry
         # racing its own timed-out original) waits for the original instead
-        # of double-billing the query.
-        self._inflight: dict[tuple[str, str], threading.Event] = {}
+        # of double-billing the query.  An id maps to None until a duplicate
+        # comes to wait, which builds the event the original then sets.
+        self._inflight: dict[tuple[str, str], threading.Event | None] = {}
         self._replay_lock = threading.Lock()
         # Billing counters in the front's metrics scope *shadow* (never
         # replace) the authoritative _Billing ledger: metrics are monotone
@@ -635,10 +636,13 @@ class HiddenDBServer(JsonHttpFront):
             with self._replay_lock:
                 replayed = self._replay.get(replay_key)
                 if replayed is None:
-                    pending = self._inflight.get(replay_key)
-                    if pending is None:
-                        self._inflight[replay_key] = threading.Event()
+                    if replay_key not in self._inflight:
+                        self._inflight[replay_key] = None
                         break
+                    pending = self._inflight[replay_key]
+                    if pending is None:
+                        pending = threading.Event()
+                        self._inflight[replay_key] = pending
             if replayed is not None:
                 self._m_replayed.inc(key=api_key)
                 return replayed

@@ -183,7 +183,7 @@ def encode_row(row: Row) -> dict[str, Any]:
 
 def decode_row(payload: Mapping[str, Any]) -> Row:
     """JSON dict -> Row."""
-    return Row(int(payload["rid"]), tuple(int(v) for v in payload["values"]))
+    return Row(int(payload["rid"]), tuple(map(int, payload["values"])))
 
 
 def encode_answer(
@@ -202,7 +202,10 @@ def decode_answer(
     payload: Mapping[str, Any],
 ) -> tuple[tuple[Row, ...], bool, int]:
     """JSON dict -> ``(rows, overflow, sequence)``."""
-    rows = tuple(decode_row(entry) for entry in payload["rows"])
+    rows = tuple([
+        Row(int(entry["rid"]), tuple(map(int, entry["values"])))
+        for entry in payload["rows"]
+    ])
     return rows, bool(payload["overflow"]), int(payload["sequence"])
 
 

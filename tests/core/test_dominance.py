@@ -80,6 +80,15 @@ class TestSkylineIndices:
         with pytest.raises(ValueError):
             skyline_indices(np.zeros((2, 2, 2)))
 
+    def test_rejects_non_integer_values(self):
+        # Settling strictness on coordinate sums is exact for integers only.
+        with pytest.raises(ValueError):
+            skyline_indices(np.array([[0.5, 1.0], [1.0, 0.5]]))
+        with pytest.raises(ValueError):
+            incremental_skyline_update(
+                np.empty((0, 2), dtype=np.int64), np.array([[0.5, 1.0]])
+            )
+
     @pytest.mark.parametrize(
         "seed, domain",
         [pytest.param(seed, 6, id=str(seed)) for seed in range(8)]

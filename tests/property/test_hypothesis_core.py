@@ -183,6 +183,58 @@ def test_block_folds_match_one_skyline_pass(values, data):
     }
 
 
+def _values_around(edge, outside):
+    """Values just inside ``[-edge, edge - 1]`` (the range of int16 for
+    ``edge = 2**15``, of int32 for ``2**31``), with ``outside`` also just
+    outside it, and a few small ones: few enough that vectors tie often."""
+    inside = [-edge, -1, 0, 1, edge - 1]
+    return st.sampled_from(inside + [-edge - 1, edge] if outside else inside)
+
+
+# The kernel compares in the narrowest integer type holding every value
+# and coordinate sum: these instances sit on the int16 and int32 edges or
+# reach 2**40, so a type picked too narrow wraps a value or a sum (with
+# every value inside an edge, only a sum can cross it).
+wide_matrices = st.tuples(
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([2**15, 2**31, 2**40]),
+    st.booleans(),
+).flatmap(
+    lambda spec: st.lists(
+        st.tuples(*([_values_around(spec[1], spec[2])] * spec[0])),
+        max_size=80,
+    ).map(lambda values: np.array(values, dtype=np.int64).reshape(-1, spec[0]))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix=wide_matrices, data=st.data())
+def test_skyline_kernel_matches_pairwise_dominance_at_every_width(
+    matrix, data
+):
+    """``skyline_indices`` and a block-by-block fold through
+    ``incremental_skyline_update`` (from an empty skyline, with an empty
+    block somewhere) both keep exactly the rows no row dominates."""
+    values = matrix.tolist()
+    expected = [
+        position
+        for position, vector in enumerate(values)
+        if not any(dominates(other, vector) for other in values)
+    ]
+    assert skyline_indices(matrix).tolist() == expected
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(matrix)), max_size=5)))
+    bounds = list(zip([0, *cuts], [*cuts, len(matrix)]))
+    bounds.insert(data.draw(st.integers(0, len(bounds))), (0, 0))
+    kept = matrix[:0]
+    kept_ids = np.empty(0, dtype=np.int64)
+    for lo, hi in bounds:
+        positions = incremental_skyline_update(kept, matrix[lo:hi])
+        kept = np.concatenate([kept, matrix[lo:hi]])[positions]
+        kept_ids = np.concatenate([kept_ids, np.arange(lo, hi)])[positions]
+        assert (np.diff(kept.sum(axis=1)) >= 0).all()
+    assert sorted(kept_ids.tolist()) == expected
+
+
 # Distinct-vector instances for skyband (duplicates make band membership
 # unobservable through a top-k interface; see DESIGN.md).
 distinct_matrices = st.integers(min_value=2, max_value=3).flatmap(
